@@ -13,7 +13,7 @@ from miqpcert import (
     encoding_size,
     h_to_v,
     is_pointed,
-    orthant_split,
+    iter_orthant_parts,
     recession_cone,
 )
 
@@ -40,7 +40,7 @@ print("recession cone rows:", rec.num_rows, "pointed:", is_pointed(rec))
 
 # --- splitting a line into sign-restricted parts --------------------------
 line = HPolyhedron(QMatrix.zero(0, 1), QVector.of([]))
-parts = orthant_split(line)
+parts = [part for _, part in iter_orthant_parts(line)]
 print("\nthe real line splits into", len(parts), "pointed parts")
 print(" part 0 contains  3:", parts[0].contains(vec(3)))
 print(" part 1 contains -3:", parts[1].contains(vec(-3)))

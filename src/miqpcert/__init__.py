@@ -31,7 +31,6 @@ from .linalg import (
     LinearSolution,
     QMatrix,
     QVector,
-    Rational,
     as_rational,
     encoding_size,
     isqrt_ceil,
@@ -56,7 +55,7 @@ from .polyhedra import (
     faces_of_simple_cone,
     h_to_v,
     is_pointed,
-    orthant_split,
+    iter_orthant_parts,
     polytope_hull,
     primitivize,
     recession_cone,

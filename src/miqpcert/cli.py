@@ -1,16 +1,12 @@
 """Command-line entry point.
 
 Exit codes are part of the contract: 0 feasible / verified, 1 infeasible /
-rejected, 2 input error.  All output is UTF-8 text.  MIQPCERT_JOBS is the
-parallelism-degree knob; values above one are accepted and currently run the
-same deterministic sequential search (parallel evaluation is an allowed
-optimization, not a semantic change).
+rejected, 2 input error.  All output is UTF-8 text.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -29,17 +25,6 @@ from .oracle import UnboundedFiber, brute_force_feasibility
 from .polyhedra import NotPointed
 
 
-def _jobs_from_env() -> int:
-    raw = os.environ.get("MIQPCERT_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ValueError(f"MIQPCERT_JOBS must be a positive integer, got {raw!r}") from None
-    if jobs < 1:
-        raise ValueError(f"MIQPCERT_JOBS must be a positive integer, got {raw!r}")
-    return jobs
-
-
 def _load_instance(path: str):
     text = Path(path).read_text(encoding="utf-8")
     return parse_instance(text)
@@ -47,7 +32,6 @@ def _load_instance(path: str):
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    _jobs_from_env()
     cert = find_certificate(inst)
     if cert is None:
         print("INFEASIBLE")

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 
@@ -31,10 +29,6 @@ def as_rational(value: RationalLike) -> Fraction:
         # tolerate the typeset minus sign in hand-written files
         return Fraction(value.replace("−", "-").strip())
     raise TypeError(f"not a rational: {value!r}")
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 @dataclass(frozen=True, order=True)

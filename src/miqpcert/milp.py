@@ -50,21 +50,25 @@ class MixedIntegerSet:
 class Fiber:
     """Continuous completions of one integer prefix inside one window B^K."""
 
-    polyhedron: HPolyhedron  # full-space description: window rows + prefix equalities
+    window: HPolyhedron
     integer_part: QVector
     family_index: int
     vertices: tuple[QVector, ...]  # full-space vertices
-    reduced: HPolyhedron | None  # trailing-coordinate polytope; None when q = 0
+    reduced: HPolyhedron | None  # trailing-coordinate polyhedron; None when q = 0
+
+    @property
+    def polyhedron(self) -> HPolyhedron:
+        """Full-space description: window rows plus prefix equalities."""
+        poly = self.window
+        for t, value in enumerate(self.integer_part):
+            poly = poly.with_equality(QVector.unit(t, poly.dim), value)
+        return poly
 
 
 @dataclass(frozen=True)
 class MisDecomposition:
     fiber_records: tuple[Fiber, ...]
     ray_families: tuple[SimpleCone, ...]
-
-    @property
-    def fibers(self) -> tuple[HPolyhedron, ...]:
-        return tuple(f.polyhedron for f in self.fiber_records)
 
 
 def _ray_families(vrep: VPolyhedron) -> list[tuple[tuple[int, ...], SimpleCone]]:
@@ -102,16 +106,17 @@ def _window_polytope(s: MixedIntegerSet, vrep: VPolyhedron, family: SimpleCone) 
     return polytope_hull(_window_points(vrep, family, s.polyhedron.dim))
 
 
-def _integer_prefixes(points: list[QVector], p: int) -> Iterator[QVector]:
-    """Integer points of the bounding box of the first p coordinates."""
-    if p == 0:
-        yield QVector.of([])
-        return
+def _integer_prefixes(
+    vertices: tuple[QVector, ...], rays: tuple[QVector, ...], p: int
+) -> Iterator[QVector]:
+    """Integer points of the box of the first p coordinates of
+    conv(vertices) + sum of segments [0, r] over the rays, in product order:
+    min_v v_t + sum_r min(r_t, 0) <= y_t <= max_v v_t + sum_r max(r_t, 0)."""
     ranges = []
     for t in range(p):
-        values = [pt[t] for pt in points]
-        lo = math.ceil(min(values))
-        hi = math.floor(max(values))
+        values = [v[t] for v in vertices]
+        lo = math.ceil(min(values) + sum(min(r[t], 0) for r in rays))
+        hi = math.floor(max(values) + sum(max(r[t], 0) for r in rays))
         if lo > hi:
             return
         ranges.append(range(lo, hi + 1))
@@ -122,24 +127,17 @@ def _integer_prefixes(points: list[QVector], p: int) -> Iterator[QVector]:
 def _build_fiber(
     window: HPolyhedron, y: QVector, family_index: int, p: int
 ) -> Fiber | None:
-    n = window.dim
-    q = n - p
-    if q == 0:
+    """The completions of prefix y inside window, or None when there are none."""
+    if window.dim == p:
         if not window.contains(y):
             return None
-        poly = window
-        for t in range(p):
-            poly = poly.with_equality(QVector.unit(t, n), y[t])
-        return Fiber(poly, y, family_index, (y,), None)
+        return Fiber(window, y, family_index, (y,), None)
     reduced = restrict_prefix(window, y)
     verts = h_to_v(reduced).vertices
     if not verts:
         return None
     lifted = tuple(sorted(y.concat(z) for z in verts))
-    poly = window
-    for t in range(p):
-        poly = poly.with_equality(QVector.unit(t, n), y[t])
-    return Fiber(poly, y, family_index, lifted, reduced)
+    return Fiber(window, y, family_index, lifted, reduced)
 
 
 def decompose_mixed_integer_set(s: MixedIntegerSet, max_fibers: int = 20000) -> MisDecomposition:
@@ -158,8 +156,7 @@ def decompose_mixed_integer_set(s: MixedIntegerSet, max_fibers: int = 20000) -> 
     records: list[Fiber] = []
     for family_index, (_, family) in enumerate(families):
         window = _window_polytope(s, vrep, family)
-        points = _window_points(vrep, family, s.polyhedron.dim)
-        for y in _integer_prefixes(points, s.integer_count):
+        for y in _integer_prefixes(vrep.vertices, family.rays, s.integer_count):
             fiber = _build_fiber(window, y, family_index, s.integer_count)
             if fiber is None:
                 continue
@@ -171,26 +168,25 @@ def decompose_mixed_integer_set(s: MixedIntegerSet, max_fibers: int = 20000) -> 
 
 def mip_point(s: MixedIntegerSet) -> QVector | None:
     """A point of the mixed-integer set of small encoding size, or None when
-    the set is empty.  The point is a vertex of the first nonempty fiber over
-    the maximal simple ray families (any simple family extends to a maximal
-    one whose window contains the same base points)."""
+    the set is empty.
+
+    Every point x of the set is v + sum mu_r r with v in conv(vertices) and,
+    by Caratheodory, r over a simple family K of extreme rays.  Moving back by
+    the integral steps floor(mu_r) r keeps the point in P and its prefix
+    integral, and lands it in the window B^K = conv(vertices) + sum over K of
+    [0, r].  Every window lies in conv(vertices) + sum over all extreme rays
+    of [0, r], whose bounding box in the prefix coordinates has a closed form
+    (_integer_prefixes).  So the set is nonempty exactly when some integer
+    prefix in that box has a nonempty fiber of P itself, and the least vertex
+    of the first such fiber is the point returned.
+    """
     if not is_pointed(s.polyhedron):
         raise NotPointed("mixed-integer search requires a pointed polyhedron")
     vrep = h_to_v(s.polyhedron)
     if vrep.is_empty:
         return None
-    families = _ray_families(vrep)
-    index_sets = [idx for idx, _ in families]
-    maximal = [
-        (idx, fam)
-        for idx, fam in families
-        if not any(set(idx) < set(other) for other in index_sets)
-    ]
-    for family_index, (_, family) in enumerate(maximal):
-        window = _window_polytope(s, vrep, family)
-        points = _window_points(vrep, family, s.polyhedron.dim)
-        for y in _integer_prefixes(points, s.integer_count):
-            fiber = _build_fiber(window, y, family_index, s.integer_count)
-            if fiber is not None:
-                return min(fiber.vertices)
+    for y in _integer_prefixes(vrep.vertices, vrep.rays, s.integer_count):
+        fiber = _build_fiber(s.polyhedron, y, 0, s.integer_count)  # P's own fiber: no family
+        if fiber is not None:
+            return min(fiber.vertices)
     return None

@@ -2,8 +2,9 @@
 
 All enumeration here is desk scale and exact: vertices come from independent
 row subsets, extreme rays from independent (n-1)-subsets, facets of a point
-set from affinely independent d-subsets.  Deterministic throughout; ties are
-broken by lexicographic order on rational tuples.
+set from affinely independent d-subsets, and the facets of a pointed cone as
+the hull rows through the origin.  Deterministic throughout; ties are broken
+by lexicographic order on rational tuples.
 """
 
 from __future__ import annotations
@@ -97,10 +98,6 @@ class VPolyhedron:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    @property
-    def is_bounded(self) -> bool:
-        return not self.rays
-
 
 @dataclass(frozen=True)
 class SimpleCone:
@@ -139,34 +136,9 @@ class SimpleCone:
         return self.multipliers(x) is not None
 
     def to_hpolyhedron(self, ambient_dim: int) -> HPolyhedron:
-        """Exact inequality description of the cone in R^ambient_dim."""
-        n = ambient_dim
-        if not self.rays:
-            ident = QMatrix.identity(n)
-            rows = list(ident.entries) + [(-v).entries for v in map(QVector, ident.entries)]
-            a = QMatrix.from_rows(rows, n)
-            return HPolyhedron(a, QVector.zero(2 * n))
-        k = len(self.rays)
-        ray_rows = QMatrix.from_rows([r.entries for r in self.rays], n)  # k x n
-        gram = QMatrix.from_rows(
-            [[self.rays[i].dot(self.rays[j]) for j in range(k)] for i in range(k)]
-        )
-        # left inverse L = (R^T R)^{-1} R^T, so L x recovers the multipliers
-        l_rows = []
-        for i in range(k):
-            sol = solve_linear_system(gram, QVector.unit(i, k))
-            assert sol is not None and sol.is_unique
-            l_rows.append(
-                QVector.of(
-                    sum(sol.particular[j] * self.rays[j][t] for j in range(k)) for t in range(n)
-                )
-            )
-        rows = [(-l).entries for l in l_rows]  # multipliers >= 0
-        for c in nullspace_basis(ray_rows):  # x confined to span(rays)
-            rows.append(c.entries)
-            rows.append((-c).entries)
-        a = QMatrix.from_rows(rows, n)
-        return HPolyhedron(a, QVector.zero(a.rows))
+        """Exact inequality description of the cone in R^ambient_dim (the apex
+        {0} when there are no rays)."""
+        return _rows_through_origin(polytope_hull([QVector.zero(ambient_dim), *self.rays]))
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +166,6 @@ def iter_orthant_parts(p: HPolyhedron) -> Iterator[tuple[tuple[int, ...], HPolyh
             rows.append(-unit if s > 0 else unit)
             rhs.append(Fraction(0))
         yield signs, p.with_rows(rows, rhs)
-
-
-def orthant_split(p: HPolyhedron) -> list[HPolyhedron]:
-    """All 2^n sign-restricted parts; their union is p and each part is
-    pointed (the sign rows alone have rank n)."""
-    return [part for _, part in iter_orthant_parts(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +297,7 @@ def faces_of_simple_cone(cone: SimpleCone) -> list[SimpleCone]:
 
 
 # ---------------------------------------------------------------------------
-# V -> H conversion for polytopes (desk scale, needed for fiber emission)
+# V -> H conversion (desk scale: fiber windows and cone descriptions)
 
 
 def _canonical_facet(normal: QVector, offset: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -348,58 +314,42 @@ def _canonical_facet(normal: QVector, offset: Fraction) -> tuple[tuple[Fraction,
 def polytope_hull(points: Sequence[QVector]) -> HPolyhedron:
     """Exact inequality description of conv(points).
 
-    Affine-hull equalities are emitted as row pairs; facets are found by
-    enumerating affinely independent d-subsets in hull coordinates.
+    Affine-hull equalities c.x = c.base are emitted as row pairs.  When the
+    hull has dimension d, each facet is spanned by an affinely independent
+    d-subset: its normal is the one-dimensional nullspace of the subset's
+    differences stacked with the equality normals c, kept when every point
+    lies on one side.  Every row is primitive integral.
     """
     if not points:
         raise ValueError("hull of an empty point set")
     pts = sorted(set(points))
     n = pts[0].dim
     base = pts[0]
-    diffs = [p - base for p in pts[1:]]
     basis: list[QVector] = []
-    for d in diffs:
+    for p in pts[1:]:
+        d = p - base
         trial = QMatrix.from_rows([v.entries for v in basis + [d]], n)
         if rank(trial) == len(basis) + 1:
             basis.append(d)
     dim = len(basis)
-    rows: list[QVector] = []
+    span_rows = QMatrix.from_rows([v.entries for v in basis], n)
+    complement = [primitivize(c) for c in nullspace_basis(span_rows)]
+    rows: list[tuple[Fraction, ...]] = []
     rhs: list[Fraction] = []
-    if dim < n:
-        span_rows = QMatrix.from_rows([v.entries for v in basis], n)
-        for c in nullspace_basis(span_rows):
-            rows.extend([c, -c])
-            rhs.extend([c.dot(base), -c.dot(base)])
-    if dim == 0:
-        return HPolyhedron(QMatrix.from_rows([r.entries for r in rows], n), QVector.of(rhs))
-    # local coordinates: p = base + B xi, solved exactly per point
-    basis_cols = QMatrix.from_rows([v.entries for v in basis], n).transpose()
-    local = []
-    for p in pts:
-        sol = solve_linear_system(basis_cols, p - base)
-        assert sol is not None and sol.is_unique
-        local.append(sol.particular)
-    # left inverse of B for pulling facet normals back to ambient space
-    gram = QMatrix.from_rows([[basis[i].dot(basis[j]) for j in range(dim)] for i in range(dim)])
-    left_inverse_rows = []
-    for i in range(dim):
-        sol = solve_linear_system(gram, QVector.unit(i, dim))
-        assert sol is not None and sol.is_unique
-        left_inverse_rows.append(
-            QVector.of(
-                sum(sol.particular[j] * basis[j][t] for j in range(dim)) for t in range(n)
-            )
-        )
+    for c in complement:
+        rows.extend([c.entries, (-c).entries])
+        rhs.extend([c.dot(base), -c.dot(base)])
     seen = set()
-    for subset in combinations(range(len(local)), dim):
-        anchor = local[subset[0]]
-        span = QMatrix.from_rows([(local[i] - anchor).entries for i in subset[1:]], dim)
-        null = nullspace_basis(span)
+    facet_subsets = combinations(range(len(pts)), dim) if dim else ()  # a point has no facets
+    for subset in facet_subsets:
+        anchor = pts[subset[0]]
+        span = [(pts[i] - anchor).entries for i in subset[1:]] + [c.entries for c in complement]
+        null = nullspace_basis(QMatrix.from_rows(span, n))
         if len(null) != 1:
             continue  # not affinely independent
         g = null[0]
         h = g.dot(anchor)
-        values = [g.dot(xi) for xi in local]
+        values = [g.dot(p) for p in pts]
         if all(v <= h for v in values):
             pass
         elif all(v >= h for v in values):
@@ -410,84 +360,33 @@ def polytope_hull(points: Sequence[QVector]) -> HPolyhedron:
         if key in seen:
             continue
         seen.add(key)
-        ambient_normal = QVector.of(
-            sum(g[j] * left_inverse_rows[j][t] for j in range(dim)) for t in range(n)
-        )
-        rows.append(ambient_normal)
-        rhs.append(h + ambient_normal.dot(base))
-    hull = HPolyhedron(QMatrix.from_rows([r.entries for r in rows], n), QVector.of(rhs))
+        rows.append(key[0])
+        rhs.append(key[1])
+    hull = HPolyhedron(QMatrix.from_rows(rows, n), QVector.of(rhs))
     assert all(hull.contains(p) for p in pts)
     return hull
 
 
-def cone_hull(rays: Sequence[QVector]) -> HPolyhedron:
-    """Exact inequality description of the pointed cone spanned by the rays.
+def _rows_through_origin(hull: HPolyhedron) -> HPolyhedron:
+    """The rows of a hull with right-hand side 0.
 
-    Facets of a pointed cone pass through the origin and are spanned by
-    linearly independent ray subsets with all rays on one side; lower
-    dimensional cones get affine-hull equalities as row pairs.
-    """
+    For conv({0} + rays) of a pointed cone the origin is a vertex, and the
+    rows through a vertex (its facets and the affine-hull equalities) cut out
+    the tangent cone there, which is cone(rays)."""
+    keep = [i for i in range(hull.num_rows) if hull.b[i] == 0]
+    return HPolyhedron(
+        QMatrix.from_rows([hull.a.entries[i] for i in keep], hull.dim), QVector.zero(len(keep))
+    )
+
+
+def cone_hull(rays: Sequence[QVector]) -> HPolyhedron:
+    """Exact inequality description of the pointed cone spanned by the rays:
+    the rhs-0 rows of polytope_hull({0} + rays)."""
     if not rays:
         raise ValueError("hull of an empty ray set")
-    gens = sorted(set(rays))
-    n = gens[0].dim
-    if any(r.is_zero() for r in gens):
+    if any(r.is_zero() for r in rays):
         raise ValueError("zero vector is not a ray")
-    basis: list[QVector] = []
-    for r in gens:
-        trial = QMatrix.from_rows([v.entries for v in basis + [r]], n)
-        if rank(trial) == len(basis) + 1:
-            basis.append(r)
-    dim = len(basis)
-    rows: list[QVector] = []
-    rhs: list[Fraction] = []
-    if dim < n:
-        span_rows = QMatrix.from_rows([v.entries for v in basis], n)
-        for c in nullspace_basis(span_rows):
-            rows.extend([c, -c])
-            rhs.extend([Fraction(0), Fraction(0)])
-    basis_cols = QMatrix.from_rows([v.entries for v in basis], n).transpose()
-    local = []
-    for r in gens:
-        sol = solve_linear_system(basis_cols, r)
-        assert sol is not None and sol.is_unique
-        local.append(sol.particular)
-    gram = QMatrix.from_rows([[basis[i].dot(basis[j]) for j in range(dim)] for i in range(dim)])
-    left_inverse_rows = []
-    for i in range(dim):
-        sol = solve_linear_system(gram, QVector.unit(i, dim))
-        assert sol is not None and sol.is_unique
-        left_inverse_rows.append(
-            QVector.of(
-                sum(sol.particular[j] * basis[j][t] for j in range(dim)) for t in range(n)
-            )
-        )
-    seen = set()
-    for subset in combinations(range(len(local)), dim - 1):
-        span = QMatrix.from_rows([local[i].entries for i in subset], dim)
-        null = nullspace_basis(span)
-        if len(null) != 1:
-            continue
-        g = null[0]
-        values = [g.dot(xi) for xi in local]
-        if all(v <= 0 for v in values):
-            pass
-        elif all(v >= 0 for v in values):
-            g = -g
-        else:
-            continue
-        key = primitivize(g).entries
-        if key in seen:
-            continue
-        seen.add(key)
-        ambient_normal = QVector.of(
-            sum(g[j] * left_inverse_rows[j][t] for j in range(dim)) for t in range(n)
-        )
-        rows.append(ambient_normal)
-        rhs.append(Fraction(0))
-    hull = HPolyhedron(QMatrix.from_rows([r.entries for r in rows], n), QVector.of(rhs))
-    assert all(hull.contains(r) for r in gens)
-    return hull
+    return _rows_through_origin(polytope_hull([QVector.zero(rays[0].dim), *rays]))
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +405,3 @@ def restrict_prefix(p: HPolyhedron, y: QVector) -> HPolyhedron:
         p.b[i] - sum(p.a.entries[i][j] * y[j] for j in range(k)) for i in range(p.num_rows)
     ]
     return HPolyhedron(QMatrix.from_rows(rows, q), QVector.of(rhs))
-
-
-def prefix_feasible(p: HPolyhedron, y: QVector) -> bool:
-    """Row check for the degenerate q = 0 case where y is the whole point."""
-    if y.dim != p.dim:
-        raise DimensionMismatch("prefix must cover all coordinates here")
-    return p.contains(y)

@@ -57,7 +57,6 @@ class QuadraticForm:
 class QpResult:
     minimizer: QVector
     value: Fraction
-    active_set: tuple[int, ...]
 
 
 def eval_quadratic(q: QuadraticForm, x: QVector) -> Fraction:
@@ -155,9 +154,7 @@ def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
             best_value = value
             best_point = x
     assert best_point is not None
-    ax = p.a.matvec(best_point)
-    active = tuple(i for i in range(p.num_rows) if ax[i] == p.b[i])
-    return QpResult(best_point, best_value, active)
+    return QpResult(best_point, best_value)
 
 
 def min_quadratic_on_cone_slice(

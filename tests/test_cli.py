@@ -119,15 +119,6 @@ def test_decompose_requires_pointed(tmp_path, capsys):
     assert main(["decompose", "--instance", inst]) == 2
 
 
-def test_jobs_env_var_validated(tmp_path, capsys, monkeypatch):
-    inst = write(tmp_path, "h.inst", CASE1)
-    cert = str(tmp_path / "h.cert")
-    monkeypatch.setenv("MIQPCERT_JOBS", "4")
-    assert main(["solve", "--instance", inst, "--out", cert]) == 0
-    monkeypatch.setenv("MIQPCERT_JOBS", "zero")
-    assert main(["solve", "--instance", inst, "--out", cert]) == 2
-
-
 def test_solve_oracle_differential_small_corpus(tmp_path, capsys):
     rng = random.Random(404)
     for i in range(25):

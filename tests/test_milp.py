@@ -9,6 +9,7 @@ from miqpcert.polyhedra import (
     NotPointed,
     caratheodory_simple_cone,
     h_to_v,
+    iter_orthant_parts,
     restrict_prefix,
 )
 
@@ -108,6 +109,35 @@ def test_mip_point_integrality_and_membership():
             continue
         assert poly.contains(point)
         assert point.take(p).is_integral()
+
+
+def test_mip_point_unbounded_parts():
+    # x >= 1/3 with x integral: the box of conv(V) alone is [1/3, 1/3] and
+    # holds no integer; only the ray segment [0, 1] reaches x = 1
+    assert mip_point(MixedIntegerSet(hpoly([[-1]], [Fraction(-1, 3)]), 1)) == vec(1)
+    # orthant parts of few random unboxed rows: pointed and mostly unbounded
+    rng = random.Random(113)
+    unbounded = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        p = rng.randint(0, n)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+        whole = hpoly(rows, [rng.randint(-3, 3) for _ in rows])
+        for _, part in iter_orthant_parts(whole):
+            vrep = h_to_v(part)
+            unbounded += bool(vrep.rays)
+            point = mip_point(MixedIntegerSet(part, p))
+            if point is not None:
+                assert part.contains(point)
+                assert point.take(p).is_integral()
+                continue
+            for combo in enumerate_integer_box(3, p):
+                prefix = vec(*combo)
+                if p == n:
+                    assert not part.contains(prefix)
+                else:
+                    assert h_to_v(restrict_prefix(part, prefix)).is_empty
+    assert unbounded >= 40
 
 
 def test_completeness_by_floor_splitting():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from miqpcert.cones import normalizing_hyperplane
 from miqpcert.linalg import QMatrix, QVector, rank, solve_linear_system
 from miqpcert.polyhedra import (
     HPolyhedron,
@@ -13,7 +14,7 @@ from miqpcert.polyhedra import (
     faces_of_simple_cone,
     h_to_v,
     is_pointed,
-    orthant_split,
+    iter_orthant_parts,
     polytope_hull,
     primitivize,
     recession_cone,
@@ -54,18 +55,18 @@ def test_is_pointed():
 
 def test_orthant_split_counts_and_cover():
     line = HPolyhedron(QMatrix.zero(0, 1), QVector.of([]))
-    parts = orthant_split(line)
+    parts = [part for _, part in iter_orthant_parts(line)]
     assert len(parts) == 2
     assert parts[0].contains(vec(3)) and not parts[0].contains(vec(-3))
     assert parts[1].contains(vec(-3))
-    assert len(orthant_split(unit_square())) == 4
+    assert len(list(iter_orthant_parts(unit_square()))) == 4
 
 
 def test_orthant_split_added_rows_linear_size():
     # each added sign row encodes in O(n) bits
     for n in range(1, 7):
         whole = HPolyhedron(QMatrix.zero(0, n), QVector.of([]))
-        part = orthant_split(whole)[0]
+        _, part = next(iter_orthant_parts(whole))
         for i in range(part.num_rows):
             assert encoding_size(part.a.row(i)).bits <= 3 * n + 5
 
@@ -76,7 +77,7 @@ def test_orthant_split_parts_are_pointed():
         n = rng.randint(1, 3)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 2))]
         p = HPolyhedron(QMatrix.from_rows(rows, n), QVector.of([rng.randint(-2, 4) for _ in rows]))
-        for part in orthant_split(p):
+        for _, part in iter_orthant_parts(p):
             assert is_pointed(part)
 
 
@@ -238,6 +239,26 @@ def test_simple_cone_h_form():
     assert not hp.contains(vec(0, 0, 1))
     assert not hp.contains(vec(-1, 0, 0))
     assert hp.contains(vec(0, 0, 0))
+    # seeded simple cones: primitive integral rows through the origin, every
+    # ray inside, and the normalized slice is the simplex of scaled rays
+    rng = random.Random(41)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(1, 3)
+        rays = tuple(vec(*[rng.randint(-3, 3) for _ in range(n)]) for _ in range(rng.randint(1, n)))
+        if rank(QMatrix.from_rows([r.entries for r in rays], n)) != len(rays):
+            continue
+        checked += 1
+        hp = SimpleCone(rays).to_hpolyhedron(n)
+        assert hp.b.is_zero()
+        for i in range(hp.num_rows):
+            row = hp.a.row(i)
+            assert row.is_integral() and primitivize(row) == row
+        assert all(hp.contains(r) for r in rays)
+        f = normalizing_hyperplane(rays).f
+        slice_v = h_to_v(hp.with_equality(f, Fraction(1)))
+        assert not slice_v.rays
+        assert set(slice_v.vertices) == {r.scale(1 / f.dot(r)) for r in rays}
 
 
 def test_orthant_split_covers_samples():
@@ -247,7 +268,7 @@ def test_orthant_split_covers_samples():
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
         rhs = [rng.randint(0, 4) for _ in rows]
         p = hpoly(rows, rhs)
-        parts = orthant_split(p)
+        parts = [part for _, part in iter_orthant_parts(p)]
         for _ in range(30):
             x = vec(*[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)])
             if not p.contains(x):
