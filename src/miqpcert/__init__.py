@@ -43,6 +43,8 @@ from .milp import (
     MixedIntegerSet,
     decompose_mixed_integer_set,
     mip_point,
+    ray_families,
+    window_fibers,
 )
 from .oracle import OracleVerdict, UnboundedFiber, brute_force_feasibility
 from .polyhedra import (

@@ -10,13 +10,17 @@ normalized slice of the recession cone:
 * negative minimum: shoot from any mixed-integer point along the negative
   direction far enough that the concave parabola in the step length dips
   below zero;
-* non-negative minimum: decompose the set into fibers plus integer ray
-  families, split each family along zero-curvature structure, descend along
-  a flat ray with negative linear rate if one exists, and otherwise scan the
-  bounded residual window with the exact QP kernel.
+* non-negative minimum: go family by family over the simple families of
+  extreme rays.  Split each family once along zero-curvature structure into
+  pieces, then build the fibers of that family's window lazily and pair each
+  only with its own family's pieces: descend along a flat ray with negative
+  linear rate if one exists, and otherwise scan the bounded residual window,
+  sending to the exact QP kernel only the shifted fibers that an exact lower
+  bound does not already rule out.  The search stops at the first
+  certificate.
 
 Every certificate is re-verified exactly before being returned.  Orthant
-parts and (fiber, family, piece) branches are mutually independent; a
+parts and (family, fiber, piece) branches are mutually independent; a
 parallel driver may race them as long as wins resolve in the same
 lexicographic order, which is why the sequential search is the reference.
 """
@@ -36,7 +40,7 @@ from .linalg import (
     encoding_size,
     isqrt_ceil,
 )
-from .milp import Fiber, MixedIntegerSet, decompose_mixed_integer_set, mip_point
+from .milp import MAX_FIBERS, Fiber, MixedIntegerSet, mip_point, ray_families, window_fibers
 from .polyhedra import (
     HPolyhedron,
     SimpleCone,
@@ -233,13 +237,15 @@ def find_certificate(inst: MiqpInstance) -> Certificate | None:
 def certify_pointed_part(
     inst: MiqpInstance, part: HPolyhedron, signs: tuple[int, ...] | None
 ) -> Certificate | None:
-    """Branch on the sign of min r^T H r over a normalized recession slice."""
-    rec = recession_cone(part)
-    rays = h_to_v(rec).rays
+    """Branch on the sign of min r^T H r over a normalized recession slice.
+
+    ``part`` is nonempty, so h_to_v(part) lists the extreme rays of its
+    recession cone: the rays come from the rows of A alone, whatever b is."""
+    rays = h_to_v(part).rays
     if not rays:
         return nonnegative_recession_search(inst, part, None, signs)
     f = normalizing_hyperplane(rays).f
-    slice_min = min_quadratic_on_cone_slice(inst.quad.h, rec, f)
+    slice_min = min_quadratic_on_cone_slice(inst.quad.h, recession_cone(part), f)
     if slice_min.value < 0:
         return negative_ray_certificate(inst, part, slice_min.minimizer, signs)
     return nonnegative_recession_search(inst, part, f, signs)
@@ -273,25 +279,40 @@ def negative_ray_certificate(
 def nonnegative_recession_search(
     inst: MiqpInstance, part: HPolyhedron, f: QVector | None, signs: tuple[int, ...] | None
 ) -> Certificate | None:
-    """Search the fiber/family decomposition, splitting each family along the
-    quadratic's zero set, in deterministic lexicographic order."""
-    dec = decompose_mixed_integer_set(MixedIntegerSet(part, inst.integer_count))
-    if not dec.fiber_records:
+    """Search family by family: the fibers of each family's window, built
+    lazily, each paired with the pieces of its own family only, stopping at
+    the first certificate.
+
+    Own-family pairing is complete.  A point x of the mixed-integer set is
+    v + sum mu_r r with v in conv(vertices) and, by Caratheodory, r over a
+    linearly independent family K of extreme rays.  Stepping back by the
+    integral multiples floor(mu_r) r keeps the prefix integral and lands in
+    the window B^K = conv(vertices) + sum over K of [0, r], so x lies in
+    F + intcone(R_K) for a fiber F of K's own window, and the pieces of K
+    cover cone(R_K).  A fiber paired with another family's rays reaches only
+    points of the set, each already covered by its own family's pairs, so
+    those pairs are never needed.  The piece data that does not depend on
+    the fiber (flat and curving rays, the curving slice and its curvature
+    minimum) is computed once per family, when its first fiber is reached.
+    """
+    s = MixedIntegerSet(part, inst.integer_count)
+    vrep = h_to_v(part)
+    if vrep.is_empty:
         return None
-    pieces_of_family: dict[int, tuple[SimpleCone, ...]] = {}
-    for fiber_index, fiber in enumerate(dec.fiber_records):
-        for family_index, family in enumerate(dec.ray_families):
-            if family_index not in pieces_of_family:
-                pieces_of_family[family_index] = simple_cone_decomposition(
-                    inst.quad.h, family
-                ).pieces
-            for piece_index, piece in enumerate(pieces_of_family[family_index]):
-                flat = [
-                    i
-                    for i, ray in enumerate(piece.rays)
-                    if ray.dot(inst.quad.h.matvec(ray)) == 0
+    built = 0
+    for family_index, family in enumerate(ray_families(vrep)):
+        pieces: list[WindowPiece] | None = None
+        for fiber_index, fiber in enumerate(window_fibers(s, vrep, family, family_index)):
+            built += 1
+            if built > MAX_FIBERS:
+                raise ValueError(f"decomposition exceeds {MAX_FIBERS} fibers")
+            if pieces is None:
+                pieces = [
+                    _window_piece(inst.quad, piece, f)
+                    for piece in simple_cone_decomposition(inst.quad.h, family).pieces
                 ]
-                for ray_index in flat:
+            for piece_index, piece in enumerate(pieces):
+                for ray_index in piece.flat:
                     found = linear_descent_step(inst.quad, fiber, piece.rays, ray_index)
                     if found is None:
                         continue
@@ -310,17 +331,49 @@ def nonnegative_recession_search(
                     )
                     return Certificate(point, encoding_size(point), trace)
                 cert = bounded_window_search(
-                    inst,
-                    fiber,
-                    piece,
-                    flat,
-                    f,
-                    signs,
-                    (fiber_index, family_index, piece_index),
+                    inst, fiber, piece, signs, (fiber_index, family_index, piece_index)
                 )
                 if cert is not None:
                     return cert
     return None
+
+
+@dataclass(frozen=True)
+class WindowPiece:
+    """The fiber-independent data of one simple piece of a family's cone."""
+
+    rays: tuple[QVector, ...]
+    flat: tuple[int, ...]  # indices of the rays with r^T H r = 0
+    curving: tuple[QVector, ...]  # the other rays, in order
+    f_values: tuple[Fraction, ...]  # f . r over the curving rays, all > 0
+    slice_terms: tuple[tuple[QVector, Fraction], ...]  # (H u, c . u) per vertex u of the curving slice
+    v1: Fraction | None  # min x^T H x over the curving slice, > 0
+    slice_norm: int | None  # ceil of the largest slice-vertex norm
+
+
+def _window_piece(quad: QuadraticForm, piece: SimpleCone, f: QVector | None) -> WindowPiece:
+    """Split a piece's rays into flat and curving ones and, when some curve,
+    bound the quadratic's growth along them over the slice f . x = 1 of their
+    cone."""
+    flat = tuple(i for i, ray in enumerate(piece.rays) if ray.dot(quad.h.matvec(ray)) == 0)
+    curving = tuple(ray for i, ray in enumerate(piece.rays) if i not in flat)
+    if not curving:
+        return WindowPiece(piece.rays, flat, (), (), (), None, None)
+    if f is None:
+        raise CertifierError("curving rays exist but no normalizing hyperplane was built")
+    slice_poly = SimpleCone(curving).to_hpolyhedron(f.dim).with_equality(f, Fraction(1))
+    slice_v = h_to_v(slice_poly)
+    if slice_v.rays or not slice_v.vertices:
+        raise CertifierError("curving-ray slice is not a nonempty polytope")
+    v1 = qp_global_min(QuadraticForm.pure(quad.h), slice_poly).value
+    if v1 <= 0:
+        raise CertifierError("curvature minimum on the residual cone must be positive")
+    f_values = tuple(f.dot(r) for r in curving)
+    if any(fv <= 0 for fv in f_values):
+        raise CertifierError("hyperplane is not strictly positive on the residual rays")
+    slice_terms = tuple((quad.h.matvec(u), quad.c.dot(u)) for u in slice_v.vertices)
+    slice_norm = isqrt_ceil(max(u.dot(u) for u in slice_v.vertices))
+    return WindowPiece(piece.rays, flat, curving, f_values, slice_terms, v1, slice_norm)
 
 
 def linear_descent_step(
@@ -360,20 +413,31 @@ def _fiber_qp(quad: QuadraticForm, prefix: QVector, reduced: HPolyhedron | None,
     return eval_quadratic(quad, point), point
 
 
+def _shift_lower_bound(quad: QuadraticForm, fiber: Fiber, v3: Fraction, shift: QVector) -> Fraction:
+    """A lower bound on the quadratic over fiber + shift, given its exact
+    minimum v3 over the fiber itself.
+
+    q(x + s) = q(x) + 2 x^T H s + c^T s + s^T H s, where q(x) >= v3 on the
+    fiber and the linear term is least at one of the fiber's vertices.  The
+    bound is exact when the fiber is a single point."""
+    hs = quad.h.matvec(shift)
+    return v3 + min(2 * v.dot(hs) for v in fiber.vertices) + quad.c.dot(shift) + shift.dot(hs)
+
+
 def bounded_window_search(
     inst: MiqpInstance,
     fiber: Fiber,
-    piece: SimpleCone,
-    flat: list[int],
-    f: QVector | None,
+    piece: WindowPiece,
     signs: tuple[int, ...] | None,
     indices: tuple[int, int, int],
 ) -> Certificate | None:
     """Residual search once no flat ray descends: curving-ray multipliers are
     bounded through the root of the minorizing parabola, and each shifted
-    fiber goes to the exact QP kernel."""
+    fiber goes to the exact QP kernel unless the lower bound of
+    _shift_lower_bound already puts the quadratic above zero there.  Such a
+    shift could not certify, so skipping its QP never changes which shift
+    certifies first."""
     fiber_index, family_index, piece_index = indices
-    curving = [piece.rays[i] for i in range(len(piece.rays)) if i not in flat]
     p = inst.integer_count
 
     def window_certificate(shift_counts: tuple[int, ...], shift: QVector, bound: int | None) -> Certificate | None:
@@ -394,50 +458,31 @@ def bounded_window_search(
         )
         return Certificate(point, encoding_size(point), trace)
 
-    if not curving:
+    if not piece.curving:
         return window_certificate((), QVector.zero(inst.dim), None)
 
-    if f is None:
-        raise CertifierError("curving rays exist but no normalizing hyperplane was built")
     n = inst.dim
-    slice_poly = SimpleCone(tuple(curving)).to_hpolyhedron(n).with_equality(f, Fraction(1))
-    slice_v = h_to_v(slice_poly)
-    if slice_v.rays or not slice_v.vertices:
-        raise CertifierError("curving-ray slice is not a nonempty polytope")
-    v1 = qp_global_min(QuadraticForm.pure(inst.quad.h), slice_poly).value
-    if v1 <= 0:
-        raise CertifierError("curvature minimum on the residual cone must be positive")
-    v2 = min(
-        2 * rv.dot(inst.quad.h.matvec(pv)) + inst.quad.c.dot(rv)
-        for pv in fiber.vertices
-        for rv in slice_v.vertices
-    )
-    v3, _ = _fiber_qp(
-        inst.quad,
-        fiber.integer_part,
-        fiber.reduced,
-        fiber.vertices[0],
-    )
+    v1 = piece.v1
+    v2 = min(2 * pv.dot(hu) + cu for pv in fiber.vertices for hu, cu in piece.slice_terms)
+    v3, _ = _fiber_qp(inst.quad, fiber.integer_part, fiber.reduced, fiber.vertices[0])
     v4 = max(math.ceil(abs(coord)) for vert in fiber.vertices for coord in vert.entries)
     disc = v2 * v2 - 4 * v1 * v3
     lam_max = 0 if disc < 0 else max(0, _ceil_root(-v2, disc, 2 * v1))
-    slice_norm = isqrt_ceil(max(rv.dot(rv) for rv in slice_v.vertices))
-    norm_bound = isqrt_ceil(Fraction(n)) * v4 + lam_max * slice_norm
-    f_values = [f.dot(r) for r in curving]
-    if any(fv <= 0 for fv in f_values):
-        raise CertifierError("hyperplane is not strictly positive on the residual rays")
-    caps = [math.floor(Fraction(lam_max) / fv) for fv in f_values]
+    norm_bound = isqrt_ceil(Fraction(n)) * v4 + lam_max * piece.slice_norm
+    caps = [math.floor(Fraction(lam_max) / fv) for fv in piece.f_values]
     total = 1
     for cap in caps:
         total *= cap + 1
     if total > _WINDOW_ENUM_CAP:
         raise CertifierError(f"residual window needs {total} multiplier tuples")
     for counts in product(*(range(cap + 1) for cap in caps)):
-        if sum(m * fv for m, fv in zip(counts, f_values)) > lam_max:
+        if sum(m * fv for m, fv in zip(counts, piece.f_values)) > lam_max:
             continue
         shift = QVector.zero(n)
-        for m, ray in zip(counts, curving):
+        for m, ray in zip(counts, piece.curving):
             shift = shift + ray.scale(m)
+        if _shift_lower_bound(inst.quad, fiber, v3, shift) > 0:
+            continue
         cert = window_certificate(counts, shift, norm_bound)
         if cert is not None:
             return cert

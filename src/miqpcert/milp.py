@@ -7,7 +7,10 @@ A pointed polyhedron P with integral leading coordinates decomposes as
 
 where each R_K is a linearly independent subset of the extreme rays of P and
 each fiber is a polytope of continuous completions of one integer prefix
-inside the bounded window conv(vertices) + sum of ray segments.
+inside the bounded window B^K = conv(vertices) + sum over R_K of ray
+segments.  ``window_fibers`` builds the fibers of one window lazily, so a
+search can stop before building the rest; ``decompose_mixed_integer_set``
+materializes them all.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .polyhedra import (
     polytope_hull,
     restrict_prefix,
 )
+
+MAX_FIBERS = 20000  # nonempty fibers one decomposition or search may build
 
 
 @dataclass(frozen=True)
@@ -71,19 +76,18 @@ class MisDecomposition:
     ray_families: tuple[SimpleCone, ...]
 
 
-def _ray_families(vrep: VPolyhedron) -> list[tuple[tuple[int, ...], SimpleCone]]:
+def ray_families(vrep: VPolyhedron) -> tuple[SimpleCone, ...]:
     """All simple families: the nonempty linearly independent ray subsets, or
     the single empty family when the polyhedron is bounded."""
     if not vrep.rays:
-        return [((), SimpleCone(()))]
+        return (SimpleCone(()),)
     n = vrep.rays[0].dim
     families = []
     for size in range(1, min(len(vrep.rays), n) + 1):
-        for subset in combinations(range(len(vrep.rays)), size):
-            chosen = tuple(vrep.rays[i] for i in subset)
-            if rank(QMatrix.from_rows([r.entries for r in chosen], n)) == size:
-                families.append((subset, SimpleCone(chosen)))
-    return families
+        for subset in combinations(vrep.rays, size):
+            if rank(QMatrix.from_rows([r.entries for r in subset], n)) == size:
+                families.append(SimpleCone(subset))
+    return tuple(families)
 
 
 def _window_points(vrep: VPolyhedron, family: SimpleCone, dim: int) -> list[QVector]:
@@ -140,30 +144,40 @@ def _build_fiber(
     return Fiber(window, y, family_index, lifted, reduced)
 
 
-def decompose_mixed_integer_set(s: MixedIntegerSet, max_fibers: int = 20000) -> MisDecomposition:
+def window_fibers(
+    s: MixedIntegerSet, vrep: VPolyhedron, family: SimpleCone, family_index: int
+) -> Iterator[Fiber]:
+    """The nonempty fibers of the window B^K of one family, built lazily in
+    the product order of their integer prefixes.  ``vrep`` is the nonempty
+    V-description of the pointed polyhedron of ``s``; the window's hull is
+    built when the first fiber is asked for."""
+    window = _window_polytope(s, vrep, family)
+    for y in _integer_prefixes(vrep.vertices, family.rays, s.integer_count):
+        fiber = _build_fiber(window, y, family_index, s.integer_count)
+        if fiber is not None:
+            yield fiber
+
+
+def decompose_mixed_integer_set(s: MixedIntegerSet, max_fibers: int = MAX_FIBERS) -> MisDecomposition:
     """Materialize the fiber/ray-family decomposition of a pointed set.
 
-    Emits only nonempty fibers.  An empty polyhedron yields an empty
-    decomposition.  Raises :class:`NotPointed` for non-pointed input and
-    ValueError when the fiber count exceeds ``max_fibers``.
+    Emits only nonempty fibers, family by family.  An empty polyhedron yields
+    an empty decomposition.  Raises :class:`NotPointed` for non-pointed input
+    and ValueError when the fiber count exceeds ``max_fibers``.
     """
     if not is_pointed(s.polyhedron):
         raise NotPointed("decomposition requires a pointed polyhedron")
     vrep = h_to_v(s.polyhedron)
     if vrep.is_empty:
         return MisDecomposition((), ())
-    families = _ray_families(vrep)
+    families = ray_families(vrep)
     records: list[Fiber] = []
-    for family_index, (_, family) in enumerate(families):
-        window = _window_polytope(s, vrep, family)
-        for y in _integer_prefixes(vrep.vertices, family.rays, s.integer_count):
-            fiber = _build_fiber(window, y, family_index, s.integer_count)
-            if fiber is None:
-                continue
+    for family_index, family in enumerate(families):
+        for fiber in window_fibers(s, vrep, family, family_index):
             records.append(fiber)
             if len(records) > max_fibers:
                 raise ValueError(f"decomposition exceeds {max_fibers} fibers")
-    return MisDecomposition(tuple(records), tuple(f for _, f in families))
+    return MisDecomposition(tuple(records), families)
 
 
 def mip_point(s: MixedIntegerSet) -> QVector | None:

@@ -3,17 +3,23 @@ from fractions import Fraction
 
 import pytest
 
+from miqpcert import certifier, qp
 from miqpcert.certifier import (
     MiqpInstance,
     SearchTrace,
+    _fiber_qp,
+    _shift_lower_bound,
     find_certificate,
     verify_certificate,
 )
-from miqpcert.linalg import DimensionMismatch, encoding_size
+from miqpcert.formats import parse_instance
+from miqpcert.linalg import DimensionMismatch, QMatrix, QVector, encoding_size
+from miqpcert.milp import MixedIntegerSet, ray_families, window_fibers
 from miqpcert.oracle import brute_force_feasibility
+from miqpcert.polyhedra import HPolyhedron, h_to_v, is_pointed, iter_orthant_parts, recession_cone
 from miqpcert.qp import eval_quadratic
 
-from helpers import instance, random_boxed_instance, vec
+from helpers import instance, random_bounded_polytope, random_boxed_instance, random_symmetric, vec
 
 
 def descent_instance(d):
@@ -173,3 +179,132 @@ def test_instance_bit_size():
         + encoding_size(inst.polyhedron.a).bits
         + encoding_size(inst.polyhedron.b).bits
     )
+
+
+def _unbounded_style_system(rng, max_dim):
+    """Few random rows and no box, as in the unbounded benchmark corpus."""
+    n = rng.randint(1, max_dim)
+    p = rng.randint(0, n)
+    h = random_symmetric(rng, n, -3, 3)
+    c = [rng.randint(-3, 3) for _ in range(n)]
+    d = rng.randint(-3, 3)
+    m = rng.randint(1, n + 1)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    rhs = [rng.randint(-3, 3) for _ in range(m)]
+    return instance(h, c, d, rows, rhs, p)
+
+
+def _pointed_parts(poly):
+    if is_pointed(poly):
+        return [poly]
+    return [part for _, part in iter_orthant_parts(poly)]
+
+
+def test_part_rays_equal_recession_cone_rays():
+    # certify_pointed_part reads the recession rays from h_to_v(part): both
+    # enumerations use the rows of A alone
+    rng = random.Random(4141)
+    nonempty = 0
+    for _ in range(40):
+        inst = _unbounded_style_system(rng, 3)
+        for part in _pointed_parts(inst.polyhedron):
+            vrep = h_to_v(part)
+            if vrep.is_empty:
+                continue
+            nonempty += 1
+            assert vrep.rays == h_to_v(recession_cone(part)).rays
+    assert nonempty >= 40
+
+
+def _shifted_fiber_min(quad, fiber, p, shift):
+    prefix = (fiber.integer_part + shift.take(p)) if p else vec()
+    reduced = fiber.reduced.translate(shift.drop(p)) if fiber.reduced is not None else None
+    fallback = fiber.vertices[0] + shift if reduced is None else vec()
+    return _fiber_qp(quad, prefix, reduced, fallback)[0]
+
+
+def test_shift_lower_bound_is_a_relaxation():
+    rng = random.Random(3131)
+    checked = {"single": 0, "polytope": 0}
+    for trial in range(40):
+        n = rng.randint(1, 3)
+        p = n if trial % 4 == 0 else rng.randint(0, n - 1)
+        poly = random_bounded_polytope(rng, n)
+        inst = instance(
+            random_symmetric(rng, n), [rng.randint(-5, 5) for _ in range(n)], rng.randint(-5, 5),
+            [list(row) for row in poly.a.entries], list(poly.b.entries), p,
+        )
+        s = MixedIntegerSet(inst.polyhedron, p)
+        vrep = h_to_v(inst.polyhedron)
+        fibers = list(window_fibers(s, vrep, ray_families(vrep)[0], 0))[:3]
+        for fiber in fibers:
+            v3 = _shifted_fiber_min(inst.quad, fiber, p, QVector.zero(n))
+            for _ in range(3):
+                shift = vec(*[rng.randint(-2, 2) for _ in range(n)])
+                bound = _shift_lower_bound(inst.quad, fiber, v3, shift)
+                exact = _shifted_fiber_min(inst.quad, fiber, p, shift)
+                assert bound <= exact
+                if len(fiber.vertices) == 1:
+                    assert bound == exact
+                    checked["single"] += 1
+                else:
+                    checked["polytope"] += 1
+    assert checked["single"] >= 20 and checked["polytope"] >= 20
+
+
+# generator instance 29 of the unbounded benchmark corpus: n = 2, p = 0, a
+# curving residual window that once sent about 900 shifted fibers to the QP
+LONG_TAIL_29 = "2 0\n2 1\n1 2\n-1 -2\n0\n2\n-3 -1\n-2 -1\n3 3\n"
+
+
+def test_long_tail_window_skips_ruled_out_shifts(monkeypatch):
+    calls = []
+    original = qp.qp_global_min
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(qp, "qp_global_min", counting)
+    monkeypatch.setattr(certifier, "qp_global_min", counting)
+    h_to_v.cache_clear()
+    inst = parse_instance(LONG_TAIL_29)
+    cert = find_certificate(inst)
+    assert cert is not None
+    assert verify_certificate(inst, cert.point).ok
+    assert len(calls) <= 20
+
+
+def test_own_family_pairing_against_oracle():
+    # unboxed systems whose pointed parts have several ray families: a
+    # feasible point in [-2, 2]^n must not be missed by dropping the pairs of
+    # a fiber with another family's rays
+    rng = random.Random(5151)
+    kept = feasible = 0
+    while kept < 40:
+        inst = _unbounded_style_system(rng, 2)
+        families = [
+            len(ray_families(h_to_v(part)))
+            for part in _pointed_parts(inst.polyhedron)
+            if not h_to_v(part).is_empty
+        ]
+        if max(families, default=0) < 2:
+            continue
+        kept += 1
+        n = inst.dim
+        box_rows = [[(1 if j == i else 0) * sign for j in range(n)] for i in range(n) for sign in (1, -1)]
+        boxed = MiqpInstance(
+            inst.quad,
+            HPolyhedron(
+                QMatrix.from_rows(list(inst.polyhedron.a.entries) + box_rows, n),
+                QVector.of(list(inst.polyhedron.b.entries) + [2] * len(box_rows)),
+            ),
+            inst.integer_count,
+        )
+        cert = find_certificate(inst)
+        if cert is not None:
+            assert verify_certificate(inst, cert.point).ok
+        if brute_force_feasibility(boxed, 2).feasible:
+            feasible += 1
+            assert cert is not None
+    assert feasible >= 15
