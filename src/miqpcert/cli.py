@@ -46,9 +46,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cert = parse_certificate(Path(args.cert).read_text(encoding="utf-8"))
     report = verify_certificate(inst, cert.point)
     print(f"q_value={report.q_value} size={report.size.bits}")
-    if report.ok:
+    size_ok = cert.size == report.size
+    if report.ok and size_ok:
         print("VALID")
         return 0
+    if not size_ok:
+        print(f"INVALID: declared size {cert.size.bits} != encoding size {report.size.bits}")
     if report.violated_rows:
         rows = ",".join(str(i) for i in report.violated_rows)
         print(f"INVALID: linear rows violated: {rows}")

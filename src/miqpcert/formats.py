@@ -10,7 +10,7 @@ Instance files (``#`` starts a comment anywhere):
     m rows of n rationals        the constraint matrix A
     one row of m rationals       the right-hand side b
 
-Certificate files:
+Certificate files, each key exactly once and no other keys:
 
     x    <n rationals>
     trace <branch tag>
@@ -144,14 +144,20 @@ def serialize_instance(inst: MiqpInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CERTIFICATE_KEYS = ("x", "trace", "size")
+
+
 def parse_certificate(text: str) -> Certificate:
     lines = _content_lines(text)
     fields: dict[str, tuple[int, list[str]]] = {}
     for line_no, tokens in lines:
-        if not tokens:
-            continue
-        fields[tokens[0]] = (line_no, tokens[1:])
-    for key in ("x", "trace", "size"):
+        key = tokens[0]
+        if key not in _CERTIFICATE_KEYS:
+            raise InstanceFormatError(line_no, f"unknown certificate line {key!r}")
+        if key in fields:
+            raise InstanceFormatError(line_no, f"duplicate '{key}' line (first on line {fields[key][0]})")
+        fields[key] = (line_no, tokens[1:])
+    for key in _CERTIFICATE_KEYS:
         if key not in fields:
             last = lines[-1][0] if lines else 0
             raise InstanceFormatError(last + 1, f"certificate is missing the '{key}' line")

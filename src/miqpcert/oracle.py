@@ -35,7 +35,10 @@ def brute_force_feasibility(inst: MiqpInstance, box: int) -> OracleVerdict:
 
     The caller must guarantee that any feasible point has its integer part
     inside the box; the verdict is only meaningful under that promise.
+    A negative radius raises ``ValueError``.
     """
+    if box < 0:
+        raise ValueError(f"box radius must be non-negative, got {box}")
     p = inst.integer_count
     q = inst.dim - p
     for combo in product(range(-box, box + 1), repeat=p):

@@ -1,11 +1,11 @@
 """Exact global minimization of rational quadratics over polytopes.
 
-The kernel enumerates face affine hulls (independent active-row subsets),
-solves the reduced stationarity system on each exactly, and keeps every
-vertex as a fallback candidate.  A global minimizer of a quadratic over a
-polytope is stationary on the affine hull of the face whose relative
-interior contains it, so the candidate pool always contains an optimal
-point; the minimum is exact and the reported minimizer deterministic
+The candidate pool follows Vavasis (1990): the vertices of the polytope,
+plus, for every face affine hull of dimension at least one (an independent
+active-row subset of size below n), the stationary point of the quadratic
+on that hull when it is the unique one and lies in the polytope.  Some
+global minimizer is always in this pool (see :func:`qp_global_min`), so the
+minimum is exact and the reported minimizer deterministic
 (lexicographically smallest among optimal candidates).
 
 Everything here is a pure function of immutable inputs; candidate active
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import DimensionMismatch, QMatrix, QVector, nullspace_basis, solve_linear_system
+from .linalg import DimensionMismatch, QMatrix, QVector, solve_linear_system
 from .polyhedra import HPolyhedron, SimpleCone, independent_row_subsets, h_to_v
 
 
@@ -84,21 +84,18 @@ def restrict_quadratic(q: QuadraticForm, y: QVector) -> QuadraticForm:
 
 
 def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
-    """Stationary points over every face affine hull, plus representatives of
-    flat stationary sets that miss the particular solution."""
+    """Unique stationary points of q on the affine hulls of p's faces of
+    dimension at least one that lie in p.  Row subsets of size n are not
+    walked: their feasible basic solutions are the vertices of p."""
     n = p.dim
     rows = [p.a.row(i) for i in range(p.num_rows)]
     candidates: list[QVector] = []
-    for size in range(0, n + 1):
+    for size in range(n):
         for idx in independent_row_subsets(rows, size):
             sub = QMatrix.from_rows([p.a.entries[i] for i in idx], n)
             hull = solve_linear_system(sub, QVector.of(p.b[i] for i in idx))
-            if hull is None:
-                continue
+            assert hull is not None  # independent rows are always consistent
             x0, directions = hull.particular, hull.nullspace
-            if not directions:
-                candidates.append(x0)
-                continue
             k = len(directions)
             h_dirs = [q.h.matvec(d) for d in directions]
             reduced_h = QMatrix.from_rows(
@@ -107,32 +104,30 @@ def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
             grad0 = q.h.matvec(x0).scale(2) + q.c
             rhs = QVector.of(-directions[i].dot(grad0) for i in range(k))
             stat = solve_linear_system(reduced_h, rhs)
-            if stat is None:
+            if stat is None or not stat.is_unique:
                 continue
             x_s = x0
             for j in range(k):
                 x_s = x_s + directions[j].scale(stat.particular[j])
             if p.contains(x_s):
                 candidates.append(x_s)
-            elif stat.nullspace:
-                # the stationary set is a flat on which the quadratic is
-                # constant; pick it up where it meets the polytope
-                flats = []
-                for u in stat.nullspace:
-                    w = QVector.zero(n)
-                    for j in range(k):
-                        w = w + directions[j].scale(u[j])
-                    flats.append(w)
-                complement = nullspace_basis(QMatrix.from_rows([w.entries for w in flats], n))
-                restricted = p
-                for c_row in complement:
-                    restricted = restricted.with_equality(c_row, c_row.dot(x_s))
-                candidates.extend(h_to_v(restricted).vertices)
     return candidates
 
 
 def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
     """Exact global minimum of q over the polytope p.
+
+    The pool is complete.  Among the optimal points take one, x*, whose
+    face F of p (the face with x* in its relative interior) has the least
+    dimension.  If F is a vertex, x* is in the pool.  Otherwise x* is a
+    local minimum of q on aff(F), so it is stationary there, and the
+    stationary set S of q on aff(F) is a flat through x*.  Were S more than
+    a point, q would be constant on S (its gradient vanishes along S and
+    its curvature along S is zero), and since F is bounded a line of S
+    through x* would leave F at a point of a proper face of F with the same
+    optimal value, contradicting the choice of x*.  So S = {x*}: the
+    reduced stationarity system on aff(F), cut out by a maximal independent
+    subset of the rows tight on F, has the unique solution x*.
 
     Raises :class:`Unbounded` when p has recession directions and
     :class:`EmptyFeasibleSet` when p is empty.
@@ -145,7 +140,7 @@ def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
     if not vrep.vertices:
         raise EmptyFeasibleSet("feasible set is empty")
     pool = list(vrep.vertices)
-    pool.extend(x for x in _stationary_candidates(q, p) if p.contains(x))
+    pool.extend(_stationary_candidates(q, p))
     best_value = None
     best_point = None
     for x in pool:

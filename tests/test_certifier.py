@@ -5,6 +5,7 @@ import pytest
 
 from miqpcert import certifier, qp
 from miqpcert.certifier import (
+    CertifierError,
     MiqpInstance,
     SearchTrace,
     _fiber_qp,
@@ -308,3 +309,14 @@ def test_own_family_pairing_against_oracle():
             feasible += 1
             assert cert is not None
     assert feasible >= 15
+
+
+@pytest.mark.xfail(strict=True, raises=CertifierError, reason="residual window exceeds the tuple cap")
+def test_tuple_cap_small_integer_system():
+    # 3x^2 + 3y^2 + x + 3y - 1 <= 0 is a disk of radius below 1 about
+    # (-1/6, -1/2); no integer point of it satisfies 3x + 2y >= 1, so the
+    # system is infeasible, but the residual window asks for 14.6M tuples
+    text = "2 2\n3 0\n0 3\n1 3\n-1\n2\n-2 -1\n-3 -2\n3 -1\n"
+    inst = parse_instance(text)
+    assert not brute_force_feasibility(inst, 2).feasible
+    assert find_certificate(inst) is None

@@ -2,8 +2,11 @@ import os
 import random
 from pathlib import Path
 
+import pytest
+
 from miqpcert.cli import main
-from miqpcert.formats import serialize_instance
+from miqpcert.formats import parse_instance, serialize_instance
+from miqpcert.oracle import brute_force_feasibility
 
 from helpers import random_boxed_instance
 
@@ -54,6 +57,28 @@ def test_verify_dimension_mismatch_is_input_error(tmp_path, capsys):
     assert main(["verify", "--instance", inst, "--cert", cert]) == 2
 
 
+TAG = "trace orthant=all;branch=negative-ray;fiber=-;family=-;piece=-;ray=-;step=0;shift=-;bound=-\n"
+
+
+def test_verify_rejects_declared_size_mismatch(tmp_path, capsys):
+    inst = write(tmp_path, "s.inst", CASE1)
+    good = write(tmp_path, "good.cert", "x 5\n" + TAG + "size 7\n")
+    assert main(["verify", "--instance", inst, "--cert", good]) == 0
+    assert "VALID" in capsys.readouterr().out
+    bad = write(tmp_path, "bad.cert", "x 5\n" + TAG + "size 9\n")
+    assert main(["verify", "--instance", inst, "--cert", bad]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID: declared size 9 != encoding size 7" in out
+    assert "\nVALID" not in out
+
+
+def test_verify_rejects_repeated_and_unknown_keys(tmp_path, capsys):
+    inst = write(tmp_path, "k.inst", CASE1)
+    cert = write(tmp_path, "k.cert", "x 0\nx 5\n" + TAG + "size 9\nbogus 1\n")
+    assert main(["verify", "--instance", inst, "--cert", cert]) == 2
+    assert "duplicate 'x'" in capsys.readouterr().err
+
+
 def test_parse_error_exit_and_message(tmp_path, capsys):
     inst = write(tmp_path, "bad.inst", "2 2\n0 1\n2 0\n0 0\n0\n0\n")
     cert = str(tmp_path / "bad.cert")
@@ -78,6 +103,15 @@ def test_oracle_box_zero_caveat(tmp_path, capsys):
     inst = write(tmp_path, "g.inst", CASE1)
     assert main(["oracle", "--instance", inst, "--box", "0"]) == 1
     assert main(["oracle", "--instance", inst, "--box", "1"]) == 0
+
+
+def test_oracle_negative_box_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "n.inst", CASE1)
+    with pytest.raises(ValueError):
+        brute_force_feasibility(parse_instance(CASE1), -1)
+    assert main(["oracle", "--instance", path, "--box", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "INFEASIBLE" not in captured.out and "non-negative" in captured.err
 
 
 def test_gen_maxcut_cycle(tmp_path, capsys):

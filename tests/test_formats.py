@@ -83,6 +83,20 @@ def test_certificate_parse_errors():
         parse_certificate("x 1\ntrace nonsense\nsize 5\n")
 
 
+def test_certificate_rejects_repeated_and_unknown_keys():
+    tag = "trace orthant=all;branch=negative-ray;fiber=-;family=-;piece=-;ray=-;step=0;shift=-;bound=-\n"
+    assert parse_certificate("x 5\n" + tag + "size 7\n").point == vec(5)
+    with pytest.raises(InstanceFormatError) as err:
+        parse_certificate("x 0\nx 5\n" + tag + "size 7\n")
+    assert "line 2" in str(err.value) and "duplicate 'x'" in str(err.value)
+    with pytest.raises(InstanceFormatError) as err:
+        parse_certificate("x 5\n" + tag + "size 7\nsize 7\n")
+    assert "line 4" in str(err.value)
+    with pytest.raises(InstanceFormatError) as err:
+        parse_certificate("x 5\n" + tag + "size 7\nbogus 1\n")
+    assert "line 4" in str(err.value) and "bogus" in str(err.value)
+
+
 def test_maxcut_encoding_matches_cut_counting():
     edges = [(0, 1), (1, 2), (0, 2)]
     inst = maxcut_instance(edges, 2, 3)

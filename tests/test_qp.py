@@ -74,6 +74,36 @@ def test_qp_flat_stationary_set():
     assert res.minimizer[0] == res.minimizer[1]
 
 
+def test_qp_flat_stationary_sets_exact_references():
+    # rank-deficient forms whose stationary sets on most faces are flats;
+    # the references come from h_to_v alone, not from the QP kernel
+    rng = random.Random(4242)
+    flat_optima = 0
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        poly = random_bounded_polytope(rng, n)
+        g = [0] * n
+        while not any(g):
+            g = [rng.randint(-3, 3) for _ in range(n)]
+        t = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        gvec = QVector.of(g)
+        gg = [[a * b for b in g] for a in g]
+        square = form(gg, [-2 * t * a for a in g], t * t)
+        negated = form([[-v for v in row] for row in gg], [2 * t * a for a in g], -t * t)
+        linear = form([[0] * n for _ in range(n)], g, t)
+        verts = h_to_v(poly).vertices
+        on_plane = not h_to_v(poly.with_equality(gvec, t)).is_empty
+        flat_optima += on_plane and n > 1
+        for q in (square, negated, linear):
+            least_vertex = min(eval_quadratic(q, v) for v in verts)
+            expected = 0 if q is square and on_plane else least_vertex
+            res = qp_global_min(q, poly)
+            assert res.value == expected
+            assert poly.contains(res.minimizer)
+            assert eval_quadratic(q, res.minimizer) == res.value
+    assert flat_optima >= 50
+
+
 def test_qp_minimizer_deterministic_lex():
     # -x1^2 - x2^2 over the square: all four corners tie at -2... only (1,1); use a
     # symmetric concave form with ties: -(x1 - x2)^2 has value -1 at two corners
