@@ -1,13 +1,18 @@
 """Exact rational scalars, vectors, matrices, and linear solving.
 
-Every quantity in this package is a :class:`fractions.Fraction` (always in
-lowest terms, positive denominator, value equality), a vector of them, or a
-matrix of them.  No floating point anywhere.
+:class:`fractions.Fraction` (always in lowest terms, positive denominator,
+value equality) is the API type: every scalar, vector and matrix this
+package takes or returns is made of them.  Inside, elimination and row tests
+run on integers: a rational row is scaled, with its right-hand side, to
+integers by the positive lcm of its denominators (:func:`_integer_row`),
+eliminated fraction-free, and turned back into Fractions only for the
+returned entries.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -241,9 +246,38 @@ class LinearSolution:
         return not self.nullspace
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; pivots chosen as the first nonzero
-    entry in column order (deterministic).  Returns (rows, pivot columns)."""
+def _integer_row(values: Iterable[Fraction]) -> list[int]:
+    """The values times the positive lcm of their denominators.
+
+    The one place that clears denominators.  Put a row's right-hand side
+    last to scale it with the row (the solution set and every inequality's
+    sense are unchanged), or a 1 last to write a point x as (u, D) with
+    x = u / D."""
+    values = tuple(values)
+    dens = [v.denominator for v in values]
+    scale = math.lcm(*dens)
+    if scale == 1:
+        return [v.numerator for v in values]
+    return [v.numerator * (scale // d) for v, d in zip(values, dens)]
+
+
+def _dot(row: Sequence[int], u: Sequence[int]) -> int:
+    """Integer dot product over the shorter operand (a row that carries its
+    right-hand side last dots with a point's numerators alone)."""
+    return sum(map(operator.mul, row, u))
+
+
+def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form of integer rows; pivots chosen
+    as the first nonzero entry in column order (deterministic).
+
+    A row r with a pivot p in column c is eliminated as r <- p*r - r[c]*pivot
+    row and divided by its content (the gcd of its entries), so every row
+    stays a nonzero multiple of the matching row of the rational reduced
+    echelon form: entry j of that form is row[j] / row[pivot column].  Only
+    the list is rearranged; the row lists passed in are never modified.
+    Returns (rows, pivot columns)."""
+    rows = list(rows)
     pivot_cols: list[int] = []
     pivot_row = 0
     ncols = len(rows[0]) if rows else 0
@@ -256,12 +290,16 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
         if target is None:
             continue
         rows[pivot_row], rows[target] = rows[target], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col]
-        rows[pivot_row] = [v * inv for v in rows[pivot_row]]
+        prow = rows[pivot_row]
+        p = prow[col]
         for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
+            e = rows[r][col]
+            if r != pivot_row and e != 0:
+                g = math.gcd(p, e)
+                pg, eg = p // g, e // g
+                new = [pg * a - eg * b for a, b in zip(rows[r], prow)]
+                g = math.gcd(*new)
+                rows[r] = [v // g for v in new] if g > 1 else new
         pivot_cols.append(col)
         pivot_row += 1
         if pivot_row == len(rows):
@@ -279,7 +317,7 @@ def solve_linear_system(m: QMatrix, rhs: QVector) -> LinearSolution | None:
     if m.rows != rhs.dim:
         raise DimensionMismatch(f"matrix rows {m.rows} vs rhs dim {rhs.dim}")
     n = m.cols
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(m.entries)]
+    aug = [_integer_row((*row, rhs[i])) for i, row in enumerate(m.entries)]
     if not aug:
         solution = LinearSolution(QVector.zero(n), tuple(QVector.unit(j, n) for j in range(n)))
         return solution
@@ -291,19 +329,21 @@ def solve_linear_system(m: QMatrix, rhs: QVector) -> LinearSolution | None:
         if all(v == 0 for v in row[:n]) and row[n] != 0:
             return None
     particular = [Fraction(0)] * n
-    for r, col in enumerate(pivot_cols):
-        particular[col] = reduced[r][n]
+    for row, col in zip(reduced, pivot_cols):
+        particular[col] = Fraction(row[n], row[col])
     free_cols = [j for j in range(n) if j not in pivot_set]
     basis = []
     for free in free_cols:
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
-        for r, col in enumerate(pivot_cols):
-            vec[col] = -reduced[r][free]
+        for row, col in zip(reduced, pivot_cols):
+            vec[col] = Fraction(-row[free], row[col])
         basis.append(QVector(tuple(vec)))
     solution = LinearSolution(QVector(tuple(particular)), tuple(basis))
-    assert m.matvec(solution.particular) == rhs
-    assert all(m.matvec(v).is_zero() for v in solution.nullspace)
+    # substitution, in integers: x = u / D solves row . x = b iff row . u = b * D
+    *u, den = _integer_row((*particular, 1))
+    assert all(_dot(row, u) == row[n] * den for row in aug)
+    assert all(all(_dot(row, _integer_row(v)) == 0 for row in aug) for v in basis)
     return solution
 
 
@@ -311,8 +351,7 @@ def rank(m: QMatrix) -> int:
     """Exact rank via elimination."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    rows = [list(row) for row in m.entries]
-    _, pivot_cols = _echelon(rows)
+    _, pivot_cols = _echelon([_integer_row(row) for row in m.entries])
     return len(pivot_cols)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
@@ -20,6 +20,8 @@ from .linalg import (
     DimensionMismatch,
     QMatrix,
     QVector,
+    _dot,
+    _integer_row,
     nullspace_basis,
     rank,
     solve_linear_system,
@@ -39,8 +41,7 @@ def primitivize(v: QVector) -> QVector:
     (positive scaling only: the sign pattern is preserved)."""
     if v.is_zero():
         raise ValueError("zero vector has no primitive form")
-    scale = math.lcm(*(e.denominator for e in v.entries))
-    ints = [int(e * scale) for e in v.entries]
+    ints = _integer_row(v.entries)
     g = math.gcd(*ints)
     return QVector.of(x // g for x in ints)
 
@@ -66,14 +67,26 @@ class HPolyhedron:
     def num_rows(self) -> int:
         return self.a.rows
 
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Row i with its right-hand side last, scaled to integers by the
+        positive lcm of its denominators: the same inequality.  Computed
+        once per object; not a field, so eq and hash ignore it."""
+        return tuple(tuple(_integer_row((*row, self.b[i]))) for i, row in enumerate(self.a.entries))
+
     def contains(self, x: QVector) -> bool:
-        return not self.violated_rows(x)
+        return next(self._violations(x), None) is None
 
     def violated_rows(self, x: QVector) -> tuple[int, ...]:
+        return tuple(self._violations(x))
+
+    def _violations(self, x: QVector) -> Iterator[int]:
+        """Indices of the rows with A_i x > b_i, tested as A_i u > b_i D
+        in integers for x = u / D."""
         if x.dim != self.dim:
             raise DimensionMismatch(f"point dim {x.dim} vs ambient {self.dim}")
-        ax = self.a.matvec(x)
-        return tuple(i for i in range(self.a.rows) if ax[i] > self.b[i])
+        *u, den = _integer_row((*x.entries, 1))
+        return (i for i, row in enumerate(self.integer_rows) if _dot(row, u) > row[-1] * den)
 
     def with_rows(self, rows: Sequence[QVector], rhs: Sequence[Fraction]) -> "HPolyhedron":
         extra = QMatrix.from_rows([r.entries for r in rows], self.dim)
@@ -182,20 +195,22 @@ def independent_row_subsets(rows: Sequence[QVector], size: int) -> Iterator[tupl
     total = len(rows)
     if size > total:
         return
+    int_rows = [_integer_row(r.entries) for r in rows]
     chosen: list[int] = []
-    basis: list[list[Fraction]] = []
+    basis: list[list[int]] = []
     pivots: list[int] = []
 
-    def reduce(vec: QVector) -> tuple[list[Fraction], int] | None:
-        v = list(vec.entries)
+    def reduce(v: list[int]) -> tuple[list[int], int] | None:
+        # fraction-free: v <- p*v - v[pcol]*prow keeps v[pcol] = 0
         for prow, pcol in zip(basis, pivots):
-            if v[pcol] != 0:
-                f = v[pcol]
-                v = [a - f * b for a, b in zip(v, prow)]
+            e = v[pcol]
+            if e != 0:
+                p = prow[pcol]
+                g = math.gcd(p, e)
+                v = [(p // g) * a - (e // g) * b for a, b in zip(v, prow)]
         for j, val in enumerate(v):
             if val != 0:
-                inv = 1 / val
-                return [a * inv for a in v], j
+                return v, j
         return None
 
     def walk(start: int) -> Iterator[tuple[int, ...]]:
@@ -203,7 +218,7 @@ def independent_row_subsets(rows: Sequence[QVector], size: int) -> Iterator[tupl
             yield tuple(chosen)
             return
         for i in range(start, total - (size - len(chosen)) + 1):
-            red = reduce(rows[i])
+            red = reduce(int_rows[i])
             if red is None:
                 continue
             basis.append(red[0])
@@ -245,12 +260,18 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
             continue
         g = primitivize(null[0])
         for cand in (g, -g):
-            if all(row.dot(cand) <= 0 for row in rows):
-                rays.add(primitivize(cand))
+            if _is_recession_direction(p, cand):
+                rays.add(cand)
     result = VPolyhedron(tuple(sorted(vertices)), tuple(sorted(rays)))
     assert all(p.contains(v) for v in result.vertices)
-    assert all(all(row.dot(r) <= 0 for row in rows) for r in result.rays)
+    assert all(_is_recession_direction(p, r) for r in result.rays)
     return result
+
+
+def _is_recession_direction(p: HPolyhedron, r: QVector) -> bool:
+    """A r <= 0, tested in integers on r scaled by a positive factor."""
+    u = _integer_row(r.entries)
+    return all(_dot(row, u) <= 0 for row in p.integer_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Shared builders and independent oracles for the test suite.
 
 The grid oracle works in scaled integer arithmetic (numpy int64), so it is
-exact and shares nothing with the library's Fraction-based kernels.
+exact and shares nothing with the library's kernels.  The reference
+elimination works on Fractions, so it shares nothing with the library's
+fraction-free one.
 """
 
 from __future__ import annotations
@@ -96,6 +98,69 @@ def random_bounded_polytope(rng: random.Random, n: int) -> HPolyhedron:
         poly = hpoly(rows, rhs)
         if not h_to_v(poly).is_empty:
             return poly
+
+
+def reference_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Rational reduced row echelon form, the reference for the library's
+    fraction-free elimination: pivots chosen as the first nonzero entry in
+    column order, each pivot row divided by its pivot.  Returns (rows,
+    pivot columns)."""
+    rows = list(rows)
+    pivot_cols: list[int] = []
+    pivot_row = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        target = None
+        for r in range(pivot_row, len(rows)):
+            if rows[r][col] != 0:
+                target = r
+                break
+        if target is None:
+            continue
+        rows[pivot_row], rows[target] = rows[target], rows[pivot_row]
+        inv = 1 / rows[pivot_row][col]
+        rows[pivot_row] = [v * inv for v in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
+        pivot_cols.append(col)
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return rows, pivot_cols
+
+
+def reference_solve(m: QMatrix, rhs: QVector) -> tuple[QVector, tuple[QVector, ...]] | None:
+    """(particular, nullspace) of M x = rhs by rational elimination, or None
+    when inconsistent; the free variables are zero in the particular
+    solution and each nullspace vector sets one of them to one."""
+    n = m.cols
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(m.entries)]
+    if not aug:
+        return QVector.zero(n), tuple(QVector.unit(j, n) for j in range(n))
+    reduced, pivot_cols = reference_echelon(aug)
+    if n in pivot_cols:
+        return None  # pivot in the rhs column: inconsistent
+    if any(all(v == 0 for v in row[:n]) and row[n] != 0 for row in reduced):
+        return None
+    particular = [Fraction(0)] * n
+    for r, col in enumerate(pivot_cols):
+        particular[col] = reduced[r][n]
+    basis = []
+    for free in (j for j in range(n) if j not in pivot_cols):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for r, col in enumerate(pivot_cols):
+            v[col] = -reduced[r][free]
+        basis.append(QVector(tuple(v)))
+    return QVector(tuple(particular)), tuple(basis)
+
+
+def reference_rank(m: QMatrix) -> int:
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    return len(reference_echelon([list(row) for row in m.entries])[1])
 
 
 def _clear_row(row, rhs) -> tuple[list[int], int]:

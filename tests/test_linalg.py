@@ -10,11 +10,12 @@ from miqpcert.linalg import (
     as_rational,
     encoding_size,
     isqrt_ceil,
+    nullspace_basis,
     rank,
     solve_linear_system,
 )
 
-from helpers import mat, vec
+from helpers import mat, reference_rank, reference_solve, vec
 
 
 def test_encoding_size_zero():
@@ -121,3 +122,56 @@ def test_matrix_symmetry_and_shape():
     assert m.is_symmetric()
     assert not mat([[1, 2], [3, 1]]).is_symmetric()
     assert m.shape == (2, 2)
+
+
+def _random_system(rng: random.Random) -> tuple[QMatrix, QVector]:
+    """Rational entries with denominators 1..6, up to 5x5, tall and wide,
+    with zero rows, dependent rows and inconsistent right-hand sides."""
+    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+    m = []
+    for _ in range(rows):
+        kind = rng.random()
+        if kind < 0.15:
+            m.append([Fraction(0)] * cols)
+        elif kind < 0.45 and m:
+            # a rational combination of earlier rows: rank deficiency
+            row = [Fraction(0)] * cols
+            for earlier in rng.sample(m, rng.randint(1, len(m))):
+                f = entry()
+                row = [a + f * b for a, b in zip(row, earlier)]
+            m.append(row)
+        else:
+            m.append([entry() for _ in range(cols)])
+    if rng.random() < 0.6:
+        x = [entry() for _ in range(cols)]  # consistent by construction
+        rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in m]
+        if rng.random() < 0.3:
+            rhs[rng.randrange(rows)] += Fraction(1, rng.randint(1, 6))  # often inconsistent
+    else:
+        rhs = [entry() for _ in range(rows)]
+    return QMatrix.from_rows(m, cols), QVector.of(rhs)
+
+
+def test_elimination_matches_rational_reference():
+    rng = random.Random(20240501)
+    inconsistent = deficient = rational = 0
+    for _ in range(600):
+        m, rhs = _random_system(rng)
+        expected = reference_solve(m, rhs)
+        got = solve_linear_system(m, rhs)
+        assert (got is None) == (expected is None), (m, rhs)
+        assert rank(m) == reference_rank(m)
+        null = reference_solve(m, QVector.zero(m.rows))[1]
+        assert nullspace_basis(m) == null
+        rational += any(v.denominator != 1 for row in m.entries for v in row)
+        deficient += reference_rank(m) < min(m.shape)
+        if expected is None:
+            inconsistent += 1
+            continue
+        assert (got.particular, got.nullspace) == expected
+    # the corpus reaches every case the elimination distinguishes
+    assert inconsistent >= 100 and deficient >= 100 and rational >= 400

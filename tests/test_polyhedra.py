@@ -13,6 +13,7 @@ from miqpcert.polyhedra import (
     caratheodory_simple_cone,
     faces_of_simple_cone,
     h_to_v,
+    independent_row_subsets,
     is_pointed,
     iter_orthant_parts,
     polytope_hull,
@@ -275,3 +276,73 @@ def test_orthant_split_covers_samples():
                 continue
             hits = [part for part in parts if part.contains(x)]
             assert hits, f"point {x} of the polyhedron missed every orthant part"
+
+
+def _random_pointed_system(rng: random.Random, n: int, boxed: bool) -> HPolyhedron:
+    """Rational rows of rank n, either a box (radius 1..3) with cuts that keep
+    the origin, or free rows: often unbounded, sometimes empty."""
+    while True:
+        rows, rhs = [], []
+        if boxed:
+            radius = rng.randint(1, 3)
+            for i in range(n):
+                for sign in (1, -1):
+                    rows.append([sign if j == i else 0 for j in range(n)])
+                    rhs.append(radius)
+        for _ in range(rng.randint(0, 3) if boxed else rng.randint(n, n + 3)):
+            rows.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)])
+            low = 0 if boxed else -2
+            rhs.append(Fraction(rng.randint(low, 4), rng.randint(1, 3)))
+        p = hpoly(rows, rhs)
+        if is_pointed(p):
+            return p
+
+
+def test_row_scaling_changes_nothing():
+    """Each row and its rhs times a random positive rational is the same
+    system: the same vertices, rays and independent row subsets, and the
+    same violated rows on points exactly on a row's hyperplane (the vertices
+    on it, and its point nearest the origin) and 1/k off it."""
+    rng = random.Random(5150)
+    unbounded = tight_vertices = 0
+    for trial in range(120):
+        n = rng.randint(1, 3)
+        p = _random_pointed_system(rng, n, boxed=trial % 2 == 1)
+        scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(p.num_rows)]
+        scaled = hpoly(
+            [[v * f for v in row] for row, f in zip(p.a.entries, scales)],
+            [b * f for b, f in zip(p.b, scales)],
+        )
+        vrep = h_to_v(p)
+        assert h_to_v(scaled) == vrep
+        unbounded += bool(vrep.rays)
+        rows = [p.a.row(i) for i in range(p.num_rows)]
+        scaled_rows = [scaled.a.row(i) for i in range(p.num_rows)]
+        for size in range(n + 1):
+            assert list(independent_row_subsets(scaled_rows, size)) == list(
+                independent_row_subsets(rows, size)
+            )
+        points = []
+        for i, row in enumerate(rows):
+            if row.is_zero():
+                continue
+            step = row.scale(1 / (rng.randint(1, 7) * row.dot(row)))  # moves row . x by 1/k
+            on_row = [row.scale(p.b[i] / row.dot(row))]
+            on_row += [v for v in vrep.vertices if row.dot(v) == p.b[i]]
+            tight_vertices += len(on_row) - 1
+            for x in on_row:
+                points += [x, x + step, x - step]
+        for x in points:
+            expected = tuple(i for i, row in enumerate(rows) if row.dot(x) > p.b[i])
+            assert p.violated_rows(x) == expected
+            assert scaled.violated_rows(x) == expected
+            assert scaled.contains(x) == (not expected)
+    assert unbounded >= 20 and tight_vertices >= 500
+
+
+def test_integer_rows_stay_out_of_equality():
+    p = hpoly([[Fraction(1, 2), 3]], [Fraction(5, 4)])
+    twin = hpoly([[Fraction(1, 2), 3]], [Fraction(5, 4)])
+    assert p.integer_rows == ((2, 12, 5),)
+    assert p == twin and hash(p) == hash(twin)
+    assert p.integer_rows is p.integer_rows  # computed once per object
