@@ -400,15 +400,16 @@ def linear_descent_step(
     return None
 
 
-def _fiber_qp(quad: QuadraticForm, prefix: QVector, reduced: HPolyhedron | None, fallback: QVector) -> tuple[Fraction, QVector]:
-    """Exact minimum of the quadratic over one fiber (possibly shifted).
-
-    ``fallback`` is the fiber's single point when there are no continuous
-    coordinates."""
-    if reduced is None:
-        return eval_quadratic(quad, fallback), fallback
-    inner = quad if prefix.dim == 0 else restrict_quadratic(quad, prefix)
-    res = qp_global_min(inner, reduced)
+def _fiber_min(quad: QuadraticForm, fiber: Fiber, shift: QVector) -> tuple[Fraction, QVector]:
+    """Exact minimum of the quadratic over fiber + shift, and a point where
+    it is attained."""
+    if fiber.reduced is None:
+        point = fiber.vertices[0] + shift
+        return eval_quadratic(quad, point), point
+    p = fiber.integer_part.dim
+    prefix = fiber.integer_part + shift.take(p)
+    inner = quad if p == 0 else restrict_quadratic(quad, prefix)
+    res = qp_global_min(inner, fiber.reduced.translate(shift.drop(p)))
     point = prefix.concat(res.minimizer)
     return eval_quadratic(quad, point), point
 
@@ -438,13 +439,9 @@ def bounded_window_search(
     shift could not certify, so skipping its QP never changes which shift
     certifies first."""
     fiber_index, family_index, piece_index = indices
-    p = inst.integer_count
 
     def window_certificate(shift_counts: tuple[int, ...], shift: QVector, bound: int | None) -> Certificate | None:
-        prefix = (fiber.integer_part + shift.take(p)) if p else QVector.of([])
-        reduced = fiber.reduced.translate(shift.drop(p)) if fiber.reduced is not None else None
-        fallback = fiber.vertices[0] + shift if reduced is None else QVector.of([])
-        value, point = _fiber_qp(inst.quad, prefix, reduced, fallback)
+        value, point = _fiber_min(inst.quad, fiber, shift)
         if value > 0:
             return None
         trace = SearchTrace(
@@ -464,7 +461,7 @@ def bounded_window_search(
     n = inst.dim
     v1 = piece.v1
     v2 = min(2 * pv.dot(hu) + cu for pv in fiber.vertices for hu, cu in piece.slice_terms)
-    v3, _ = _fiber_qp(inst.quad, fiber.integer_part, fiber.reduced, fiber.vertices[0])
+    v3, _ = _fiber_min(inst.quad, fiber, QVector.zero(n))
     v4 = max(math.ceil(abs(coord)) for vert in fiber.vertices for coord in vert.entries)
     disc = v2 * v2 - 4 * v1 * v3
     lam_max = 0 if disc < 0 else max(0, _ceil_root(-v2, disc, 2 * v1))
