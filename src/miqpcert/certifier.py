@@ -287,13 +287,14 @@ def nonnegative_recession_search(
     v + sum mu_r r with v in conv(vertices) and, by Caratheodory, r over a
     linearly independent family K of extreme rays.  Stepping back by the
     integral multiples floor(mu_r) r keeps the prefix integral and lands in
-    the window B^K = conv(vertices) + sum over K of [0, r], so x lies in
-    F + intcone(R_K) for a fiber F of K's own window, and the pieces of K
-    cover cone(R_K).  A fiber paired with another family's rays reaches only
-    points of the set, each already covered by its own family's pairs, so
-    those pairs are never needed.  The piece data that does not depend on
-    the fiber (flat and curving rays, the curving slice and its curvature
-    minimum) is computed once per family, when its first fiber is reached.
+    B^K <= W, where B^K = conv(vertices) + sum over K of [0, r] and W is K's
+    window, so x lies in F + intcone(R_K) for a fiber F of K's own window,
+    and the pieces of K cover cone(R_K).  A fiber paired with another
+    family's rays reaches only points of the set, each already covered by
+    its own family's pairs, so those pairs are never needed.  The piece data
+    that does not depend on the fiber (flat and curving rays, the curving
+    slice and its curvature minimum) is computed once per family, when its
+    first fiber is reached.
     """
     s = MixedIntegerSet(part, inst.integer_count)
     vrep = h_to_v(part)

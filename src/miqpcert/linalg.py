@@ -158,9 +158,6 @@ class QMatrix:
     def row(self, index: int) -> QVector:
         return QVector(self.entries[index])
 
-    def column(self, index: int) -> QVector:
-        return QVector(tuple(row[index] for row in self.entries))
-
     def transpose(self) -> "QMatrix":
         return QMatrix(
             tuple(tuple(row[j] for row in self.entries) for j in range(self.cols)),

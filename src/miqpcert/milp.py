@@ -7,16 +7,20 @@ A pointed polyhedron P with integral leading coordinates decomposes as
 
 where each R_K is a linearly independent subset of the extreme rays of P and
 each fiber is a polytope of continuous completions of one integer prefix
-inside the bounded window B^K = conv(vertices) + sum over R_K of ray
-segments.  ``window_fibers`` builds the fibers of one window lazily, so a
-search can stop before building the rest; ``decompose_mixed_integer_set``
-materializes them all.
+inside the family's window W = P cap box(B^K), with B^K = conv(vertices) +
+sum over R_K of the segments [0, r].  Any W with B^K <= W <= P is sound,
+because every point of F + intcone(R_K) lies in P, and complete, because
+flooring the ray multipliers of a point of the set lands it in B^K <= W.
+``window_fibers`` builds the fibers of one window lazily, so a search can
+stop before building the rest; ``decompose_mixed_integer_set`` materializes
+them all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator
 
@@ -28,7 +32,6 @@ from .polyhedra import (
     VPolyhedron,
     h_to_v,
     is_pointed,
-    polytope_hull,
     restrict_prefix,
 )
 
@@ -53,7 +56,7 @@ class MixedIntegerSet:
 
 @dataclass(frozen=True)
 class Fiber:
-    """Continuous completions of one integer prefix inside one window B^K."""
+    """Continuous completions of one integer prefix inside one window W."""
 
     window: HPolyhedron
     integer_part: QVector
@@ -90,40 +93,35 @@ def ray_families(vrep: VPolyhedron) -> tuple[SimpleCone, ...]:
     return tuple(families)
 
 
-def _window_points(vrep: VPolyhedron, family: SimpleCone, dim: int) -> list[QVector]:
-    """Candidate vertex set of B^K: vertices shifted by every ray subset."""
-    points = set(vrep.vertices)
-    for size in range(1, len(family.rays) + 1):
-        for subset in combinations(family.rays, size):
-            shift = QVector.zero(dim)
-            for r in subset:
-                shift = shift + r
-            points.update(v + shift for v in vrep.vertices)
-    return sorted(points)
+def _box(vertices: tuple[QVector, ...], rays: tuple[QVector, ...]) -> list[tuple[Fraction, Fraction]]:
+    """The bounding box of conv(vertices) + sum of segments [0, r] over the
+    rays, one (lo, hi) pair per coordinate:
+    min_v v_t + sum_r min(r_t, 0) <= x_t <= max_v v_t + sum_r max(r_t, 0)."""
+    return [
+        (
+            min(v[t] for v in vertices) + sum(min(r[t], 0) for r in rays),
+            max(v[t] for v in vertices) + sum(max(r[t], 0) for r in rays),
+        )
+        for t in range(vertices[0].dim)
+    ]
 
 
-def _window_polytope(s: MixedIntegerSet, vrep: VPolyhedron, family: SimpleCone) -> HPolyhedron:
-    """H-description of B^K = conv(vertices) + sum of segments [0, ray]."""
+def _window_polytope(
+    poly: HPolyhedron, family: SimpleCone, box: list[tuple[Fraction, Fraction]]
+) -> HPolyhedron:
+    """The window W = P cap box(B^K) of a family: P's rows plus the 2n rows
+    of the box of B^K = conv(vertices) + sum over K of [0, r], so that
+    B^K <= W <= P.  A family without rays arises only for a bounded P, whose
+    B^K is P itself."""
     if not family.rays:
-        # bounded polyhedron: conv(vertices) is P itself
-        return s.polyhedron
-    return polytope_hull(_window_points(vrep, family, s.polyhedron.dim))
+        return poly
+    rows = [QVector.unit(t, poly.dim).scale(sign) for t in range(poly.dim) for sign in (1, -1)]
+    return poly.with_rows(rows, [bound for lo, hi in box for bound in (hi, -lo)])
 
 
-def _integer_prefixes(
-    vertices: tuple[QVector, ...], rays: tuple[QVector, ...], p: int
-) -> Iterator[QVector]:
-    """Integer points of the box of the first p coordinates of
-    conv(vertices) + sum of segments [0, r] over the rays, in product order:
-    min_v v_t + sum_r min(r_t, 0) <= y_t <= max_v v_t + sum_r max(r_t, 0)."""
-    ranges = []
-    for t in range(p):
-        values = [v[t] for v in vertices]
-        lo = math.ceil(min(values) + sum(min(r[t], 0) for r in rays))
-        hi = math.floor(max(values) + sum(max(r[t], 0) for r in rays))
-        if lo > hi:
-            return
-        ranges.append(range(lo, hi + 1))
+def _integer_prefixes(box: list[tuple[Fraction, Fraction]], p: int) -> Iterator[QVector]:
+    """Integer points of the first p ranges of a box, in product order."""
+    ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box[:p]]
     for combo in product(*ranges):
         yield QVector.of(combo)
 
@@ -147,12 +145,14 @@ def _build_fiber(
 def window_fibers(
     s: MixedIntegerSet, vrep: VPolyhedron, family: SimpleCone, family_index: int
 ) -> Iterator[Fiber]:
-    """The nonempty fibers of the window B^K of one family, built lazily in
-    the product order of their integer prefixes.  ``vrep`` is the nonempty
-    V-description of the pointed polyhedron of ``s``; the window's hull is
-    built when the first fiber is asked for."""
-    window = _window_polytope(s, vrep, family)
-    for y in _integer_prefixes(vrep.vertices, family.rays, s.integer_count):
+    """The nonempty fibers of the window W = P cap box(B^K) of one family,
+    built lazily in the product order of their integer prefixes.  ``vrep`` is
+    the nonempty V-description of the pointed polyhedron of ``s``.  Sound and
+    complete as B^K <= W <= P: every point of F + intcone(R_K) lies in P, and
+    flooring the ray multipliers of a point of the set lands it in B^K."""
+    box = _box(vrep.vertices, family.rays)
+    window = _window_polytope(s.polyhedron, family, box)
+    for y in _integer_prefixes(box, s.integer_count):
         fiber = _build_fiber(window, y, family_index, s.integer_count)
         if fiber is not None:
             yield fiber
@@ -187,19 +187,19 @@ def mip_point(s: MixedIntegerSet) -> QVector | None:
     Every point x of the set is v + sum mu_r r with v in conv(vertices) and,
     by Caratheodory, r over a simple family K of extreme rays.  Moving back by
     the integral steps floor(mu_r) r keeps the point in P and its prefix
-    integral, and lands it in the window B^K = conv(vertices) + sum over K of
-    [0, r].  Every window lies in conv(vertices) + sum over all extreme rays
-    of [0, r], whose bounding box in the prefix coordinates has a closed form
-    (_integer_prefixes).  So the set is nonempty exactly when some integer
-    prefix in that box has a nonempty fiber of P itself, and the least vertex
-    of the first such fiber is the point returned.
+    integral, and lands it in B^K = conv(vertices) + sum over K of [0, r].
+    Every B^K lies in conv(vertices) + sum over all extreme rays of [0, r],
+    whose bounding box has a closed form (_box).  So the set is nonempty
+    exactly when some integer prefix in that box has a nonempty fiber of P
+    itself, and the least vertex of the first such fiber is the point
+    returned.
     """
     if not is_pointed(s.polyhedron):
         raise NotPointed("mixed-integer search requires a pointed polyhedron")
     vrep = h_to_v(s.polyhedron)
     if vrep.is_empty:
         return None
-    for y in _integer_prefixes(vrep.vertices, vrep.rays, s.integer_count):
+    for y in _integer_prefixes(_box(vrep.vertices, vrep.rays), s.integer_count):
         fiber = _build_fiber(s.polyhedron, y, 0, s.integer_count)  # P's own fiber: no family
         if fiber is not None:
             return min(fiber.vertices)

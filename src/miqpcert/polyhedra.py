@@ -318,7 +318,7 @@ def faces_of_simple_cone(cone: SimpleCone) -> list[SimpleCone]:
 
 
 # ---------------------------------------------------------------------------
-# V -> H conversion (desk scale: fiber windows and cone descriptions)
+# V -> H conversion (desk scale: cone descriptions)
 
 
 def _canonical_facet(normal: QVector, offset: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from miqpcert import (
     QMatrix,
     QVector,
     QuadraticForm,
+    SimpleCone,
+    VPolyhedron,
     h_to_v,
 )
 
@@ -209,6 +211,20 @@ def sample_in_polytope(rng: random.Random, vertices) -> QVector:
     for w, v in zip(weights, vertices):
         point = point + v.scale(w / total)
     return point
+
+
+def window_points(vrep: VPolyhedron, family: SimpleCone) -> list[QVector]:
+    """Reference point set whose hull is B^K = conv(vertices) + sum over the
+    family's rays of [0, r]: every vertex shifted by every subset sum of the
+    rays."""
+    points = set(vrep.vertices)
+    for size in range(1, len(family.rays) + 1):
+        for subset in combinations(family.rays, size):
+            shift = subset[0]
+            for r in subset[1:]:
+                shift = shift + r
+            points.update(v + shift for v in vrep.vertices)
+    return sorted(points)
 
 
 def sample_in_cone(rng: random.Random, rays, max_scale: int = 3) -> QVector:

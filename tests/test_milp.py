@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from miqpcert.cones import normalizing_hyperplane
-from miqpcert.milp import MixedIntegerSet, decompose_mixed_integer_set, mip_point
+from miqpcert.milp import (
+    MixedIntegerSet,
+    _box,
+    _window_polytope,
+    decompose_mixed_integer_set,
+    mip_point,
+    ray_families,
+)
 from miqpcert.polyhedra import (
     NotPointed,
     caratheodory_simple_cone,
@@ -20,6 +27,7 @@ from helpers import (
     hpoly,
     sample_in_polytope,
     vec,
+    window_points,
 )
 
 
@@ -192,3 +200,29 @@ def test_decomposition_soundness_sampling():
                 x = base + shift
                 assert wedge.contains(x)
                 assert x.take(2).is_integral()
+
+
+def test_window_lies_between_b_k_and_p():
+    # W = P cap box(B^K) must contain B^K (the hull of the reference points),
+    # be bounded, and lie in P: then every family's fibers stay complete and
+    # sound.  Orthant parts of few random unboxed rows have rays of either
+    # sign, so both sides of the box's ray terms are exercised.
+    rng = random.Random(6161)
+    parts = families = 0
+    while parts < 40:
+        n = rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+        whole = hpoly(rows, [rng.randint(-3, 3) for _ in rows])
+        for _, part in iter_orthant_parts(whole):
+            vrep = h_to_v(part)
+            if not vrep.rays:
+                continue
+            parts += 1
+            for family in ray_families(vrep):
+                families += 1
+                window = _window_polytope(part, family, _box(vrep.vertices, family.rays))
+                assert all(window.contains(x) for x in window_points(vrep, family))
+                wrep = h_to_v(window)
+                assert not wrep.rays
+                assert all(part.contains(v) for v in wrep.vertices)
+    assert families >= 200
