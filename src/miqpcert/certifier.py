@@ -14,10 +14,10 @@ normalized slice of the recession cone:
   extreme rays.  Split each family once along zero-curvature structure into
   pieces, then build the fibers of that family's window lazily and pair each
   only with its own family's pieces: descend along a flat ray with negative
-  linear rate if one exists, and otherwise scan the bounded residual window,
-  sending to the exact QP kernel only the shifted fibers that an exact lower
-  bound does not already rule out.  The search stops at the first
-  certificate.
+  linear rate if one exists, and otherwise search the bounded residual
+  window by branch and bound over boxes of curving-ray multipliers, sending
+  to the exact QP kernel only the shifts no box bound rules out.  The search
+  stops at the first certificate.
 
 Every certificate is re-verified exactly before being returned.  Orthant
 parts and (family, fiber, piece) branches are mutually independent; a
@@ -30,12 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .cones import normalizing_hyperplane, simple_cone_decomposition
 from .linalg import (
     DimensionMismatch,
     EncodingSize,
+    QMatrix,
     QVector,
     encoding_size,
     isqrt_ceil,
@@ -44,6 +44,7 @@ from .milp import MAX_FIBERS, Fiber, MixedIntegerSet, mip_point, ray_families, w
 from .polyhedra import (
     HPolyhedron,
     SimpleCone,
+    VPolyhedron,
     h_to_v,
     is_pointed,
     iter_orthant_parts,
@@ -51,8 +52,6 @@ from .polyhedra import (
     recession_cone,
 )
 from .qp import QuadraticForm, eval_quadratic, min_quadratic_on_cone_slice, qp_global_min, restrict_quadratic
-
-_WINDOW_ENUM_CAP = 10**6
 
 
 class CertifierError(RuntimeError):
@@ -223,9 +222,10 @@ def find_certificate(inst: MiqpInstance) -> Certificate | None:
     else:
         parts = list(iter_orthant_parts(inst.polyhedron))
     for signs, part in parts:
-        if h_to_v(part).is_empty:
+        vrep = h_to_v(part)
+        if vrep.is_empty:
             continue
-        cert = certify_pointed_part(inst, part, signs)
+        cert = certify_pointed_part(inst, part, vrep, signs)
         if cert is not None:
             report = verify_certificate(inst, cert.point)
             if not report.ok:
@@ -235,20 +235,19 @@ def find_certificate(inst: MiqpInstance) -> Certificate | None:
 
 
 def certify_pointed_part(
-    inst: MiqpInstance, part: HPolyhedron, signs: tuple[int, ...] | None
+    inst: MiqpInstance, part: HPolyhedron, vrep: VPolyhedron, signs: tuple[int, ...] | None
 ) -> Certificate | None:
     """Branch on the sign of min r^T H r over a normalized recession slice.
 
-    ``part`` is nonempty, so h_to_v(part) lists the extreme rays of its
-    recession cone: the rays come from the rows of A alone, whatever b is."""
-    rays = h_to_v(part).rays
-    if not rays:
-        return nonnegative_recession_search(inst, part, None, signs)
-    f = normalizing_hyperplane(rays).f
+    ``part`` is nonempty, so its V-description ``vrep`` lists the extreme
+    rays of its recession cone: they come from the rows of A alone."""
+    if not vrep.rays:
+        return nonnegative_recession_search(inst, part, vrep, None, signs)
+    f = normalizing_hyperplane(vrep.rays).f
     slice_min = min_quadratic_on_cone_slice(inst.quad.h, recession_cone(part), f)
     if slice_min.value < 0:
         return negative_ray_certificate(inst, part, slice_min.minimizer, signs)
-    return nonnegative_recession_search(inst, part, f, signs)
+    return nonnegative_recession_search(inst, part, vrep, f, signs)
 
 
 def negative_ray_certificate(
@@ -277,11 +276,11 @@ def negative_ray_certificate(
 
 
 def nonnegative_recession_search(
-    inst: MiqpInstance, part: HPolyhedron, f: QVector | None, signs: tuple[int, ...] | None
+    inst: MiqpInstance, part: HPolyhedron, vrep: VPolyhedron, f: QVector | None, signs: tuple[int, ...] | None
 ) -> Certificate | None:
     """Search family by family: the fibers of each family's window, built
     lazily, each paired with the pieces of its own family only, stopping at
-    the first certificate.
+    the first certificate.  ``vrep`` is the V-description of ``part``.
 
     Own-family pairing is complete.  A point x of the mixed-integer set is
     v + sum mu_r r with v in conv(vertices) and, by Caratheodory, r over a
@@ -292,14 +291,11 @@ def nonnegative_recession_search(
     and the pieces of K cover cone(R_K).  A fiber paired with another
     family's rays reaches only points of the set, each already covered by
     its own family's pairs, so those pairs are never needed.  The piece data
-    that does not depend on the fiber (flat and curving rays, the curving
-    slice and its curvature minimum) is computed once per family, when its
-    first fiber is reached.
+    that does not depend on the fiber (flat and curving rays, their Gram
+    matrix and the curvature minimum of the curving slice) is computed once
+    per family, when its first fiber is reached.
     """
     s = MixedIntegerSet(part, inst.integer_count)
-    vrep = h_to_v(part)
-    if vrep.is_empty:
-        return None
     built = 0
     for family_index, family in enumerate(ray_families(vrep)):
         pieces: list[WindowPiece] | None = None
@@ -322,13 +318,7 @@ def nonnegative_recession_search(
                     mu = max(0, math.ceil(eval_quadratic(inst.quad, start) / (-rate)))
                     point = start + piece.rays[ray_index].scale(mu)
                     trace = SearchTrace(
-                        orthant=signs,
-                        branch="linear-ray",
-                        fiber_index=fiber_index,
-                        family_index=family_index,
-                        piece_index=piece_index,
-                        ray_index=ray_index,
-                        step=mu,
+                        signs, "linear-ray", fiber_index, family_index, piece_index, ray_index, step=mu
                     )
                     return Certificate(point, encoding_size(point), trace)
                 cert = bounded_window_search(
@@ -347,7 +337,8 @@ class WindowPiece:
     flat: tuple[int, ...]  # indices of the rays with r^T H r = 0
     curving: tuple[QVector, ...]  # the other rays, in order
     f_values: tuple[Fraction, ...]  # f . r over the curving rays, all > 0
-    slice_terms: tuple[tuple[QVector, Fraction], ...]  # (H u, c . u) per vertex u of the curving slice
+    ray_terms: tuple[tuple[QVector, Fraction], ...]  # (H r, c . r) per curving ray r
+    gram: QMatrix | None  # G = R^T H R over the curving rays R
     v1: Fraction | None  # min x^T H x over the curving slice, > 0
     slice_norm: int | None  # ceil of the largest slice-vertex norm
 
@@ -355,26 +346,24 @@ class WindowPiece:
 def _window_piece(quad: QuadraticForm, piece: SimpleCone, f: QVector | None) -> WindowPiece:
     """Split a piece's rays into flat and curving ones and, when some curve,
     bound the quadratic's growth along them over the slice f . x = 1 of their
-    cone."""
+    cone: the simplex with vertices r / (f . r), as f . r > 0 on these
+    linearly independent rays."""
     flat = tuple(i for i, ray in enumerate(piece.rays) if ray.dot(quad.h.matvec(ray)) == 0)
     curving = tuple(ray for i, ray in enumerate(piece.rays) if i not in flat)
     if not curving:
-        return WindowPiece(piece.rays, flat, (), (), (), None, None)
+        return WindowPiece(piece.rays, flat, (), (), (), None, None, None)
     if f is None:
         raise CertifierError("curving rays exist but no normalizing hyperplane was built")
-    slice_poly = SimpleCone(curving).to_hpolyhedron(f.dim).with_equality(f, Fraction(1))
-    slice_v = h_to_v(slice_poly)
-    if slice_v.rays or not slice_v.vertices:
-        raise CertifierError("curving-ray slice is not a nonempty polytope")
-    v1 = qp_global_min(QuadraticForm.pure(quad.h), slice_poly).value
-    if v1 <= 0:
-        raise CertifierError("curvature minimum on the residual cone must be positive")
     f_values = tuple(f.dot(r) for r in curving)
     if any(fv <= 0 for fv in f_values):
         raise CertifierError("hyperplane is not strictly positive on the residual rays")
-    slice_terms = tuple((quad.h.matvec(u), quad.c.dot(u)) for u in slice_v.vertices)
-    slice_norm = isqrt_ceil(max(u.dot(u) for u in slice_v.vertices))
-    return WindowPiece(piece.rays, flat, curving, f_values, slice_terms, v1, slice_norm)
+    v1 = min_quadratic_on_cone_slice(quad.h, SimpleCone(curving), f).value
+    if v1 <= 0:
+        raise CertifierError("curvature minimum on the residual cone must be positive")
+    ray_terms = tuple((quad.h.matvec(r), quad.c.dot(r)) for r in curving)
+    gram = QMatrix.from_rows([[r.dot(hr) for hr, _ in ray_terms] for r in curving])
+    slice_norm = isqrt_ceil(max(r.dot(r) / (fv * fv) for r, fv in zip(curving, f_values)))
+    return WindowPiece(piece.rays, flat, curving, f_values, ray_terms, gram, v1, slice_norm)
 
 
 def linear_descent_step(
@@ -415,15 +404,35 @@ def _fiber_min(quad: QuadraticForm, fiber: Fiber, shift: QVector) -> tuple[Fract
     return eval_quadratic(quad, point), point
 
 
-def _shift_lower_bound(quad: QuadraticForm, fiber: Fiber, v3: Fraction, shift: QVector) -> Fraction:
-    """A lower bound on the quadratic over fiber + shift, given its exact
-    minimum v3 over the fiber itself.
+def _box_bound(
+    piece: WindowPiece, rates: list[QVector], lam_max: int, lo: tuple[int, ...], hi: tuple[int, ...]
+) -> Fraction | None:
+    """A lower bound on q(x + R m) - v3 over the fiber's points x and the
+    tuples m in [lo, hi] with f . m <= lam_max (None when there are none),
+    v3 being the fiber's minimum.  The change is a(x) . m + m^T G m with
+    a(x)_i = 2 x^T H r_i + c^T r_i, and a(x) . m is least at a vertex (``rates``).
+    As m >= 0, a_i m_i is least at lo_i or hi_i, G_ij m_i m_j at lo_i lo_j or,
+    if G_ij < 0, at hi_i hi_j; and m^T G m >= v1 (f . lo)^2 by the slice."""
+    f_lo = sum(m * fv for m, fv in zip(lo, piece.f_values))
+    if f_lo > lam_max:
+        return None
+    quadratic = Fraction(0)
+    for i, row in enumerate(piece.gram.entries):
+        quadratic += sum(g * (lo[i] * lo[j] if g >= 0 else hi[i] * hi[j]) for j, g in enumerate(row))
+    linear = min(sum(min(a * low, a * high) for a, low, high in zip(rate, lo, hi)) for rate in rates)
+    return linear + max(quadratic, piece.v1 * f_lo * f_lo)
 
-    q(x + s) = q(x) + 2 x^T H s + c^T s + s^T H s, where q(x) >= v3 on the
-    fiber and the linear term is least at one of the fiber's vertices.  The
-    bound is exact when the fiber is a single point."""
-    hs = quad.h.matvec(shift)
-    return v3 + min(2 * v.dot(hs) for v in fiber.vertices) + quad.c.dot(shift) + shift.dot(hs)
+
+def _relaxed_bound(
+    piece: WindowPiece, rates: list[QVector], lam_max: int, lo: tuple[int, ...], hi: tuple[int, ...]
+) -> Fraction:
+    """The exact minimum of a . m + m^T G m over ``rates`` and the real m of
+    {lo <= m <= hi, f . m <= lam_max}, a polytope that holds lo when _box_bound is not None."""
+    k = len(lo)
+    rows = [[sign if j == i else 0 for j in range(k)] for i in range(k) for sign in (1, -1)]
+    rhs = [end for low, high in zip(lo, hi) for end in (high, -low)]
+    poly = HPolyhedron(QMatrix.from_rows(rows + [piece.f_values], k), QVector.of(rhs + [lam_max]))
+    return min(qp_global_min(QuadraticForm(piece.gram, rate, Fraction(0)), poly).value for rate in rates)
 
 
 def bounded_window_search(
@@ -433,26 +442,20 @@ def bounded_window_search(
     signs: tuple[int, ...] | None,
     indices: tuple[int, int, int],
 ) -> Certificate | None:
-    """Residual search once no flat ray descends: curving-ray multipliers are
-    bounded through the root of the minorizing parabola, and each shifted
-    fiber goes to the exact QP kernel unless the lower bound of
-    _shift_lower_bound already puts the quadratic above zero there.  Such a
-    shift could not certify, so skipping its QP never changes which shift
-    certifies first."""
+    """Residual search once no flat ray descends.  Over fiber + R m the
+    quadratic is at least v1 lambda^2 + v2 lambda + v3, lambda = f . m, so
+    only integer m >= 0 with f . m <= lam_max can certify.  A depth-first
+    branch and bound over boxes [lo, hi] of them splits the first varying
+    coordinate at its midpoint, lower half first, so single tuples come in
+    product order; a box whose bound puts the quadratic above 0 is dropped."""
     fiber_index, family_index, piece_index = indices
 
-    def window_certificate(shift_counts: tuple[int, ...], shift: QVector, bound: int | None) -> Certificate | None:
+    def window_certificate(counts: tuple[int, ...], shift: QVector, bound: int | None) -> Certificate | None:
         value, point = _fiber_min(inst.quad, fiber, shift)
         if value > 0:
             return None
         trace = SearchTrace(
-            orthant=signs,
-            branch="window-qp",
-            fiber_index=fiber_index,
-            family_index=family_index,
-            piece_index=piece_index,
-            shift=shift_counts,
-            norm_bound=bound,
+            signs, "window-qp", fiber_index, family_index, piece_index, shift=counts, norm_bound=bound
         )
         return Certificate(point, encoding_size(point), trace)
 
@@ -460,28 +463,29 @@ def bounded_window_search(
         return window_certificate((), QVector.zero(inst.dim), None)
 
     n = inst.dim
-    v1 = piece.v1
-    v2 = min(2 * pv.dot(hu) + cu for pv in fiber.vertices for hu, cu in piece.slice_terms)
+    rates = [QVector.of(2 * v.dot(hr) + cr for hr, cr in piece.ray_terms) for v in fiber.vertices]
+    v2 = min(a / fv for rate in rates for a, fv in zip(rate, piece.f_values))
     v3, _ = _fiber_min(inst.quad, fiber, QVector.zero(n))
     v4 = max(math.ceil(abs(coord)) for vert in fiber.vertices for coord in vert.entries)
-    disc = v2 * v2 - 4 * v1 * v3
-    lam_max = 0 if disc < 0 else max(0, _ceil_root(-v2, disc, 2 * v1))
+    disc = v2 * v2 - 4 * piece.v1 * v3
+    lam_max = 0 if disc < 0 else max(0, _ceil_root(-v2, disc, 2 * piece.v1))
     norm_bound = isqrt_ceil(Fraction(n)) * v4 + lam_max * piece.slice_norm
-    caps = [math.floor(Fraction(lam_max) / fv) for fv in piece.f_values]
-    total = 1
-    for cap in caps:
-        total *= cap + 1
-    if total > _WINDOW_ENUM_CAP:
-        raise CertifierError(f"residual window needs {total} multiplier tuples")
-    for counts in product(*(range(cap + 1) for cap in caps)):
-        if sum(m * fv for m, fv in zip(counts, piece.f_values)) > lam_max:
+    caps = tuple(math.floor(Fraction(lam_max) / fv) for fv in piece.f_values)
+    boxes = [(tuple(0 for _ in caps), caps)]
+    while boxes:
+        lo, hi = boxes.pop()
+        bound = _box_bound(piece, rates, lam_max, lo, hi)
+        if bound is None or v3 + bound > 0:
             continue
-        shift = QVector.zero(n)
-        for m, ray in zip(counts, piece.curving):
-            shift = shift + ray.scale(m)
-        if _shift_lower_bound(inst.quad, fiber, v3, shift) > 0:
-            continue
-        cert = window_certificate(counts, shift, norm_bound)
-        if cert is not None:
-            return cert
+        varying = [i for i in range(len(lo)) if lo[i] < hi[i]]
+        if not varying:
+            shift = sum((ray.scale(m) for m, ray in zip(lo, piece.curving)), QVector.zero(n))
+            cert = window_certificate(lo, shift, norm_bound)
+            if cert is not None:
+                return cert
+        elif len(varying) == 1 or v3 + _relaxed_bound(piece, rates, lam_max, lo, hi) <= 0:
+            i = varying[0]
+            mid = (lo[i] + hi[i]) // 2
+            boxes.append((lo[:i] + (mid + 1,) + lo[i + 1 :], hi))  # the upper half, searched second
+            boxes.append((lo, hi[:i] + (mid,) + hi[i + 1 :]))
     return None

@@ -49,10 +49,6 @@ class MixedIntegerSet:
         if not 0 <= self.integer_count <= self.polyhedron.dim:
             raise ValueError("integer count must be between 0 and the dimension")
 
-    @property
-    def continuous_count(self) -> int:
-        return self.polyhedron.dim - self.integer_count
-
 
 @dataclass(frozen=True)
 class Fiber:

@@ -25,6 +25,8 @@ from miqpcert import (
     VPolyhedron,
     h_to_v,
 )
+from miqpcert.certifier import Certificate, SearchTrace, _ceil_root, _fiber_min
+from miqpcert.linalg import encoding_size, isqrt_ceil
 
 
 def vec(*values) -> QVector:
@@ -293,3 +295,62 @@ def family_index_by_rays(dec, rays) -> int:
         if frozenset(fam.rays) == key:
             return i
     raise AssertionError(f"no family with rays {rays}")
+
+
+def shift_lower_bound(quad: QuadraticForm, fiber, v3: Fraction, shift: QVector) -> Fraction:
+    """A lower bound on the quadratic over fiber + shift, given its exact
+    minimum v3 over the fiber itself: q(x + s) = q(x) + 2 x^T H s + c^T s +
+    s^T H s, where the linear term is least at one of the fiber's vertices.
+    Exact when the fiber is a single point."""
+    hs = quad.h.matvec(shift)
+    return v3 + min(2 * v.dot(hs) for v in fiber.vertices) + quad.c.dot(shift) + shift.dot(hs)
+
+
+def reference_window_bounds(inst: MiqpInstance, fiber, piece, f: QVector):
+    """(v3, lam_max, norm_bound, caps) of a curving residual window, with v2
+    and the slice norm read off the vertices of the curving slice
+    {x in cone(curving) : f . x = 1}, enumerated by h_to_v."""
+    n = inst.dim
+    slice_v = h_to_v(SimpleCone(piece.curving).to_hpolyhedron(n).with_equality(f, Fraction(1)))
+    assert not slice_v.rays and slice_v.vertices
+    v1 = piece.v1
+    quad = inst.quad
+    v2 = min(2 * pv.dot(quad.h.matvec(u)) + quad.c.dot(u) for pv in fiber.vertices for u in slice_v.vertices)
+    v3, _ = _fiber_min(quad, fiber, QVector.zero(n))
+    v4 = max(math.ceil(abs(coord)) for vert in fiber.vertices for coord in vert.entries)
+    disc = v2 * v2 - 4 * v1 * v3
+    lam_max = 0 if disc < 0 else max(0, _ceil_root(-v2, disc, 2 * v1))
+    norm_bound = isqrt_ceil(Fraction(n)) * v4 + lam_max * isqrt_ceil(max(u.dot(u) for u in slice_v.vertices))
+    caps = [math.floor(Fraction(lam_max) / f.dot(r)) for r in piece.curving]
+    return v3, lam_max, norm_bound, caps
+
+
+def reference_window_search(inst: MiqpInstance, fiber, piece, f: QVector, signs, indices):
+    """A curving residual window as a full scan, the reference for the branch
+    and bound of ``bounded_window_search``: every multiplier tuple up to the
+    caps in product order, the simplex filter f . m <= lam_max, the
+    single-shift lower bound, then the exact minimum of the shifted fiber."""
+    fiber_index, family_index, piece_index = indices
+
+    def certificate(counts, shift, bound):
+        value, point = _fiber_min(inst.quad, fiber, shift)
+        if value > 0:
+            return None
+        trace = SearchTrace(
+            signs, "window-qp", fiber_index, family_index, piece_index, shift=counts, norm_bound=bound
+        )
+        return Certificate(point, encoding_size(point), trace)
+
+    v3, lam_max, norm_bound, caps = reference_window_bounds(inst, fiber, piece, f)
+    for counts in product(*(range(cap + 1) for cap in caps)):
+        if sum(m * f.dot(r) for m, r in zip(counts, piece.curving)) > lam_max:
+            continue
+        shift = QVector.zero(inst.dim)
+        for m, ray in zip(counts, piece.curving):
+            shift = shift + ray.scale(m)
+        if shift_lower_bound(inst.quad, fiber, v3, shift) > 0:
+            continue
+        cert = certificate(counts, shift, norm_bound)
+        if cert is not None:
+            return cert
+    return None

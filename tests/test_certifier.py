@@ -1,26 +1,38 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from miqpcert import certifier, qp
 from miqpcert.certifier import (
-    CertifierError,
     MiqpInstance,
     SearchTrace,
+    _box_bound,
     _fiber_min,
-    _shift_lower_bound,
+    _relaxed_bound,
+    _window_piece,
+    bounded_window_search,
     find_certificate,
     verify_certificate,
 )
+from miqpcert.cones import normalizing_hyperplane, simple_cone_decomposition
 from miqpcert.formats import parse_instance
-from miqpcert.linalg import DimensionMismatch, QMatrix, QVector, encoding_size
+from miqpcert.linalg import DimensionMismatch, QMatrix, QVector, encoding_size, rank
 from miqpcert.milp import MixedIntegerSet, ray_families, window_fibers
 from miqpcert.oracle import brute_force_feasibility
 from miqpcert.polyhedra import HPolyhedron, h_to_v, is_pointed, iter_orthant_parts, recession_cone
-from miqpcert.qp import eval_quadratic
+from miqpcert.qp import eval_quadratic, min_quadratic_on_cone_slice
 
-from helpers import instance, random_bounded_polytope, random_boxed_instance, random_symmetric, vec
+from helpers import (
+    instance,
+    random_boxed_instance,
+    random_symmetric,
+    reference_window_bounds,
+    reference_window_search,
+    shift_lower_bound,
+    vec,
+)
 
 
 def descent_instance(d):
@@ -217,33 +229,115 @@ def test_part_rays_equal_recession_cone_rays():
     assert nonempty >= 40
 
 
-def test_shift_lower_bound_is_a_relaxation():
+def _simple_cone_system(rng, n):
+    """A pointed P whose recession cone is simple with n rays, so that its
+    families have 1 to n rays.  Half of the systems are a positive-definite
+    bowl about a point x0 of the shifted orthant P = {x >= x0 - slack},
+    whose windows certify at shifts away from the vertex; the other half
+    have n random rows and a random symmetric H."""
+    if rng.random() < 0.5:
+        x0 = [rng.randint(-2, 2) for _ in range(n)]
+        rows = [[-int(i == j) for j in range(n)] for i in range(n)]
+        rhs = [rng.randint(0, 2) - x for x in x0]
+        m = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+        h = [[sum(m[t][i] * m[t][j] for t in range(n)) + int(i == j) for j in range(n)] for i in range(n)]
+        c = [-2 * sum(h[i][j] * x0[j] for j in range(n)) for i in range(n)]
+        d = sum(x0[i] * h[i][j] * x0[j] for i in range(n) for j in range(n)) - rng.randint(0, 3)
+        return instance(h, c, d, rows, rhs, rng.randint(0, n))
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if rank(QMatrix.from_rows(rows, n)) == n:
+            break
+    h = random_symmetric(rng, n, -3, 3)
+    c = [rng.randint(-4, 4) for _ in range(n)]
+    rhs = [rng.randint(-2, 2) for _ in range(n)]
+    return instance(h, c, rng.randint(-6, 2), rows, rhs, rng.randint(0, n))
+
+
+def _curving_windows(inst, max_fibers=4):
+    """(fiber, piece, f, signs, indices) for the curving pieces the
+    non-negative search of inst pairs with its first fibers, per family."""
+    parts = [(None, inst.polyhedron)] if is_pointed(inst.polyhedron) else iter_orthant_parts(inst.polyhedron)
+    for signs, part in parts:
+        vrep = h_to_v(part)
+        if vrep.is_empty or not vrep.rays:
+            continue
+        f = normalizing_hyperplane(vrep.rays).f
+        if min_quadratic_on_cone_slice(inst.quad.h, recession_cone(part), f).value < 0:
+            continue
+        s = MixedIntegerSet(part, inst.integer_count)
+        for family_index, family in enumerate(ray_families(vrep)):
+            cones = simple_cone_decomposition(inst.quad.h, family).pieces
+            pieces = [_window_piece(inst.quad, cone, f) for cone in cones]
+            for fiber_index, fiber in enumerate(window_fibers(s, vrep, family, family_index)):
+                if fiber_index == max_fibers:
+                    break
+                for piece_index, piece in enumerate(pieces):
+                    if piece.curving:
+                        yield fiber, piece, f, signs, (fiber_index, family_index, piece_index)
+
+
+def _small_windows(seed, trials, max_cap):
+    """Curving windows of k = 1, 2 and 3 rays whose multiplier caps are all
+    at most max_cap, with their reference bounds."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        inst = _simple_cone_system(rng, (1, 2, 3, 3)[trial % 4])
+        for fiber, piece, f, signs, indices in _curving_windows(inst):
+            bounds = reference_window_bounds(inst, fiber, piece, f)
+            if max(bounds[3]) <= max_cap:
+                yield inst, fiber, piece, f, signs, indices, bounds
+
+
+def test_branch_and_bound_matches_reference_scan():
+    # the first certifying tuple, and so the whole certificate, is the one
+    # the full scan of the multiplier grid in product order finds
+    found = {1: 0, 2: 0, 3: 0}
+    shifted = {1: 0, 2: 0, 3: 0}
+    for inst, fiber, piece, f, signs, indices, _ in _small_windows(6161, 40, 12):
+        cert = bounded_window_search(inst, fiber, piece, signs, indices)
+        assert cert == reference_window_search(inst, fiber, piece, f, signs, indices)
+        found[len(piece.curving)] += 1
+        shifted[len(piece.curving)] += cert is not None and any(cert.trace.shift)
+    assert min(found.values()) >= 10 and min(shifted.values()) >= 3
+
+
+def test_box_bound_is_a_relaxation():
+    # both tiers bound the quadratic from below at every tuple of the box
+    # with f . m <= lam_max; the closed form is the single-shift bound on a
+    # single tuple, exact on a single-point fiber, and reports no tuple
+    # exactly when f . lo > lam_max
     rng = random.Random(3131)
-    checked = {"single": 0, "polytope": 0}
-    for trial in range(40):
-        n = rng.randint(1, 3)
-        p = n if trial % 4 == 0 else rng.randint(0, n - 1)
-        poly = random_bounded_polytope(rng, n)
-        inst = instance(
-            random_symmetric(rng, n), [rng.randint(-5, 5) for _ in range(n)], rng.randint(-5, 5),
-            [list(row) for row in poly.a.entries], list(poly.b.entries), p,
-        )
-        s = MixedIntegerSet(inst.polyhedron, p)
-        vrep = h_to_v(inst.polyhedron)
-        fibers = list(window_fibers(s, vrep, ray_families(vrep)[0], 0))[:3]
-        for fiber in fibers:
-            v3, _ = _fiber_min(inst.quad, fiber, QVector.zero(n))
-            for _ in range(3):
-                shift = vec(*[rng.randint(-2, 2) for _ in range(n)])
-                bound = _shift_lower_bound(inst.quad, fiber, v3, shift)
+    checked = {"single": 0, "point": 0, "box": 0, "empty": 0}
+    for inst, fiber, piece, f, _, _, bounds in _small_windows(7171, 60, 4):
+        v3, lam_max, _, caps = bounds
+        rates = [QVector.of(2 * v.dot(hr) + cr for hr, cr in piece.ray_terms) for v in fiber.vertices]
+        for _ in range(4):
+            lo = tuple(rng.randint(0, cap + 1) for cap in caps)
+            hi = tuple(low + rng.randint(0, 2) for low in lo)
+            closed = _box_bound(piece, rates, lam_max, lo, hi)
+            if sum(m * f.dot(r) for m, r in zip(lo, piece.curving)) > lam_max:
+                assert closed is None
+                checked["empty"] += 1
+                continue
+            relaxed = _relaxed_bound(piece, rates, lam_max, lo, hi)
+            for counts in product(*(range(low, high + 1) for low, high in zip(lo, hi))):
+                shift = QVector.zero(inst.dim)
+                for m, ray in zip(counts, piece.curving):
+                    shift = shift + ray.scale(m)
+                if f.dot(shift) > lam_max:
+                    continue
                 exact, _ = _fiber_min(inst.quad, fiber, shift)
-                assert bound <= exact
+                assert closed <= relaxed and v3 + relaxed <= exact
+                single = _box_bound(piece, rates, lam_max, counts, counts)
+                assert v3 + single == shift_lower_bound(inst.quad, fiber, v3, shift)
                 if len(fiber.vertices) == 1:
-                    assert bound == exact
-                    checked["single"] += 1
-                else:
-                    checked["polytope"] += 1
-    assert checked["single"] >= 20 and checked["polytope"] >= 20
+                    assert v3 + single == exact
+                    checked["point"] += 1
+                checked["single"] += 1
+            checked["box"] += lo != hi
+    assert checked["single"] >= 300 and checked["point"] >= 150
+    assert checked["box"] >= 150 and checked["empty"] >= 150
 
 
 # generator instance 29 of the unbounded benchmark corpus: n = 2, p = 0, a
@@ -304,11 +398,10 @@ def test_own_family_pairing_against_oracle():
     assert feasible >= 15
 
 
-@pytest.mark.xfail(strict=True, raises=CertifierError, reason="residual window exceeds the tuple cap")
 def test_tuple_cap_small_integer_system():
     # 3x^2 + 3y^2 + x + 3y - 1 <= 0 is a disk of radius below 1 about
     # (-1/6, -1/2); no integer point of it satisfies 3x + 2y >= 1, so the
-    # system is infeasible, but the residual window asks for 14.6M tuples
+    # system is infeasible, though its residual window spans 14.6M tuples
     text = "2 2\n3 0\n0 3\n1 3\n-1\n2\n-2 -1\n-3 -2\n3 -1\n"
     inst = parse_instance(text)
     assert not brute_force_feasibility(inst, 2).feasible

@@ -1,5 +1,7 @@
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,3 +166,44 @@ def test_solve_oracle_differential_small_corpus(tmp_path, capsys):
         assert solve_rc == oracle_rc
         if solve_rc == 0:
             assert main(["verify", "--instance", path, "--cert", cert]) == 0
+
+
+# unboxed systems in the style of the unbounded benchmark corpus, one per
+# branch: a negative ray after an orthant split, a flat ray, residual windows
+# with one and with two curving rays, and no solution
+HASH_SEED_CASES = {
+    "negative_ray": "3 1\n-1 -2 2\n-2 -2 3\n2 3 0\n-1 -3 0\n3\n1\n-2 2 2\n3\n",
+    "linear_ray": "1 1\n0\n2\n1\n2\n3\n0\n2 3\n",
+    "window_one_ray": "2 2\n3 -3\n-3 0\n-2 2\n3\n2\n0 2\n-2 -1\n1 2\n",
+    "window_two_rays": (
+        "3 2\n3 -3 1\n-3 -1 1\n1 1 3\n2 -3 3\n-1\n3\n1 -3 -1\n-3 -3 1\n0 2 0\n2 2 1\n"
+    ),
+    "infeasible": "1 1\n2\n1\n2\n2\n1\n3\n-2 2\n",
+}
+
+
+def test_solve_identical_across_hash_seeds(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    runs = {}
+    for hash_seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = hash_seed
+        for name, text in HASH_SEED_CASES.items():
+            cert = tmp_path / f"{name}.{hash_seed}.cert"
+            args = ["solve", "--instance", write(tmp_path, f"{name}.inst", text), "--out", str(cert)]
+            done = subprocess.run(
+                [sys.executable, "-m", "miqpcert.cli", *args],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            written = cert.read_bytes() if cert.exists() else None
+            runs[hash_seed, name] = (done.returncode, done.stdout, written)
+    for name in HASH_SEED_CASES:
+        assert runs["0", name] == runs["1", name]
+        code, _, cert = runs["0", name]
+        if name == "infeasible":
+            assert code == 1 and cert is None
+        else:
+            assert code == 0 and cert
+    two_rays = runs["0", "window_two_rays"][1]
+    assert "branch=window-qp" in two_rays and "shift=1,0;" in two_rays
