@@ -89,12 +89,16 @@ class MiqpInstance:
         )
 
 
+_BRANCHES = ("negative-ray", "linear-ray", "window-qp")
+_TAG_KEYS = ("orthant", "branch", "fiber", "family", "piece", "ray", "step", "shift", "bound")
+
+
 @dataclass(frozen=True)
 class SearchTrace:
     """Which branch of the search produced a certificate."""
 
     orthant: tuple[int, ...] | None
-    branch: str  # "negative-ray" | "linear-ray" | "window-qp"
+    branch: str  # one of _BRANCHES
     fiber_index: int | None = None
     family_index: int | None = None
     piece_index: int | None = None
@@ -124,7 +128,15 @@ class SearchTrace:
 
     @staticmethod
     def from_tag(tag: str) -> "SearchTrace":
-        fields = dict(item.split("=", 1) for item in tag.split(";"))
+        """The trace that :meth:`tag` wrote; raises ValueError on any other text."""
+        items = [item.split("=", 1) for item in tag.split(";")]
+        if [item[0] for item in items] != list(_TAG_KEYS):
+            raise ValueError(f"trace tag must have the fields {', '.join(_TAG_KEYS)} in this order")
+        fields = dict(items)
+        if fields["branch"] not in _BRANCHES:
+            raise ValueError(f"unknown branch {fields['branch']!r}")
+        if fields["orthant"] != "all" and not (fields["orthant"] and set(fields["orthant"]) <= {"+", "-"}):
+            raise ValueError(f"orthant must be 'all' or a string of signs, got {fields['orthant']!r}")
 
         def opt_int(key: str) -> int | None:
             v = fields[key]
@@ -137,7 +149,7 @@ class SearchTrace:
         if fields["shift"] != "-":
             raw = fields["shift"]
             shift = () if raw == "()" else tuple(int(x) for x in raw.split(","))
-        return SearchTrace(
+        trace = SearchTrace(
             orthant=orthant,
             branch=fields["branch"],
             fiber_index=opt_int("fiber"),
@@ -148,6 +160,9 @@ class SearchTrace:
             shift=shift,
             norm_bound=opt_int("bound"),
         )
+        if trace.tag() != tag:  # integers such as "+3", "03" or "1_0"
+            raise ValueError(f"trace tag would be written back as {trace.tag()!r}")
+        return trace
 
 
 @dataclass(frozen=True)

@@ -159,10 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0) and 2
     try:
         return args.func(args)
-    except (InstanceFormatError, DimensionMismatch, NotPointed, UnboundedFiber, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InstanceFormatError, DimensionMismatch, NotPointed, UnboundedFiber, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CertifierError as exc:

@@ -170,10 +170,10 @@ def parse_certificate(text: str) -> Certificate:
         raise InstanceFormatError(line_no, "trace must be a single token")
     try:
         trace = SearchTrace.from_tag(tokens[0])
-    except (KeyError, ValueError):
-        raise InstanceFormatError(line_no, f"malformed trace tag {tokens[0]!r}") from None
+    except ValueError as exc:
+        raise InstanceFormatError(line_no, f"malformed trace tag {tokens[0]!r}: {exc}") from None
     line_no, tokens = fields["size"]
-    if len(tokens) != 1 or not tokens[0].isdigit():
+    if len(tokens) != 1 or not (tokens[0].isascii() and tokens[0].isdigit()):
         raise InstanceFormatError(line_no, "size must be a single non-negative integer")
     return Certificate(point, EncodingSize(int(tokens[0])), trace)
 

@@ -1,12 +1,12 @@
 """Exact global minimization of rational quadratics over polytopes.
 
 The candidate pool follows Vavasis (1990): the vertices of the polytope,
-plus, for every face affine hull of dimension at least one (an independent
-active-row subset of size below n), the stationary point of the quadratic
-on that hull when it is the unique one and lies in the polytope.  Some
-global minimizer is always in this pool (see :func:`qp_global_min`), so the
-minimum is exact and the reported minimizer deterministic
-(lexicographically smallest among optimal candidates).
+plus, for every independent row subset S of size below n (a face affine
+hull of dimension at least one), the x of the KKT system
+[2H A_S^T; A_S 0] (x, y) = (-c, b_S) when that solution is unique and x
+lies in the polytope.  Some global minimizer is always in this pool (see
+:func:`qp_global_min`), so the minimum is exact and the reported minimizer
+deterministic (lexicographically smallest among optimal candidates).
 
 Everything here is a pure function of immutable inputs; candidate active
 sets are independent, so callers may fan the enumeration out and min-reduce.
@@ -67,50 +67,42 @@ def eval_quadratic(q: QuadraticForm, x: QVector) -> Fraction:
 
 def restrict_quadratic(q: QuadraticForm, y: QVector) -> QuadraticForm:
     """The quadratic in the trailing coordinates once the first len(y)
-    coordinates are fixed to y."""
+    coordinates are fixed to y: its value and gradient at x = (y, 0) give
+    the constant and linear term, and H's trailing block stays."""
     k = y.dim
     n = q.dim
     if not 0 < k < n:
         raise ValueError("prefix must fix a proper nonempty subset of coordinates")
+    x = y.concat(QVector.zero(n - k))
+    gradient = q.h.matvec(x).scale(2) + q.c
     hzz = QMatrix.from_rows([row[k:] for row in q.h.entries[k:]], n - k)
-    new_c = QVector.of(
-        q.c[k + j] + 2 * sum(y[i] * q.h.entries[i][k + j] for i in range(k))
-        for j in range(n - k)
-    )
-    head = QVector.of(y[i] for i in range(k))
-    hyy = QMatrix.from_rows([row[:k] for row in q.h.entries[:k]], k)
-    new_d = head.dot(hyy.matvec(head)) + sum(q.c[i] * y[i] for i in range(k)) + q.d
-    return QuadraticForm(hzz, new_c, new_d)
+    return QuadraticForm(hzz, gradient.drop(k), eval_quadratic(q, x))
 
 
 def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
     """Unique stationary points of q on the affine hulls of p's faces of
-    dimension at least one that lie in p.  Row subsets of size n are not
-    walked: their feasible basic solutions are the vertices of p."""
+    dimension at least one that lie in p, one KKT solve per hull.  A_S has
+    full row rank, so the KKT solution is unique exactly when x is.  Row
+    subsets of size n are not walked: their feasible basic solutions are
+    the vertices of p."""
     n = p.dim
     rows = [p.a.row(i) for i in range(p.num_rows)]
+    two_h = [[2 * v for v in row] for row in q.h.entries]
+    minus_c = [-v for v in q.c]
     candidates: list[QVector] = []
     for size in range(n):
         for idx in independent_row_subsets(rows, size):
-            sub = QMatrix.from_rows([p.a.entries[i] for i in idx], n)
-            hull = solve_linear_system(sub, QVector.of(p.b[i] for i in idx))
-            assert hull is not None  # independent rows are always consistent
-            x0, directions = hull.particular, hull.nullspace
-            k = len(directions)
-            h_dirs = [q.h.matvec(d) for d in directions]
-            reduced_h = QMatrix.from_rows(
-                [[2 * directions[i].dot(h_dirs[j]) for j in range(k)] for i in range(k)]
+            kkt = QMatrix.from_rows(
+                [two_h[i] + [p.a.entries[j][i] for j in idx] for i in range(n)]
+                + [list(p.a.entries[j]) + [0] * size for j in idx],
+                n + size,
             )
-            grad0 = q.h.matvec(x0).scale(2) + q.c
-            rhs = QVector.of(-directions[i].dot(grad0) for i in range(k))
-            stat = solve_linear_system(reduced_h, rhs)
-            if stat is None or not stat.is_unique:
+            solution = solve_linear_system(kkt, QVector.of(minus_c + [p.b[j] for j in idx]))
+            if solution is None or not solution.is_unique:
                 continue
-            x_s = x0
-            for j in range(k):
-                x_s = x_s + directions[j].scale(stat.particular[j])
-            if p.contains(x_s):
-                candidates.append(x_s)
+            x = solution.particular.take(n)
+            if p.contains(x):
+                candidates.append(x)
     return candidates
 
 
@@ -125,9 +117,9 @@ def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
     a point, q would be constant on S (its gradient vanishes along S and
     its curvature along S is zero), and since F is bounded a line of S
     through x* would leave F at a point of a proper face of F with the same
-    optimal value, contradicting the choice of x*.  So S = {x*}: the
-    reduced stationarity system on aff(F), cut out by a maximal independent
-    subset of the rows tight on F, has the unique solution x*.
+    optimal value, contradicting the choice of x*.  So S = {x*}: the KKT
+    system of a maximal independent subset of the rows tight on F has a
+    unique solution whose x is x*.
 
     Raises :class:`Unbounded` when p has recession directions and
     :class:`EmptyFeasibleSet` when p is empty.

@@ -26,7 +26,8 @@ from miqpcert import (
     h_to_v,
 )
 from miqpcert.certifier import Certificate, SearchTrace, _ceil_root, _fiber_min
-from miqpcert.linalg import encoding_size, isqrt_ceil
+from miqpcert.linalg import encoding_size, isqrt_ceil, solve_linear_system
+from miqpcert.polyhedra import independent_row_subsets
 
 
 def vec(*values) -> QVector:
@@ -354,3 +355,41 @@ def reference_window_search(inst: MiqpInstance, fiber, piece, f: QVector, signs,
         if cert is not None:
             return cert
     return None
+
+
+def reference_stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[list[QVector], int]:
+    """The QP pool's face-hull candidates in two stages, the reference for the
+    single KKT solve of ``qp._stationary_candidates``: each hull of an
+    independent row subset of size below n as a particular point plus
+    nullspace directions, then the stationarity system of q reduced to those
+    directions.  Also returns how many hulls carry a flat stationary set
+    (consistent but not unique), which the pool skips."""
+    n = p.dim
+    rows = [p.a.row(i) for i in range(p.num_rows)]
+    candidates: list[QVector] = []
+    flats = 0
+    for size in range(n):
+        for idx in independent_row_subsets(rows, size):
+            sub = QMatrix.from_rows([p.a.entries[i] for i in idx], n)
+            hull = solve_linear_system(sub, QVector.of(p.b[i] for i in idx))
+            assert hull is not None  # independent rows are always consistent
+            x0, directions = hull.particular, hull.nullspace
+            k = len(directions)
+            h_dirs = [q.h.matvec(d) for d in directions]
+            reduced_h = QMatrix.from_rows(
+                [[2 * directions[i].dot(h_dirs[j]) for j in range(k)] for i in range(k)], k
+            )
+            grad0 = q.h.matvec(x0).scale(2) + q.c
+            rhs = QVector.of(-directions[i].dot(grad0) for i in range(k))
+            stat = solve_linear_system(reduced_h, rhs)
+            if stat is None:
+                continue
+            if not stat.is_unique:
+                flats += 1
+                continue
+            x_s = x0
+            for j in range(k):
+                x_s = x_s + directions[j].scale(stat.particular[j])
+            if p.contains(x_s):
+                candidates.append(x_s)
+    return candidates, flats

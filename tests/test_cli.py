@@ -91,6 +91,13 @@ def test_parse_error_exit_and_message(tmp_path, capsys):
 
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert main(["solve", "--instance", str(tmp_path / "nope"), "--out", str(tmp_path / "x")]) == 2
+    # a directory where a file is expected, to read or to write
+    assert main(["solve", "--instance", str(tmp_path), "--out", str(tmp_path / "x")]) == 2
+    assert "error:" in capsys.readouterr().err
+    feasible = write(tmp_path, "feasible.inst", CASE1)
+    assert main(["solve", "--instance", feasible, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "FEASIBLE" not in captured.out
 
 
 def test_oracle_exit_codes(tmp_path, capsys):

@@ -81,6 +81,27 @@ def test_certificate_parse_errors():
         parse_certificate("x 1\ntrace orthant=all;branch=negative-ray\n")
     with pytest.raises(InstanceFormatError):
         parse_certificate("x 1\ntrace nonsense\nsize 5\n")
+    # trace text that would not be written back as it reads
+    tag = "orthant=+-;branch=negative-ray;fiber=-;family=-;piece=-;ray=-;step=0;shift=-;bound=-"
+    assert parse_certificate(f"x 1 2\ntrace {tag}\nsize 5\n").trace.tag() == tag
+    for bad in (
+        tag + ";extra=9",
+        tag.replace("branch=negative-ray", "branch=bogus"),
+        tag.replace("orthant=+-", "orthant=x-"),
+        tag.replace("orthant=+-", "orthant="),
+        tag.replace(";step=0", ""),
+        tag.replace("fiber=-;family=-", "family=-;fiber=-"),
+        tag.replace("step=0", "step=+0"),
+        tag.replace("step=0", "step=00"),
+        tag.replace("shift=-", "shift=1_0"),
+    ):
+        with pytest.raises(InstanceFormatError) as err:
+            parse_certificate(f"# header\nx 1 2\ntrace {bad}\nsize 5\n")
+        assert "line 3" in str(err.value)
+    for size in ("\u00b2", "+5", "-1", "5.0"):
+        with pytest.raises(InstanceFormatError) as err:
+            parse_certificate(f"x 1 2\ntrace {tag}\n\nsize {size}\n")
+        assert "line 4" in str(err.value)
 
 
 def test_certificate_rejects_repeated_and_unknown_keys():

@@ -9,6 +9,7 @@ from miqpcert.qp import (
     EmptyFeasibleSet,
     QuadraticForm,
     Unbounded,
+    _stationary_candidates,
     eval_quadratic,
     min_quadratic_on_cone_slice,
     qp_global_min,
@@ -21,6 +22,7 @@ from helpers import (
     mat,
     random_bounded_polytope,
     random_symmetric,
+    reference_stationary_candidates,
     sample_in_polytope,
     vec,
 )
@@ -102,6 +104,57 @@ def test_qp_flat_stationary_sets_exact_references():
             assert poly.contains(res.minimizer)
             assert eval_quadratic(q, res.minimizer) == res.value
     assert flat_optima >= 50
+
+
+def _random_hessian(rng: random.Random, n: int, kind: str) -> list[list[int]]:
+    if kind == "definite":  # G^T G + I
+        g = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        return [[sum(r[i] * r[j] for r in g) + (i == j) for j in range(n)] for i in range(n)]
+    if kind == "indefinite":  # a positive and a negative diagonal entry
+        while True:
+            h = random_symmetric(rng, n, -3, 3)
+            if min(h[i][i] for i in range(n)) < 0 < max(h[i][i] for i in range(n)):
+                return h
+    if kind == "rank-one":  # +-u u^T
+        u = [0] * n
+        while not any(u):
+            u = [rng.randint(-2, 2) for _ in range(n)]
+        sign = rng.choice((1, -1))
+        return [[sign * a * b for b in u] for a in u]
+    return [[0] * n for _ in range(n)]
+
+
+def _random_cone_slab(rng: random.Random, n: int):
+    """{x >= 0, r . x <= 0 for a few random r, f . x = 1} with f > 0, the
+    shape of a cone slice; None when it is empty."""
+    rows = [[-int(i == j) for j in range(n)] for i in range(n)]
+    rows += [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    f = vec(*[rng.randint(1, 3) for _ in range(n)])
+    slab = hpoly(rows, [0] * len(rows)).with_equality(f, Fraction(1))
+    return None if h_to_v(slab).is_empty else slab
+
+
+def test_kkt_pool_matches_two_stage_reference():
+    # one KKT solve per face hull against the hull-then-reduced-system
+    # reference: the same candidates, on polytopes and on cone-slice slabs
+    rng = random.Random(8080)
+    cases = flats = 0
+    for kind in ("definite", "indefinite", "rank-one", "zero"):
+        for shape in ("polytope", "slab"):
+            for _ in range(25):
+                n = rng.randint(2 if kind == "indefinite" else 1, 3)
+                poly = random_bounded_polytope(rng, n) if shape == "polytope" else _random_cone_slab(rng, n)
+                if poly is None:
+                    continue
+                c = [0] * n if rng.random() < 0.3 else [rng.randint(-4, 4) for _ in range(n)]
+                q = form(_random_hessian(rng, n, kind), c, 0)
+                expected, flat = reference_stationary_candidates(q, poly)
+                got = _stationary_candidates(q, poly)
+                assert sorted(got) == sorted(expected)
+                cases += 1
+                flats += flat > 0
+    assert cases >= 160
+    assert flats >= 30
 
 
 def test_qp_minimizer_deterministic_lex():
