@@ -16,18 +16,25 @@ Certificate files, each key exactly once and no other keys:
     trace <branch tag>
     size <bits>
 
-Rationals are written exactly as "p/q" or "p"; both formats round-trip
+Rationals are written exactly as "p/q" or "p": ASCII digits with an optional
+leading minus, ``-?[0-9]+(/[0-9]+)?``, the typeset minus sign read as "-".
+The counts n, p and m are ASCII integers ``-?[0-9]+``.  Any other token is an
+:class:`InstanceFormatError` naming its line.  Both formats round-trip
 bit-exactly through parse/serialize.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .certifier import Certificate, MiqpInstance, SearchTrace
 from .linalg import EncodingSize, QMatrix, QVector, as_rational
 from .qp import QuadraticForm
 from .polyhedra import HPolyhedron
+
+
+_INTEGER_TOKEN = re.compile(r"-?[0-9]+")
 
 
 class InstanceFormatError(ValueError):
@@ -72,12 +79,9 @@ def parse_instance(text: str) -> MiqpInstance:
         return item
 
     line_no, tokens = next_line("header 'n p'")
-    if len(tokens) != 2:
+    if len(tokens) != 2 or not all(_INTEGER_TOKEN.fullmatch(tok) for tok in tokens):
         raise InstanceFormatError(line_no, "header must be two integers 'n p'")
-    try:
-        n, p = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise InstanceFormatError(line_no, "header must be two integers 'n p'") from None
+    n, p = int(tokens[0]), int(tokens[1])
     if n < 1:
         raise InstanceFormatError(line_no, f"dimension n must be positive, got {n}")
     if not 0 <= p <= n:
@@ -103,12 +107,9 @@ def parse_instance(text: str) -> MiqpInstance:
     d = _parse_rationals(line_no, tokens, 1, "d")[0]
 
     line_no, tokens = next_line("row count m")
-    if len(tokens) != 1:
+    if len(tokens) != 1 or not _INTEGER_TOKEN.fullmatch(tokens[0]):
         raise InstanceFormatError(line_no, "expected a single integer m")
-    try:
-        m = int(tokens[0])
-    except ValueError:
-        raise InstanceFormatError(line_no, "expected a single integer m") from None
+    m = int(tokens[0])
     if m < 0:
         raise InstanceFormatError(line_no, f"m must be non-negative, got {m}")
 

@@ -6,13 +6,17 @@ package takes or returns is made of them.  Inside, elimination and row tests
 run on integers: a rational row is scaled, with its right-hand side, to
 integers by the positive lcm of its denominators (:func:`_integer_row`),
 eliminated fraction-free, and turned back into Fractions only for the
-returned entries.  No floating point anywhere.
+returned entries.  :func:`solve_linear_system` is that scaling followed by
+the integer core :func:`_solve_integer`, which callers holding integer rows
+(a polyhedron's vertex and ray solves, the QP pool's KKT solves) call
+directly.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -24,15 +28,38 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible dimensions."""
 
 
+# the one rational spelling: ASCII digits, an optional leading minus, an
+# optional denominator; Fraction(str) also takes 1_000, 1e3, 1.5, +3 and
+# non-ASCII digits, and which of them depends on the Python version
+_RATIONAL_TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+# instance data is mostly small integers: their Fractions are built once and
+# shared (a Fraction is immutable), which keeps a parsed instance small
+_SMALL_INTEGERS = {i: Fraction(i) for i in range(-256, 257)}
+
+
+def _integer_fraction(value: int) -> Fraction:
+    shared = _SMALL_INTEGERS.get(value)
+    return Fraction(value) if shared is None else shared
+
+
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" / "p" string (minus sign allowed)."""
+    """Coerce an int, Fraction, or "p/q" / "p" string (minus sign allowed).
+
+    A string must match ``-?[0-9]+(/[0-9]+)?`` once stripped, with the
+    typeset minus sign read as "-"; anything else raises ValueError, and a
+    zero denominator ZeroDivisionError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return _integer_fraction(value)
     if isinstance(value, str):
         # tolerate the typeset minus sign in hand-written files
-        return Fraction(value.replace("−", "-").strip())
+        text = value.replace("−", "-").strip()
+        if not _RATIONAL_TOKEN.fullmatch(text):
+            raise ValueError(f"not a rational 'p/q' or 'p': {value!r}")
+        num, _, den = text.partition("/")
+        return Fraction(int(num), int(den)) if den else _integer_fraction(int(num))
     raise TypeError(f"not a rational: {value!r}")
 
 
@@ -264,7 +291,7 @@ def _dot(row: Sequence[int], u: Sequence[int]) -> int:
     return sum(map(operator.mul, row, u))
 
 
-def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
     """Fraction-free reduced row echelon form of integer rows; pivots chosen
     as the first nonzero entry in column order (deterministic).
 
@@ -313,11 +340,18 @@ def solve_linear_system(m: QMatrix, rhs: QVector) -> LinearSolution | None:
     """
     if m.rows != rhs.dim:
         raise DimensionMismatch(f"matrix rows {m.rows} vs rhs dim {rhs.dim}")
-    n = m.cols
-    aug = [_integer_row((*row, rhs[i])) for i, row in enumerate(m.entries)]
+    return _solve_integer([_integer_row((*row, rhs[i])) for i, row in enumerate(m.entries)], m.cols)
+
+
+def _solve_integer(aug: Sequence[Sequence[int]], n: int) -> LinearSolution | None:
+    """:func:`solve_linear_system` on integer rows in n unknowns, each with
+    its right-hand side last.  Scaling a row by a nonzero factor changes
+    neither the solution set nor the result, which is built from ratios of
+    the reduced rows' entries, so callers that hold integer rows (a
+    polyhedron's ``integer_rows``, a form's integer H and c) pass them here
+    as they are."""
     if not aug:
-        solution = LinearSolution(QVector.zero(n), tuple(QVector.unit(j, n) for j in range(n)))
-        return solution
+        return LinearSolution(QVector.zero(n), tuple(QVector.unit(j, n) for j in range(n)))
     reduced, pivot_cols = _echelon(aug)
     pivot_set = set(pivot_cols)
     if n in pivot_set:

@@ -22,6 +22,7 @@ from .linalg import (
     QVector,
     _dot,
     _integer_row,
+    _solve_integer,
     nullspace_basis,
     rank,
     solve_linear_system,
@@ -243,10 +244,10 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
     if rank(p.a) < n:
         raise NotPointed("polyhedron has a nontrivial lineality space")
     rows = [p.a.row(i) for i in range(m)]
+    int_rows = p.integer_rows
     vertices = set()
     for idx in independent_row_subsets(rows, n):
-        sub = QMatrix.from_rows([p.a.entries[i] for i in idx], n)
-        sol = solve_linear_system(sub, QVector.of(p.b[i] for i in idx))
+        sol = _solve_integer([int_rows[i] for i in idx], n)
         assert sol is not None and sol.is_unique
         if p.contains(sol.particular):
             vertices.add(sol.particular)
@@ -254,8 +255,7 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
         return VPolyhedron((), ())
     rays = set()
     for idx in independent_row_subsets(rows, n - 1):
-        sub = QMatrix.from_rows([p.a.entries[i] for i in idx], n)
-        null = nullspace_basis(sub)
+        null = _solve_integer([(*int_rows[i][:n], 0) for i in idx], n).nullspace
         if len(null) != 1:
             continue
         g = primitivize(null[0])

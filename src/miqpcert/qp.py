@@ -8,6 +8,11 @@ lies in the polytope.  Some global minimizer is always in this pool (see
 :func:`qp_global_min`), so the minimum is exact and the reported minimizer
 deterministic (lexicographically smallest among optimal candidates).
 
+The arithmetic is on integers: a form keeps H and c as integer numerators
+over one denominator each, made once per object.  The KKT rows start from
+those and from the polytope's integer rows, and :func:`eval_quadratic` sums
+over a point's integer numerators, building one Fraction for the value.
+
 Everything here is a pure function of immutable inputs; candidate active
 sets are independent, so callers may fan the enumeration out and min-reduce.
 """
@@ -16,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .linalg import DimensionMismatch, QMatrix, QVector, solve_linear_system
+from .linalg import DimensionMismatch, QMatrix, QVector, _dot, _integer_row, _solve_integer
 from .polyhedra import HPolyhedron, SimpleCone, independent_row_subsets, h_to_v
 
 
@@ -52,6 +58,16 @@ class QuadraticForm:
     def pure(h: QMatrix) -> "QuadraticForm":
         return QuadraticForm(h, QVector.zero(h.cols), Fraction(0))
 
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...], int]:
+        """(Ĥ, hs, ĉ, cs): H = Ĥ / hs and c = ĉ / cs with hs and cs the
+        positive lcm of the denominators of H and of c.  Computed once per
+        object; not a field, so eq and hash ignore it."""
+        n = self.dim
+        *h_flat, hs = _integer_row((*(v for row in self.h.entries for v in row), 1))
+        *c_int, cs = _integer_row((*self.c.entries, 1))
+        return tuple(tuple(h_flat[i * n : (i + 1) * n]) for i in range(n)), hs, tuple(c_int), cs
+
 
 @dataclass(frozen=True)
 class QpResult:
@@ -60,9 +76,14 @@ class QpResult:
 
 
 def eval_quadratic(q: QuadraticForm, x: QVector) -> Fraction:
+    """x^T H x + c^T x + d, summed in integers: with x = u / D, H = Ĥ / hs
+    and c = ĉ / cs it is (u^T Ĥ u cs + ĉ . u hs D) / (hs cs D^2) + d."""
     if x.dim != q.dim:
         raise DimensionMismatch(f"point dim {x.dim} vs form dim {q.dim}")
-    return x.dot(q.h.matvec(x)) + q.c.dot(x) + q.d
+    h, hs, c, cs = q._integer_form
+    *u, den = _integer_row((*x.entries, 1))
+    quadratic = sum(ui * _dot(row, u) for ui, row in zip(u, h) if ui)
+    return Fraction(quadratic * cs + _dot(c, u) * hs * den, hs * cs * den * den) + q.d
 
 
 def restrict_quadratic(q: QuadraticForm, y: QVector) -> QuadraticForm:
@@ -87,17 +108,18 @@ def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
     the vertices of p."""
     n = p.dim
     rows = [p.a.row(i) for i in range(p.num_rows)]
-    two_h = [[2 * v for v in row] for row in q.h.entries]
-    minus_c = [-v for v in q.c]
+    int_rows = p.integer_rows
+    h, hs, c, cs = q._integer_form
+    # 2H x + A_S^T y = -c times hs cs, with A_S's rows scaled to integers;
+    # y_j is free, so its column takes integer row j as it is (y rescaled)
+    stationary = [[2 * cs * v for v in row] for row in h]
+    minus_c = [-hs * v for v in c]
     candidates: list[QVector] = []
     for size in range(n):
         for idx in independent_row_subsets(rows, size):
-            kkt = QMatrix.from_rows(
-                [two_h[i] + [p.a.entries[j][i] for j in idx] for i in range(n)]
-                + [list(p.a.entries[j]) + [0] * size for j in idx],
-                n + size,
-            )
-            solution = solve_linear_system(kkt, QVector.of(minus_c + [p.b[j] for j in idx]))
+            kkt = [stationary[i] + [int_rows[j][i] for j in idx] + [minus_c[i]] for i in range(n)]
+            kkt += [[*int_rows[j][:n], *[0] * size, int_rows[j][n]] for j in idx]
+            solution = _solve_integer(kkt, n + size)
             if solution is None or not solution.is_unique:
                 continue
             x = solution.particular.take(n)

@@ -357,6 +357,12 @@ def reference_window_search(inst: MiqpInstance, fiber, piece, f: QVector, signs,
     return None
 
 
+def reference_eval_quadratic(q: QuadraticForm, x: QVector) -> Fraction:
+    """x . Hx + c . x + d in Fraction arithmetic, the reference for
+    ``qp.eval_quadratic``'s sum over integer numerators."""
+    return x.dot(q.h.matvec(x)) + q.c.dot(x) + q.d
+
+
 def reference_stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[list[QVector], int]:
     """The QP pool's face-hull candidates in two stages, the reference for the
     single KKT solve of ``qp._stationary_candidates``: each hull of an

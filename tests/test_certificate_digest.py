@@ -1,0 +1,72 @@
+"""Every certificate of the benchmark's three corpora, pinned by one sha256
+per corpus.
+
+Each generated instance is solved in generator order with the ``h_to_v``
+cache cleared first, and its serialized certificate (or ``infeasible``) goes
+into the corpus digest.  A kernel change that claims byte-identical
+certificates must leave all three digests as they are; a change that alters
+certificates on purpose updates them and says which ones changed and why.
+``bench/workloads.py`` is only read.
+
+Needs no pytest, so it also runs on its own under any supported Python:
+
+    PYTHONPATH=src python3 tests/test_certificate_digest.py
+"""
+
+import hashlib
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+from miqpcert import find_certificate, h_to_v, parse_instance, serialize_certificate
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+EXPECTED = {
+    "maxcut5_sweep": "4625c2dc3fae011fbedf4fc9d18e9855b40dafca1d5827464da2ebb589b45150",
+    "boxed_cli": "a8d73926952e51216667ee718270a0e5e809ebfccd4726c423bd4016887455b1",
+    "unbounded_budget": "b261ea704cd39b0a21cf967e0a3b744a404f5dd988148a41483c598b2dd589d7",
+}
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def corpus_digest(name: str) -> str:
+    workload = _workloads()[name]
+    generated = workload.generator(random.Random(workload.corpus_seed), workload.corpus_size)
+    digest = hashlib.sha256()
+    for index, case in enumerate(generated):
+        if index in workload.set_aside:
+            continue
+        h_to_v.cache_clear()
+        cert = find_certificate(parse_instance(case.text))
+        digest.update((serialize_certificate(cert) if cert is not None else "infeasible\n").encode())
+    return digest.hexdigest()
+
+
+def test_maxcut5_sweep_certificates():
+    assert corpus_digest("maxcut5_sweep") == EXPECTED["maxcut5_sweep"]
+
+
+def test_boxed_cli_certificates():
+    assert corpus_digest("boxed_cli") == EXPECTED["boxed_cli"]
+
+
+def test_unbounded_budget_certificates():
+    assert corpus_digest("unbounded_budget") == EXPECTED["unbounded_budget"]
+
+
+if __name__ == "__main__":
+    mismatched = 0
+    for name, expected in EXPECTED.items():
+        got = corpus_digest(name)
+        mismatched += got != expected
+        print(f"{name} {got} {'ok' if got == expected else 'MISMATCH'}")
+    sys.exit(1 if mismatched else 0)

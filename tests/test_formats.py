@@ -54,6 +54,41 @@ def test_instance_errors_carry_line_numbers():
     assert "p=2" in str(err.value)
 
 
+NON_GRAMMAR_SPELLINGS = ("1_000", "1e3", "1.5", "+3", "٣", "3/-4", "1/2/3", "0x10", "inf", "nan")
+
+
+def test_rational_tokens_follow_one_grammar():
+    # -?[0-9]+(/[0-9]+)? in ASCII, after the strip and the typeset minus:
+    # Fraction(str) takes some of the spellings below, and which depends on
+    # the Python version
+    text = "2 0\n−1 0\n0 -12/8\n0 0\n0\n1\n1 1\n9\n"
+    assert parse_instance(text).quad.h.entries[0][0] == -1
+    assert parse_instance(text).quad.h.entries[1][1] == Fraction(-3, 2)
+    for bad in NON_GRAMMAR_SPELLINGS + ("1/0",):
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(f"# c holds the token\n1 0\n0\n{bad}\n0\n0\n")
+        assert "line 4" in str(err.value) and "bad rational" in str(err.value)
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(f"1 0\n0\n0\n0\n1\n1\n{bad}\n")
+        assert "line 7" in str(err.value)
+    for bad in ("+1", "١", "1_0", "1.0", "1/1"):
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(f"{bad} 0\n0\n0\n0\n0\n")
+        assert "line 1" in str(err.value)
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(f"1 0\n0\n0\n0\n{bad}\n1\n1\n")
+        assert "line 5" in str(err.value)
+
+
+def test_certificate_point_follows_rational_grammar():
+    tag = "orthant=all;branch=negative-ray;fiber=-;family=-;piece=-;ray=-;step=0;shift=-;bound=-"
+    assert parse_certificate(f"x -1/2 3\ntrace {tag}\nsize 5\n").point == vec(Fraction(-1, 2), 3)
+    for bad in NON_GRAMMAR_SPELLINGS:
+        with pytest.raises(InstanceFormatError) as err:
+            parse_certificate(f"\nx 1 {bad}\ntrace {tag}\nsize 5\n")
+        assert "line 2" in str(err.value) and "bad rational" in str(err.value)
+
+
 def test_asymmetric_h_names_entries():
     with pytest.raises(InstanceFormatError) as err:
         parse_instance("2 0\n0 1\n2 0\n0 0\n0\n0\n")

@@ -7,6 +7,8 @@ from miqpcert.linalg import (
     DimensionMismatch,
     QMatrix,
     QVector,
+    _integer_row,
+    _solve_integer,
     as_rational,
     encoding_size,
     isqrt_ceil,
@@ -48,6 +50,12 @@ def test_rational_text_forms():
     assert as_rational("-3") == Fraction(-3)
     assert as_rational("−5/7") == Fraction(-5, 7)
     assert str(Fraction(-5, 7)) == "-5/7"
+    assert as_rational(" 12/8 ") == Fraction(3, 2)
+    for bad in ("1_000", "1e3", "1.5", "+3", "٣", "3/-4", "- 3", "1/", "/2", "", "1 2"):
+        with pytest.raises(ValueError):
+            as_rational(bad)
+    with pytest.raises(ZeroDivisionError):
+        as_rational("1/0")
 
 
 def test_solve_identity():
@@ -175,3 +183,22 @@ def test_elimination_matches_rational_reference():
         assert (got.particular, got.nullspace) == expected
     # the corpus reaches every case the elimination distinguishes
     assert inconsistent >= 100 and deficient >= 100 and rational >= 400
+
+
+def test_integer_core_ignores_row_scaling():
+    # the rows callers hand the integer core (a polyhedron's integer rows, a
+    # KKT system with rescaled multiplier columns) are multiples of the rows
+    # solve_linear_system would build; every nonzero multiple gives the same
+    # solution set, particular point and nullspace basis
+    rng = random.Random(77)
+    for _ in range(300):
+        m, rhs = _random_system(rng)
+        expected = solve_linear_system(m, rhs)
+        rows = []
+        for i, row in enumerate(m.entries):
+            factor = rng.choice((1, -1)) * rng.randint(1, 9)
+            rows.append([factor * v for v in _integer_row((*row, rhs[i]))])
+        got = _solve_integer(rows, m.cols)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert (got.particular, got.nullspace) == (expected.particular, expected.nullspace)

@@ -22,6 +22,7 @@ from helpers import (
     mat,
     random_bounded_polytope,
     random_symmetric,
+    reference_eval_quadratic,
     reference_stationary_candidates,
     sample_in_polytope,
     vec,
@@ -36,6 +37,37 @@ def test_eval_examples():
     assert eval_quadratic(form([[0]], [0], 5), vec(9)) == 5
     assert eval_quadratic(form([[1]], [0], -1), vec(1)) == 0
     assert eval_quadratic(form([[1, -1], [-1, 1]], [0, 0], 0), vec(3, 1)) == 4
+
+
+def _rational(rng: random.Random, size: int = 6) -> Fraction:
+    return Fraction(rng.randint(-size, size), rng.randint(1, 6))
+
+
+def test_eval_quadratic_matches_fraction_reference():
+    # the integer sum (u^T Ĥ u cs + ĉ . u hs D) / (hs cs D^2) + d against
+    # x . Hx + c . x + d in Fractions, on rational data and rational points;
+    # restrict_quadratic's form must give the full form's value at (y, z)
+    rng = random.Random(3141)
+    restricted = 0
+    for trial in range(600):
+        n = rng.randint(1, 5)
+        h = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                h[i][j] = h[j][i] = _rational(rng) if trial % 5 else Fraction(rng.randint(-3, 3))
+        c = [_rational(rng) if trial % 3 else Fraction(0) for _ in range(n)]
+        q = form(h, c, _rational(rng))
+        x = vec(*[_rational(rng, 9) if trial % 4 else rng.randint(-3, 3) for _ in range(n)])
+        assert eval_quadratic(q, x) == reference_eval_quadratic(q, x)
+        assert eval_quadratic(q, QVector.zero(n)) == q.d
+        if n > 1:
+            k = rng.randint(1, n - 1)
+            inner = restrict_quadratic(q, x.take(k))
+            z = vec(*[_rational(rng, 9) for _ in range(n - k)])
+            assert eval_quadratic(inner, z) == reference_eval_quadratic(q, x.take(k).concat(z))
+            assert eval_quadratic(inner, x.drop(k)) == reference_eval_quadratic(q, x)
+            restricted += 1
+    assert restricted >= 400
 
 
 def test_symmetry_required():
@@ -134,27 +166,56 @@ def _random_cone_slab(rng: random.Random, n: int):
     return None if h_to_v(slab).is_empty else slab
 
 
+def _rational_data(rng: random.Random, h, c, poly):
+    """Rational H, c and rows with the same kinds: H congruent to D H D for
+    a rational diagonal D (same inertia), c over denominators up to 6, each
+    row of the polyhedron times its own positive rational, plus, half the
+    time, one cut with rational entries and a non-negative right-hand side."""
+    n = len(c)
+    d = [Fraction(rng.randint(1, 3), rng.randint(1, 4)) for _ in range(n)]
+    h = [[d[i] * h[i][j] * d[j] for j in range(n)] for i in range(n)]
+    c = [Fraction(v, rng.randint(1, 6)) for v in c]
+    scales = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(poly.num_rows)]
+    rows = [[s * v for v in row] for s, row in zip(scales, poly.a.entries)]
+    rhs = [s * v for s, v in zip(scales, poly.b)]
+    if rng.random() < 0.5:
+        rows.append([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)])
+        rhs.append(Fraction(rng.randint(0, 5), rng.randint(1, 3)))
+    return h, c, hpoly(rows, rhs)
+
+
 def test_kkt_pool_matches_two_stage_reference():
     # one KKT solve per face hull against the hull-then-reduced-system
-    # reference: the same candidates, on polytopes and on cone-slice slabs
+    # reference: the same candidates, on polytopes and on cone-slice slabs,
+    # with integer data and with rational H, c and rows (whose KKT rows the
+    # pool rescales to integers, multiplier columns included)
     rng = random.Random(8080)
-    cases = flats = 0
-    for kind in ("definite", "indefinite", "rank-one", "zero"):
-        for shape in ("polytope", "slab"):
-            for _ in range(25):
-                n = rng.randint(2 if kind == "indefinite" else 1, 3)
-                poly = random_bounded_polytope(rng, n) if shape == "polytope" else _random_cone_slab(rng, n)
-                if poly is None:
-                    continue
-                c = [0] * n if rng.random() < 0.3 else [rng.randint(-4, 4) for _ in range(n)]
-                q = form(_random_hessian(rng, n, kind), c, 0)
-                expected, flat = reference_stationary_candidates(q, poly)
-                got = _stationary_candidates(q, poly)
-                assert sorted(got) == sorted(expected)
-                cases += 1
-                flats += flat > 0
-    assert cases >= 160
-    assert flats >= 30
+    for rational in (False, True):
+        cases = flats = 0
+        for kind in ("definite", "indefinite", "rank-one", "zero"):
+            for shape in ("polytope", "slab"):
+                for _ in range(25):
+                    n = rng.randint(2 if kind == "indefinite" else 1, 3)
+                    if shape == "polytope":
+                        poly = random_bounded_polytope(rng, n)
+                    else:
+                        poly = _random_cone_slab(rng, n)
+                    if poly is None:
+                        continue
+                    h = _random_hessian(rng, n, kind)
+                    c = [0] * n if rng.random() < 0.3 else [rng.randint(-4, 4) for _ in range(n)]
+                    if rational:
+                        h, c, poly = _rational_data(rng, h, c, poly)
+                        if h_to_v(poly).is_empty:
+                            continue
+                    q = form(h, c, 0)
+                    expected, flat = reference_stationary_candidates(q, poly)
+                    got = _stationary_candidates(q, poly)
+                    assert sorted(got) == sorted(expected)
+                    cases += 1
+                    flats += flat > 0
+        assert cases >= 160
+        assert flats >= 30
 
 
 def test_qp_minimizer_deterministic_lex():
