@@ -405,17 +405,18 @@ def linear_descent_step(
     return None
 
 
-def _fiber_min(quad: QuadraticForm, fiber: Fiber, shift: QVector) -> tuple[Fraction, QVector]:
-    """Exact minimum of the quadratic over fiber + shift, and a point where
-    it is attained."""
-    if fiber.reduced is None:
-        point = fiber.vertices[0] + shift
-        return eval_quadratic(quad, point), point
-    p = fiber.integer_part.dim
-    prefix = fiber.integer_part + shift.take(p)
-    inner = quad if p == 0 else restrict_quadratic(quad, prefix)
-    res = qp_global_min(inner, fiber.reduced.translate(shift.drop(p)))
-    point = prefix.concat(res.minimizer)
+def _fiber_min(quad: QuadraticForm, fiber: Fiber, shift: QVector | None = None) -> tuple[Fraction, QVector]:
+    """Exact minimum of the quadratic over fiber + shift, or over the fiber
+    itself when no shift is given, and a point where it is attained."""
+    prefix, reduced = fiber.integer_part, fiber.reduced
+    if shift is not None:
+        p = prefix.dim
+        prefix = prefix + shift.take(p)
+        reduced = None if reduced is None else reduced.translate(shift.drop(p))
+    if reduced is None:  # no continuous coordinates: the fiber is its prefix
+        return eval_quadratic(quad, prefix), prefix
+    inner = quad if prefix.dim == 0 else restrict_quadratic(quad, prefix)
+    point = prefix.concat(qp_global_min(inner, reduced).minimizer)
     return eval_quadratic(quad, point), point
 
 
@@ -464,9 +465,14 @@ def bounded_window_search(
     coordinate at its midpoint, lower half first, so single tuples come in
     product order; a box whose bound puts the quadratic above 0 is dropped."""
     fiber_index, family_index, piece_index = indices
+    n = inst.dim
+    v3, v3_point = _fiber_min(inst.quad, fiber)
 
-    def window_certificate(counts: tuple[int, ...], shift: QVector, bound: int | None) -> Certificate | None:
-        value, point = _fiber_min(inst.quad, fiber, shift)
+    def window_certificate(counts: tuple[int, ...], bound: int | None) -> Certificate | None:
+        value, point = v3, v3_point  # the zero tuple: the fiber itself
+        if any(counts):
+            shift = sum((ray.scale(m) for m, ray in zip(counts, piece.curving)), QVector.zero(n))
+            value, point = _fiber_min(inst.quad, fiber, shift)
         if value > 0:
             return None
         trace = SearchTrace(
@@ -475,12 +481,10 @@ def bounded_window_search(
         return Certificate(point, encoding_size(point), trace)
 
     if not piece.curving:
-        return window_certificate((), QVector.zero(inst.dim), None)
+        return window_certificate((), None)
 
-    n = inst.dim
     rates = [QVector.of(2 * v.dot(hr) + cr for hr, cr in piece.ray_terms) for v in fiber.vertices]
     v2 = min(a / fv for rate in rates for a, fv in zip(rate, piece.f_values))
-    v3, _ = _fiber_min(inst.quad, fiber, QVector.zero(n))
     v4 = max(math.ceil(abs(coord)) for vert in fiber.vertices for coord in vert.entries)
     disc = v2 * v2 - 4 * piece.v1 * v3
     lam_max = 0 if disc < 0 else max(0, _ceil_root(-v2, disc, 2 * piece.v1))
@@ -494,8 +498,7 @@ def bounded_window_search(
             continue
         varying = [i for i in range(len(lo)) if lo[i] < hi[i]]
         if not varying:
-            shift = sum((ray.scale(m) for m, ray in zip(lo, piece.curving)), QVector.zero(n))
-            cert = window_certificate(lo, shift, norm_bound)
+            cert = window_certificate(lo, norm_bound)
             if cert is not None:
                 return cert
         elif len(varying) == 1 or v3 + _relaxed_bound(piece, rates, lam_max, lo, hi) <= 0:

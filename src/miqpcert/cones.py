@@ -96,11 +96,12 @@ def simple_cone_decomposition(h: QMatrix, cone: SimpleCone) -> ConeDecomposition
                 f"slice minimum {best.value} < 0 at {best.minimizer}"
             )
         apex = primitivize(best.minimizer)
+        mu = c.multipliers(best.minimizer)
         pieces = []
         for drop in range(len(c.rays)):
+            if mu[drop] == 0:
+                continue  # the facet without this ray holds the apex
             facet = SimpleCone(c.rays[:drop] + c.rays[drop + 1 :])
-            if facet.contains(apex):
-                continue
             for sub in split(facet, depth + 1):
                 pieces.append(SimpleCone(sub.rays + (apex,)))
         assert pieces, "slice minimizer cannot lie on every facet"

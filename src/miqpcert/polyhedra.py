@@ -149,11 +149,6 @@ class SimpleCone:
     def contains(self, x: QVector) -> bool:
         return self.multipliers(x) is not None
 
-    def to_hpolyhedron(self, ambient_dim: int) -> HPolyhedron:
-        """Exact inequality description of the cone in R^ambient_dim (the apex
-        {0} when there are no rays)."""
-        return _rows_through_origin(polytope_hull([QVector.zero(ambient_dim), *self.rays]))
-
 
 # ---------------------------------------------------------------------------
 # basic operations
@@ -186,22 +181,21 @@ def iter_orthant_parts(p: HPolyhedron) -> Iterator[tuple[tuple[int, ...], HPolyh
 # H -> V conversion
 
 
-def independent_row_subsets(rows: Sequence[QVector], size: int) -> Iterator[tuple[int, ...]]:
-    """Index subsets of the given size whose rows are linearly independent,
-    in lexicographic order.  Dependent prefixes are pruned by keeping an
-    incremental elimination basis."""
+def independent_row_subsets(rows: Sequence[Sequence[int]], size: int) -> Iterator[tuple[int, ...]]:
+    """Index subsets of the given size whose integer rows are linearly
+    independent, in lexicographic order.  Dependent prefixes are pruned by
+    keeping an incremental elimination basis."""
     if size == 0:
         yield ()
         return
     total = len(rows)
     if size > total:
         return
-    int_rows = [_integer_row(r.entries) for r in rows]
     chosen: list[int] = []
-    basis: list[list[int]] = []
+    basis: list[Sequence[int]] = []
     pivots: list[int] = []
 
-    def reduce(v: list[int]) -> tuple[list[int], int] | None:
+    def reduce(v: Sequence[int]) -> tuple[Sequence[int], int] | None:
         # fraction-free: v <- p*v - v[pcol]*prow keeps v[pcol] = 0
         for prow, pcol in zip(basis, pivots):
             e = v[pcol]
@@ -219,7 +213,7 @@ def independent_row_subsets(rows: Sequence[QVector], size: int) -> Iterator[tupl
             yield tuple(chosen)
             return
         for i in range(start, total - (size - len(chosen)) + 1):
-            red = reduce(int_rows[i])
+            red = reduce(rows[i])
             if red is None:
                 continue
             basis.append(red[0])
@@ -240,11 +234,11 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
     An empty polyhedron yields empty vertex and ray lists.  Raises
     :class:`NotPointed` when rank(A) < n.
     """
-    m, n = p.a.rows, p.a.cols
+    n = p.dim
     if rank(p.a) < n:
         raise NotPointed("polyhedron has a nontrivial lineality space")
-    rows = [p.a.row(i) for i in range(m)]
     int_rows = p.integer_rows
+    rows = [row[:n] for row in int_rows]
     vertices = set()
     for idx in independent_row_subsets(rows, n):
         sol = _solve_integer([int_rows[i] for i in idx], n)
@@ -255,7 +249,7 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
         return VPolyhedron((), ())
     rays = set()
     for idx in independent_row_subsets(rows, n - 1):
-        null = _solve_integer([(*int_rows[i][:n], 0) for i in idx], n).nullspace
+        null = _solve_integer([(*rows[i], 0) for i in idx], n).nullspace
         if len(null) != 1:
             continue
         g = primitivize(null[0])
@@ -388,26 +382,20 @@ def polytope_hull(points: Sequence[QVector]) -> HPolyhedron:
     return hull
 
 
-def _rows_through_origin(hull: HPolyhedron) -> HPolyhedron:
-    """The rows of a hull with right-hand side 0.
-
-    For conv({0} + rays) of a pointed cone the origin is a vertex, and the
-    rows through a vertex (its facets and the affine-hull equalities) cut out
-    the tangent cone there, which is cone(rays)."""
-    keep = [i for i in range(hull.num_rows) if hull.b[i] == 0]
-    return HPolyhedron(
-        QMatrix.from_rows([hull.a.entries[i] for i in keep], hull.dim), QVector.zero(len(keep))
-    )
-
-
 def cone_hull(rays: Sequence[QVector]) -> HPolyhedron:
     """Exact inequality description of the pointed cone spanned by the rays:
-    the rhs-0 rows of polytope_hull({0} + rays)."""
+    the rhs-0 rows of polytope_hull({0} + rays).  The origin is a vertex of
+    that hull, and the rows through a vertex (its facets and the affine-hull
+    equalities) cut out the tangent cone there, which is cone(rays)."""
     if not rays:
         raise ValueError("hull of an empty ray set")
     if any(r.is_zero() for r in rays):
         raise ValueError("zero vector is not a ray")
-    return _rows_through_origin(polytope_hull([QVector.zero(rays[0].dim), *rays]))
+    hull = polytope_hull([QVector.zero(rays[0].dim), *rays])
+    keep = [i for i in range(hull.num_rows) if hull.b[i] == 0]
+    return HPolyhedron(
+        QMatrix.from_rows([hull.a.entries[i] for i in keep], hull.dim), QVector.zero(len(keep))
+    )
 
 
 # ---------------------------------------------------------------------------

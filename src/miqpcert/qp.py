@@ -4,9 +4,10 @@ The candidate pool follows Vavasis (1990): the vertices of the polytope,
 plus, for every independent row subset S of size below n (a face affine
 hull of dimension at least one), the x of the KKT system
 [2H A_S^T; A_S 0] (x, y) = (-c, b_S) when that solution is unique and x
-lies in the polytope.  Some global minimizer is always in this pool (see
-:func:`qp_global_min`), so the minimum is exact and the reported minimizer
-deterministic (lexicographically smallest among optimal candidates).
+lies in the polytope.  The lexicographically least global minimizer is
+always in this pool (see :func:`qp_global_min`), so the minimum is exact and
+the reported minimizer is that point: the least (value, x) over the pool.
+A simple cone's slice is minimized the same way in its ray multipliers.
 
 The arithmetic is on integers: a form keeps H and c as integer numerators
 over one denominator each, made once per object.  The KKT rows start from
@@ -107,8 +108,8 @@ def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
     subsets of size n are not walked: their feasible basic solutions are
     the vertices of p."""
     n = p.dim
-    rows = [p.a.row(i) for i in range(p.num_rows)]
     int_rows = p.integer_rows
+    rows = [row[:n] for row in int_rows]
     h, hs, c, cs = q._integer_form
     # 2H x + A_S^T y = -c times hs cs, with A_S's rows scaled to integers;
     # y_j is free, so its column takes integer row j as it is (y rescaled)
@@ -128,24 +129,9 @@ def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
     return candidates
 
 
-def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
-    """Exact global minimum of q over the polytope p.
-
-    The pool is complete.  Among the optimal points take one, x*, whose
-    face F of p (the face with x* in its relative interior) has the least
-    dimension.  If F is a vertex, x* is in the pool.  Otherwise x* is a
-    local minimum of q on aff(F), so it is stationary there, and the
-    stationary set S of q on aff(F) is a flat through x*.  Were S more than
-    a point, q would be constant on S (its gradient vanishes along S and
-    its curvature along S is zero), and since F is bounded a line of S
-    through x* would leave F at a point of a proper face of F with the same
-    optimal value, contradicting the choice of x*.  So S = {x*}: the KKT
-    system of a maximal independent subset of the rows tight on F has a
-    unique solution whose x is x*.
-
-    Raises :class:`Unbounded` when p has recession directions and
-    :class:`EmptyFeasibleSet` when p is empty.
-    """
+def _pool(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
+    """The vertices of the polytope p and the face-hull candidates of q on
+    it; raises as :func:`qp_global_min` does."""
     if q.dim != p.dim:
         raise DimensionMismatch("form and polytope dimensions differ")
     vrep = h_to_v(p)
@@ -153,32 +139,67 @@ def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
         raise Unbounded("feasible set is unbounded")
     if not vrep.vertices:
         raise EmptyFeasibleSet("feasible set is empty")
-    pool = list(vrep.vertices)
-    pool.extend(_stationary_candidates(q, p))
-    best_value = None
-    best_point = None
-    for x in pool:
-        value = eval_quadratic(q, x)
-        if best_value is None or value < best_value or (value == best_value and x < best_point):
-            best_value = value
-            best_point = x
-    assert best_point is not None
-    return QpResult(best_point, best_value)
+    return [*vrep.vertices, *_stationary_candidates(q, p)]
+
+
+def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
+    """Exact global minimum of q over the polytope p, attained at the
+    lexicographically least point of the whole optimal set.
+
+    That point is in the pool, so the least (value, x) over the pool is it.
+    The optimal set is compact, so it has a least point y.  Let F be the face
+    of p with y in its relative interior.  If F is a vertex, y is in the
+    pool.  Otherwise y, a minimum of q on F, is a local minimum of q on
+    aff(F), so q's stationary set on aff(F) is a flat through y.  Were it
+    more than a point, it would hold a line through y along which the
+    gradient and the curvature of q vanish, so q would be constant on it.
+    Lexicographic order is monotone along a line, so the points of that line
+    near y on one side lie in F, are optimal and are less than y: a
+    contradiction.  So y is the unique stationary point of q on aff(F), and
+    the KKT system of a maximal independent subset of the rows tight on F
+    has the unique solution with x = y, which the pool keeps.
+
+    The same holds for an affine map m -> Rm from a polytope onto the
+    feasible set, injective or not, when q is pulled back to m and ties are
+    broken on x = Rm: take for m* a vertex of the preimage of y, and F the
+    face with m* in its relative interior.  A line of the stationary set
+    through m* either fixes x, and then m* is not a vertex of the preimage,
+    or moves x along a line of optimal points as above.
+
+    Raises :class:`Unbounded` when p has recession directions and
+    :class:`EmptyFeasibleSet` when p is empty.
+    """
+    value, x = min((eval_quadratic(q, x), x) for x in _pool(q, p))
+    return QpResult(x, value)
 
 
 def min_quadratic_on_cone_slice(
     h: QMatrix, cone: HPolyhedron | SimpleCone, f: QVector
 ) -> QpResult:
-    """Global minimum of x^T H x over {x in cone : f^T x = 1}.
+    """Global minimum of x^T H x over {x in cone : f^T x = 1}, at the
+    lexicographically least minimizer.
 
+    An H-described cone is cut by the slab f^T x = 1.  A simple cone with
+    rays R is minimized in its multipliers: m^T (R^T H R) m over the simplex
+    {m >= 0 : sum m_i (f . r_i) = 1}, each pool point mapped to x = R m and
+    ties broken on x, which by :func:`qp_global_min` gives the same point.
     The slice must be compact, which holds whenever f is a valid normalizing
     hyperplane for the cone; an unbounded slice raises :class:`Unbounded`.
     """
-    cone_h = cone.to_hpolyhedron(f.dim) if isinstance(cone, SimpleCone) else cone
-    slab = cone_h.with_equality(f, Fraction(1))
+    if isinstance(cone, SimpleCone):
+        k = len(cone.rays)
+        h_rays = [h.matvec(r) for r in cone.rays]
+        q = QuadraticForm.pure(QMatrix.from_rows([[r.dot(s) for s in h_rays] for r in cone.rays], k))
+        orthant = [[-int(i == j) for j in range(k)] for i in range(k)]
+        feasible = HPolyhedron(QMatrix.from_rows(orthant, k), QVector.zero(k)).with_equality(
+            QVector.of(f.dot(r) for r in cone.rays), Fraction(1)
+        )
+        to_x = QMatrix.from_rows([r.entries for r in cone.rays], f.dim).transpose()
+    else:
+        q, feasible, to_x = QuadraticForm.pure(h), cone.with_equality(f, Fraction(1)), QMatrix.identity(f.dim)
     try:
-        return qp_global_min(QuadraticForm.pure(h), slab)
+        pool = _pool(q, feasible)
     except Unbounded as exc:
-        raise Unbounded(
-            "cone slice is unbounded; the hyperplane does not normalize this cone"
-        ) from exc
+        raise Unbounded("cone slice is unbounded; the hyperplane does not normalize this cone") from exc
+    value, x = min((eval_quadratic(q, m), to_x.matvec(m)) for m in pool)
+    return QpResult(x, value)

@@ -27,7 +27,7 @@ from miqpcert import (
 )
 from miqpcert.certifier import Certificate, SearchTrace, _ceil_root, _fiber_min
 from miqpcert.linalg import encoding_size, isqrt_ceil, solve_linear_system
-from miqpcert.polyhedra import independent_row_subsets
+from miqpcert.polyhedra import cone_hull, independent_row_subsets
 
 
 def vec(*values) -> QVector:
@@ -312,7 +312,7 @@ def reference_window_bounds(inst: MiqpInstance, fiber, piece, f: QVector):
     and the slice norm read off the vertices of the curving slice
     {x in cone(curving) : f . x = 1}, enumerated by h_to_v."""
     n = inst.dim
-    slice_v = h_to_v(SimpleCone(piece.curving).to_hpolyhedron(n).with_equality(f, Fraction(1)))
+    slice_v = h_to_v(cone_hull(piece.curving).with_equality(f, Fraction(1)))
     assert not slice_v.rays and slice_v.vertices
     v1 = piece.v1
     quad = inst.quad
@@ -371,7 +371,7 @@ def reference_stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[l
     directions.  Also returns how many hulls carry a flat stationary set
     (consistent but not unique), which the pool skips."""
     n = p.dim
-    rows = [p.a.row(i) for i in range(p.num_rows)]
+    rows = [row[:n] for row in p.integer_rows]
     candidates: list[QVector] = []
     flats = 0
     for size in range(n):

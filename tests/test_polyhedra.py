@@ -11,6 +11,7 @@ from miqpcert.polyhedra import (
     NotPointed,
     SimpleCone,
     caratheodory_simple_cone,
+    cone_hull,
     faces_of_simple_cone,
     h_to_v,
     independent_row_subsets,
@@ -234,8 +235,7 @@ def test_polytope_hull_matches_h_to_v():
 
 
 def test_simple_cone_h_form():
-    cone = SimpleCone((vec(1, 0, 0), vec(1, 2, 0)))
-    hp = cone.to_hpolyhedron(3)
+    hp = cone_hull((vec(1, 0, 0), vec(1, 2, 0)))
     assert hp.contains(vec(2, 2, 0))
     assert not hp.contains(vec(0, 0, 1))
     assert not hp.contains(vec(-1, 0, 0))
@@ -250,7 +250,7 @@ def test_simple_cone_h_form():
         if rank(QMatrix.from_rows([r.entries for r in rays], n)) != len(rays):
             continue
         checked += 1
-        hp = SimpleCone(rays).to_hpolyhedron(n)
+        hp = cone_hull(rays)
         assert hp.b.is_zero()
         for i in range(hp.num_rows):
             row = hp.a.row(i)
@@ -317,10 +317,11 @@ def test_row_scaling_changes_nothing():
         assert h_to_v(scaled) == vrep
         unbounded += bool(vrep.rays)
         rows = [p.a.row(i) for i in range(p.num_rows)]
-        scaled_rows = [scaled.a.row(i) for i in range(p.num_rows)]
+        int_rows = [row[:n] for row in p.integer_rows]
+        scaled_rows = [row[:n] for row in scaled.integer_rows]
         for size in range(n + 1):
             assert list(independent_row_subsets(scaled_rows, size)) == list(
-                independent_row_subsets(rows, size)
+                independent_row_subsets(int_rows, size)
             )
         points = []
         for i, row in enumerate(rows):

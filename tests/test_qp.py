@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from miqpcert.linalg import QMatrix, QVector
-from miqpcert.polyhedra import SimpleCone, h_to_v
+from miqpcert.cones import normalizing_hyperplane
+from miqpcert.linalg import QMatrix, QVector, rank
+from miqpcert.polyhedra import SimpleCone, cone_hull, h_to_v
 from miqpcert.qp import (
     EmptyFeasibleSet,
     QuadraticForm,
     Unbounded,
+    _pool,
     _stationary_candidates,
     eval_quadratic,
     min_quadratic_on_cone_slice,
@@ -110,7 +112,10 @@ def test_qp_flat_stationary_set():
 
 def test_qp_flat_stationary_sets_exact_references():
     # rank-deficient forms whose stationary sets on most faces are flats;
-    # the references come from h_to_v alone, not from the QP kernel
+    # the references come from h_to_v alone, not from the QP kernel.  Each
+    # form is a function of the level g . x, so its optimal set is P cut at
+    # the optimal levels, and the minimizer must be the least point of that
+    # set: the least vertex of P ∩ {g . x = c} over the optimal levels c
     rng = random.Random(4242)
     flat_optima = 0
     for _ in range(200):
@@ -128,13 +133,21 @@ def test_qp_flat_stationary_sets_exact_references():
         verts = h_to_v(poly).vertices
         on_plane = not h_to_v(poly.with_equality(gvec, t)).is_empty
         flat_optima += on_plane and n > 1
-        for q in (square, negated, linear):
+        levels = {gvec.dot(v) for v in verts} | ({t} if on_plane else set())
+        for q, at_level in (
+            (square, lambda c: (c - t) ** 2),
+            (negated, lambda c: -((c - t) ** 2)),
+            (linear, lambda c: c + t),
+        ):
             least_vertex = min(eval_quadratic(q, v) for v in verts)
             expected = 0 if q is square and on_plane else least_vertex
             res = qp_global_min(q, poly)
             assert res.value == expected
             assert poly.contains(res.minimizer)
             assert eval_quadratic(q, res.minimizer) == res.value
+            optimal_levels = [c for c in levels if at_level(c) == expected]
+            least = min(min(h_to_v(poly.with_equality(gvec, c)).vertices) for c in optimal_levels)
+            assert res.minimizer == least
     assert flat_optima >= 50
 
 
@@ -283,6 +296,45 @@ def test_cone_slice_accepts_simple_cone():
     cone = SimpleCone((vec(1, 0), vec(1, 1)))
     res = min_quadratic_on_cone_slice(QMatrix.identity(2), cone, vec(1, 0))
     assert res.value > 0
+
+
+def _orthogonal(w: QVector, r: QVector) -> QVector:
+    """w less its component along r, times r . r."""
+    return w.scale(r.dot(r)) - r.scale(w.dot(r))
+
+
+def test_simplex_slice_matches_h_form_reference():
+    # a simple cone's slice minimized in its ray multipliers against the
+    # slab of its H-form: the same value and the same minimizer, the least
+    # optimal x.  Zero forms, and the PSD forms u u^T with u orthogonal to
+    # the first two rays, are optimal on a whole face, where breaking ties on
+    # the multipliers instead of on x would pick another point
+    rng = random.Random(9090)
+    cases = ties = 0
+    for kind in ("definite", "indefinite", "low-rank psd", "zero"):
+        for _ in range(120):
+            n = rng.randint(2 if kind == "indefinite" else 1, 4)
+            k = rng.randint(1, n)
+            rays = tuple(vec(*[rng.randint(-3, 3) for _ in range(n)]) for _ in range(k))
+            if rank(QMatrix.from_rows([r.entries for r in rays], n)) < k:
+                continue
+            if kind == "low-rank psd":  # u u^T, u orthogonal to the first ray or two
+                u = _orthogonal(vec(*[rng.randint(-2, 2) for _ in range(n)]), rays[0])
+                if k > 1:
+                    u = _orthogonal(u, _orthogonal(rays[1], rays[0]))
+                h = QMatrix.from_rows([[a * b for b in u] for a in u])
+            else:
+                h = QMatrix.from_rows(_random_hessian(rng, n, kind))
+            f = normalizing_hyperplane(rays).f
+            slab = cone_hull(rays).with_equality(f, Fraction(1))
+            expected = qp_global_min(QuadraticForm.pure(h), slab)
+            got = min_quadratic_on_cone_slice(h, SimpleCone(rays), f)
+            assert (got.value, got.minimizer) == (expected.value, expected.minimizer)
+            q = QuadraticForm.pure(h)
+            optimal = {x for x in _pool(q, slab) if eval_quadratic(q, x) == expected.value}
+            ties += len(optimal) > 1
+            cases += 1
+    assert cases >= 300 and ties >= 100
 
 
 def test_cone_slice_rejects_bad_hyperplane():
