@@ -10,6 +10,7 @@ from miqpcert import (
     QVector,
     QuadraticForm,
     eval_quadratic,
+    h_to_v,
     min_quadratic_on_cone_slice,
     qp_global_min,
 )
@@ -40,5 +41,5 @@ assert eval_quadratic(q3, res.minimizer) == res.value
 
 # cone slices: minimize the pure quadratic on a normalized cross-section
 quadrant = HPolyhedron(QMatrix.from_rows([[-1, 0], [0, -1]]), QVector.of([0, 0]))
-res = min_quadratic_on_cone_slice(QMatrix.from_rows([[1, 0], [0, -1]]), quadrant, vec(1, 1))
+res = min_quadratic_on_cone_slice(QMatrix.from_rows([[1, 0], [0, -1]]), h_to_v(quadrant).rays, vec(1, 1))
 print(f"slice minimum of x1^2 - x2^2 over the quadrant: {res.value} at {res.minimizer}")

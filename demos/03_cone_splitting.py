@@ -35,7 +35,7 @@ for piece in dec.pieces:
         if not face.rays:
             continue
         f = normalizing_hyperplane(face.rays).f
-        res = min_quadratic_on_cone_slice(h, face, f)
+        res = min_quadratic_on_cone_slice(h, face.rays, f)
         zero_rays = [str(r) for r in face.rays if r.dot(h.matvec(r)) == 0]
         print(f"  face {[str(r) for r in face.rays]}: slice min {res.value}, zero rays {zero_rays}")
         if res.value == 0:

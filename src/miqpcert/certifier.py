@@ -49,7 +49,6 @@ from .polyhedra import (
     is_pointed,
     iter_orthant_parts,
     primitivize,
-    recession_cone,
 )
 from .qp import QuadraticForm, eval_quadratic, min_quadratic_on_cone_slice, qp_global_min, restrict_quadratic
 
@@ -255,11 +254,12 @@ def certify_pointed_part(
     """Branch on the sign of min r^T H r over a normalized recession slice.
 
     ``part`` is nonempty, so its V-description ``vrep`` lists the extreme
-    rays of its recession cone: they come from the rows of A alone."""
+    rays of its recession cone: they come from the rows of A alone, and the
+    slice is minimized over them, k > n of them when the cone is not simple."""
     if not vrep.rays:
         return nonnegative_recession_search(inst, part, vrep, None, signs)
     f = normalizing_hyperplane(vrep.rays).f
-    slice_min = min_quadratic_on_cone_slice(inst.quad.h, recession_cone(part), f)
+    slice_min = min_quadratic_on_cone_slice(inst.quad.h, vrep.rays, f)
     if slice_min.value < 0:
         return negative_ray_certificate(inst, part, slice_min.minimizer, signs)
     return nonnegative_recession_search(inst, part, vrep, f, signs)
@@ -372,7 +372,7 @@ def _window_piece(quad: QuadraticForm, piece: SimpleCone, f: QVector | None) -> 
     f_values = tuple(f.dot(r) for r in curving)
     if any(fv <= 0 for fv in f_values):
         raise CertifierError("hyperplane is not strictly positive on the residual rays")
-    v1 = min_quadratic_on_cone_slice(quad.h, SimpleCone(curving), f).value
+    v1 = min_quadratic_on_cone_slice(quad.h, curving, f).value
     if v1 <= 0:
         raise CertifierError("curvature minimum on the residual cone must be positive")
     ray_terms = tuple((quad.h.matvec(r), quad.c.dot(r)) for r in curving)

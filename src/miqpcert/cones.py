@@ -88,7 +88,7 @@ def simple_cone_decomposition(h: QMatrix, cone: SimpleCone) -> ConeDecomposition
         if len(c.rays) <= 1:
             return [c]
         hyper = normalizing_hyperplane(c.rays)
-        best = min_quadratic_on_cone_slice(h, c, hyper.f)
+        best = min_quadratic_on_cone_slice(h, c.rays, hyper.f)
         if best.value > 0:
             return [c]
         if best.value < 0:

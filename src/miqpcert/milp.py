@@ -21,17 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator
 
-from .linalg import QMatrix, QVector, rank
+from .linalg import QVector, _integer_row
 from .polyhedra import (
     HPolyhedron,
-    NotPointed,
     SimpleCone,
     VPolyhedron,
     h_to_v,
-    is_pointed,
+    independent_row_subsets,
     restrict_prefix,
 )
 
@@ -76,17 +75,17 @@ class MisDecomposition:
 
 
 def ray_families(vrep: VPolyhedron) -> tuple[SimpleCone, ...]:
-    """All simple families: the nonempty linearly independent ray subsets, or
-    the single empty family when the polyhedron is bounded."""
+    """All simple families: the nonempty linearly independent ray subsets in
+    lexicographic order by size, or the single empty family when the
+    polyhedron is bounded."""
     if not vrep.rays:
         return (SimpleCone(()),)
-    n = vrep.rays[0].dim
-    families = []
-    for size in range(1, min(len(vrep.rays), n) + 1):
-        for subset in combinations(vrep.rays, size):
-            if rank(QMatrix.from_rows([r.entries for r in subset], n)) == size:
-                families.append(SimpleCone(subset))
-    return tuple(families)
+    rows = [_integer_row(r.entries) for r in vrep.rays]
+    return tuple(
+        SimpleCone(tuple(vrep.rays[i] for i in idx))
+        for size in range(1, min(len(rows), vrep.rays[0].dim) + 1)
+        for idx in independent_row_subsets(rows, size)
+    )
 
 
 def _box(vertices: tuple[QVector, ...], rays: tuple[QVector, ...]) -> list[tuple[Fraction, Fraction]]:
@@ -161,8 +160,6 @@ def decompose_mixed_integer_set(s: MixedIntegerSet, max_fibers: int = MAX_FIBERS
     an empty decomposition.  Raises :class:`NotPointed` for non-pointed input
     and ValueError when the fiber count exceeds ``max_fibers``.
     """
-    if not is_pointed(s.polyhedron):
-        raise NotPointed("decomposition requires a pointed polyhedron")
     vrep = h_to_v(s.polyhedron)
     if vrep.is_empty:
         return MisDecomposition((), ())
@@ -190,8 +187,6 @@ def mip_point(s: MixedIntegerSet) -> QVector | None:
     itself, and the least vertex of the first such fiber is the point
     returned.
     """
-    if not is_pointed(s.polyhedron):
-        raise NotPointed("mixed-integer search requires a pointed polyhedron")
     vrep = h_to_v(s.polyhedron)
     if vrep.is_empty:
         return None

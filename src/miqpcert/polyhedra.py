@@ -185,46 +185,36 @@ def independent_row_subsets(rows: Sequence[Sequence[int]], size: int) -> Iterato
     """Index subsets of the given size whose integer rows are linearly
     independent, in lexicographic order.  Dependent prefixes are pruned by
     keeping an incremental elimination basis."""
-    if size == 0:
-        yield ()
-        return
-    total = len(rows)
-    if size > total:
-        return
-    chosen: list[int] = []
-    basis: list[Sequence[int]] = []
-    pivots: list[int] = []
+    yield from _independent_extensions(rows, size, 0, [], [])
 
-    def reduce(v: Sequence[int]) -> tuple[Sequence[int], int] | None:
-        # fraction-free: v <- p*v - v[pcol]*prow keeps v[pcol] = 0
-        for prow, pcol in zip(basis, pivots):
+
+def _independent_extensions(
+    rows: Sequence[Sequence[int]], size: int, start: int, chosen: list[int], basis: list[tuple[Sequence[int], int]]
+) -> Iterator[tuple[int, ...]]:
+    """The subsets that extend ``chosen`` by rows from ``start`` on, given
+    the chosen rows' reduced rows and pivot columns in ``basis``.  A module
+    function, not a recursive closure: a closure that calls itself is a
+    reference cycle, which keeps every finished walk in memory until the
+    cyclic garbage collector runs."""
+    if len(chosen) == size:
+        yield tuple(chosen)
+        return
+    for i in range(start, len(rows) - (size - len(chosen)) + 1):
+        v = rows[i]
+        for prow, pcol in basis:  # fraction-free: v <- p*v - v[pcol]*prow keeps v[pcol] = 0
             e = v[pcol]
             if e != 0:
                 p = prow[pcol]
                 g = math.gcd(p, e)
                 v = [(p // g) * a - (e // g) * b for a, b in zip(v, prow)]
-        for j, val in enumerate(v):
-            if val != 0:
-                return v, j
-        return None
-
-    def walk(start: int) -> Iterator[tuple[int, ...]]:
-        if len(chosen) == size:
-            yield tuple(chosen)
-            return
-        for i in range(start, total - (size - len(chosen)) + 1):
-            red = reduce(rows[i])
-            if red is None:
-                continue
-            basis.append(red[0])
-            pivots.append(red[1])
-            chosen.append(i)
-            yield from walk(i + 1)
-            basis.pop()
-            pivots.pop()
-            chosen.pop()
-
-    yield from walk(0)
+        pivot = next((j for j, val in enumerate(v) if val != 0), None)
+        if pivot is None:
+            continue
+        basis.append((v, pivot))
+        chosen.append(i)
+        yield from _independent_extensions(rows, size, i + 1, chosen, basis)
+        basis.pop()
+        chosen.pop()
 
 
 @lru_cache(maxsize=4096)
@@ -232,19 +222,16 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
     """Exact vertex and extreme-ray enumeration of a pointed polyhedron.
 
     An empty polyhedron yields empty vertex and ray lists.  Raises
-    :class:`NotPointed` when rank(A) < n.
+    :class:`NotPointed` when rank(A) < n: then the vertex walk finds no basis.
     """
     n = p.dim
-    if rank(p.a) < n:
-        raise NotPointed("polyhedron has a nontrivial lineality space")
     int_rows = p.integer_rows
     rows = [row[:n] for row in int_rows]
-    vertices = set()
-    for idx in independent_row_subsets(rows, n):
-        sol = _solve_integer([int_rows[i] for i in idx], n)
-        assert sol is not None and sol.is_unique
-        if p.contains(sol.particular):
-            vertices.add(sol.particular)
+    bases = [_solve_integer([int_rows[i] for i in idx], n) for idx in independent_row_subsets(rows, n)]
+    if not bases:
+        raise NotPointed("polyhedron has a nontrivial lineality space")
+    assert all(sol is not None and sol.is_unique for sol in bases)
+    vertices = {sol.particular for sol in bases if p.contains(sol.particular)}
     if not vertices:
         return VPolyhedron((), ())
     rays = set()
@@ -277,23 +264,17 @@ def caratheodory_simple_cone(
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     """A linearly independent subset K of rays with r = sum of mu_j rays[j],
     mu >= 0, verified by substitution.  Raises NotInCone otherwise."""
+    if r.is_zero():
+        return (), ()
     n = r.dim
-    for size in range(0, min(len(rays), n) + 1):
-        for subset in combinations(range(len(rays)), size):
-            if size == 0:
-                if r.is_zero():
-                    return (), ()
-                continue
-            sub_rows = QMatrix.from_rows([rays[i].entries for i in subset], n)
-            if rank(sub_rows) != size:
-                continue
-            sol = solve_linear_system(sub_rows.transpose(), r)
-            if sol is None:
+    rows = [_integer_row(ray.entries) for ray in rays]
+    for size in range(1, min(len(rays), n) + 1):
+        for subset in independent_row_subsets(rows, size):
+            sol = solve_linear_system(QMatrix.from_rows([rays[i].entries for i in subset], n).transpose(), r)
+            if sol is None or any(v < 0 for v in sol.particular):
                 continue
             assert sol.is_unique
             mu = sol.particular
-            if any(v < 0 for v in mu):
-                continue
             combo = QVector.zero(n)
             for j, i in enumerate(subset):
                 combo = combo + rays[i].scale(mu[j])

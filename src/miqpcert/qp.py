@@ -7,7 +7,7 @@ hull of dimension at least one), the x of the KKT system
 lies in the polytope.  The lexicographically least global minimizer is
 always in this pool (see :func:`qp_global_min`), so the minimum is exact and
 the reported minimizer is that point: the least (value, x) over the pool.
-A simple cone's slice is minimized the same way in its ray multipliers.
+A cone's slice is minimized the same way in its ray multipliers.
 
 The arithmetic is on integers: a form keeps H and c as integer numerators
 over one denominator each, made once per object.  The KKT rows start from
@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from .linalg import DimensionMismatch, QMatrix, QVector, _dot, _integer_row, _solve_integer
-from .polyhedra import HPolyhedron, SimpleCone, independent_row_subsets, h_to_v
+from .polyhedra import HPolyhedron, independent_row_subsets, h_to_v
 
 
 class Unbounded(ValueError):
@@ -173,33 +174,46 @@ def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
     return QpResult(x, value)
 
 
-def min_quadratic_on_cone_slice(
-    h: QMatrix, cone: HPolyhedron | SimpleCone, f: QVector
-) -> QpResult:
-    """Global minimum of x^T H x over {x in cone : f^T x = 1}, at the
-    lexicographically least minimizer.
+def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector) -> QpResult:
+    """Global minimum of x^T H x over {x in cone(rays) : f^T x = 1}, at the
+    lexicographically least minimizer.  The cone need not be simple.
 
-    An H-described cone is cut by the slab f^T x = 1.  A simple cone with
-    rays R is minimized in its multipliers: m^T (R^T H R) m over the simplex
-    {m >= 0 : sum m_i (f . r_i) = 1}, each pool point mapped to x = R m and
-    ties broken on x, which by :func:`qp_global_min` gives the same point.
-    The slice must be compact, which holds whenever f is a valid normalizing
-    hyperplane for the cone; an unbounded slice raises :class:`Unbounded`.
+    With G = R^T H R, the slice is the image x = R m of the simplex
+    {m >= 0 : sum m_i (f . r_i) = 1}.  The pool holds, per support T of
+    linearly independent rays, the m_T of [2 G_TT f_T; f_T^T 0] (m_T, lam) =
+    (0, 1) when it is unique and m_T >= 0; ties are broken on x = R m.  It
+    holds the least optimal x, y: a vertex m* of the preimage
+    {m >= 0 : R m = y} has a support T of independent rays (or a null
+    combination would move it inside the preimage) and lies in the relative
+    interior of the face {m_i = 0 off T}, so by the second paragraph of
+    :func:`qp_global_min` it is the unique stationary point on that face's
+    affine hull; as f_T != 0, (m_T*, lam) is the KKT system's unique solution.
+
+    Raises :class:`EmptyFeasibleSet` when f . r <= 0 on every ray, and
+    :class:`Unbounded` when on only some: then f does not normalize the cone.
     """
-    if isinstance(cone, SimpleCone):
-        k = len(cone.rays)
-        h_rays = [h.matvec(r) for r in cone.rays]
-        q = QuadraticForm.pure(QMatrix.from_rows([[r.dot(s) for s in h_rays] for r in cone.rays], k))
-        orthant = [[-int(i == j) for j in range(k)] for i in range(k)]
-        feasible = HPolyhedron(QMatrix.from_rows(orthant, k), QVector.zero(k)).with_equality(
-            QVector.of(f.dot(r) for r in cone.rays), Fraction(1)
-        )
-        to_x = QMatrix.from_rows([r.entries for r in cone.rays], f.dim).transpose()
-    else:
-        q, feasible, to_x = QuadraticForm.pure(h), cone.with_equality(f, Fraction(1)), QMatrix.identity(f.dim)
-    try:
-        pool = _pool(q, feasible)
-    except Unbounded as exc:
-        raise Unbounded("cone slice is unbounded; the hyperplane does not normalize this cone") from exc
-    value, x = min((eval_quadratic(q, m), to_x.matvec(m)) for m in pool)
+    ray_rows = [_integer_row(r.entries) for r in rays]  # positive multiples: the same cone and slice
+    *f_int, fs = _integer_row((*f.entries, 1))
+    rates = [_dot(f_int, r) for r in ray_rows]  # f . r_i times fs
+    if all(rate <= 0 for rate in rates):
+        raise EmptyFeasibleSet("the hyperplane misses the cone")
+    if any(rate <= 0 for rate in rates):
+        raise Unbounded("cone slice is unbounded; the hyperplane does not normalize this cone")
+    h_int, hs, _, _ = QuadraticForm.pure(h)._integer_form
+    gram = [[_dot(r, [_dot(row, s) for row in h_int]) for s in ray_rows] for r in ray_rows]  # G times hs
+    pool = []
+    for size in range(1, min(len(rays), f.dim) + 1):
+        for t in independent_row_subsets(ray_rows, size):
+            g = [[gram[i][j] for j in t] for i in t]
+            # 2 G_TT m_T + f_T lam = 0 with lam rescaled, and f_T . m_T = 1, in integers
+            kkt = [[2 * v for v in row] + [rates[i], 0] for row, i in zip(g, t)] + [[rates[j] for j in t] + [0, fs]]
+            solution = _solve_integer(kkt, size + 1)
+            if solution is None or not solution.is_unique:
+                continue
+            *u, den = _integer_row((*solution.particular.take(size), 1))  # m_T = u / den
+            if min(u) >= 0:
+                value = Fraction(sum(a * _dot(row, u) for a, row in zip(u, g)), hs * den * den)
+                x = QVector(tuple(Fraction(_dot(u, [ray_rows[i][c] for i in t]), den) for c in range(f.dim)))
+                pool.append((value, x))
+    value, x = min(pool)
     return QpResult(x, value)

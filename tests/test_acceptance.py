@@ -7,16 +7,18 @@ see the per-criterion lines.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
 
-from miqpcert.certifier import find_certificate
+from miqpcert.certifier import find_certificate, verify_certificate
 from miqpcert.cli import main
 from miqpcert.cones import ConeNotPointed, normalizing_hyperplane, simple_cone_decomposition
-from miqpcert.formats import maxcut_instance, serialize_instance
+from miqpcert.formats import maxcut_instance, parse_instance, serialize_instance
 from miqpcert.linalg import QMatrix, QVector
 from miqpcert.milp import MixedIntegerSet, decompose_mixed_integer_set
+from miqpcert.oracle import brute_force_feasibility
 from miqpcert.polyhedra import (
     HPolyhedron,
     SimpleCone,
@@ -25,6 +27,7 @@ from miqpcert.polyhedra import (
     faces_of_simple_cone,
     h_to_v,
     is_pointed,
+    iter_orthant_parts,
     restrict_prefix,
 )
 from miqpcert.qp import QuadraticForm, eval_quadratic, min_quadratic_on_cone_slice, qp_global_min
@@ -38,6 +41,7 @@ from helpers import (
     sample_in_cone,
     vec,
 )
+from test_certificate_digest import _workloads  # the benchmark's generators, only read
 
 SOLVE_CORPUS_SIZE = 500
 
@@ -151,7 +155,7 @@ def _random_cone_and_form(rng):
             h_rows = random_symmetric(rng, 3, -2, 3)
         h = QMatrix.from_rows(h_rows, 3)
         f = normalizing_hyperplane(cone.rays).f
-        if min_quadratic_on_cone_slice(h, cone, f).value < 0:
+        if min_quadratic_on_cone_slice(h, cone.rays, f).value < 0:
             continue
         return cone, h
 
@@ -171,7 +175,7 @@ def test_criterion_4_cone_splitting_suite():
                 if not face.rays:
                     continue
                 f_face = normalizing_hyperplane(face.rays).f
-                res = min_quadratic_on_cone_slice(h, face, f_face)
+                res = min_quadratic_on_cone_slice(h, face.rays, f_face)
                 if res.value == 0:
                     assert any(r.dot(h.matvec(r)) == 0 for r in face.rays)
         for _ in range(500):
@@ -363,3 +367,36 @@ def test_criterion_8_determinism(tmp_path):
             assert Path(first).read_bytes() == Path(second).read_bytes()
             identical += 1
     print(f"\nACCEPTANCE 8 PASS: {identical} feasible instances, byte-identical reruns")
+
+
+UNBOUNDED_SEEDS = (6, 8)  # together they hit every branch below at least 10 times
+
+
+def test_criterion_9_unbounded_differential():
+    """The benchmark's unboxed generator (``unbounded_corpus``, only read) at
+    fixed seeds, 300 instances each, against its one-sided oracle: when the
+    brute force finds a point of P cut to the oracle box, the certifier must
+    find one too, and every certificate verifies.  Every branch is hit at
+    least 10 times, including negative-ray certificates on recession cones
+    with more extreme rays than dimensions and certificates after an
+    orthant split."""
+    unbounded_corpus = _workloads()["unbounded_budget"].generator
+    hits = Counter()
+    for seed in UNBOUNDED_SEEDS:
+        for case in unbounded_corpus(random.Random(seed), 300):
+            inst = parse_instance(case.text)
+            cert = find_certificate(inst)
+            if brute_force_feasibility(parse_instance(case.oracle_text), case.oracle_box).feasible:
+                assert cert is not None, case.text
+            if cert is None:
+                continue
+            assert verify_certificate(inst, cert.point).ok, case.text
+            trace = cert.trace
+            hits[trace.branch] += 1
+            hits["orthant split"] += trace.orthant is not None
+            if trace.branch == "negative-ray":
+                parts = {None: inst.polyhedron, **dict(iter_orthant_parts(inst.polyhedron))}
+                hits["negative-ray, k > n"] += len(h_to_v(parts[trace.orthant]).rays) > inst.dim
+    branches = ("negative-ray, k > n", "linear-ray", "window-qp", "orthant split")
+    assert all(hits[b] >= 10 for b in branches), hits
+    print(f"\nACCEPTANCE 9 PASS: unbounded differential on seeds {UNBOUNDED_SEEDS}, {dict(hits)}")

@@ -263,7 +263,7 @@ def _curving_windows(inst, max_fibers=4):
         if vrep.is_empty or not vrep.rays:
             continue
         f = normalizing_hyperplane(vrep.rays).f
-        if min_quadratic_on_cone_slice(inst.quad.h, recession_cone(part), f).value < 0:
+        if min_quadratic_on_cone_slice(inst.quad.h, vrep.rays, f).value < 0:
             continue
         s = MixedIntegerSet(part, inst.integer_count)
         for family_index, family in enumerate(ray_families(vrep)):

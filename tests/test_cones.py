@@ -107,7 +107,7 @@ def _zero_min_faces_expose_zero_ray(h: QMatrix, piece: SimpleCone):
         if not face.rays:
             continue
         f = normalizing_hyperplane(face.rays).f
-        res = min_quadratic_on_cone_slice(h, face, f)
+        res = min_quadratic_on_cone_slice(h, face.rays, f)
         if res.value == 0:
             assert any(r.dot(h.matvec(r)) == 0 for r in face.rays)
 

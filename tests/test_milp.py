@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from miqpcert.cones import normalizing_hyperplane
+from miqpcert.linalg import QMatrix, rank
 from miqpcert.milp import (
     MixedIntegerSet,
     _box,
@@ -14,6 +16,7 @@ from miqpcert.milp import (
 )
 from miqpcert.polyhedra import (
     NotPointed,
+    VPolyhedron,
     caratheodory_simple_cone,
     h_to_v,
     iter_orthant_parts,
@@ -44,6 +47,18 @@ def test_quadrant_decomposition_families():
     assert decomposition_covers_point(dec, f, vec(2, 3))
     assert decomposition_covers_point(dec, f, vec(0, 0))
     assert not decomposition_covers_point(dec, f, vec(-1, 0))
+    # 4 rays in R^3 with one dependent triple (e1, e2, e1 + e2): the families
+    # are the independent subsets in combinations order
+    rays = (vec(1, 0, 0), vec(0, 1, 0), vec(1, 1, 0), vec(0, 0, 1))
+    expected = [
+        subset
+        for size in range(1, 4)
+        for subset in combinations(rays, size)
+        if rank(QMatrix.from_rows([r.entries for r in subset], 3)) == size
+    ]
+    families = ray_families(VPolyhedron((vec(0, 0, 0),), rays))
+    assert [family.rays for family in families] == expected
+    assert len(expected) == 4 + 6 + 3
 
 
 def test_unit_square_fibers_are_integer_points():

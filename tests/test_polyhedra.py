@@ -104,6 +104,10 @@ def test_h_to_v_halfline():
 def test_h_to_v_requires_pointed():
     with pytest.raises(NotPointed):
         h_to_v(hpoly([[1, 0]], [0]))
+    with pytest.raises(NotPointed):  # empty as well: x1 <= 0 and x1 >= 1 in R^2
+        h_to_v(hpoly([[1, 0], [-1, 0]], [0, -1]))
+    with pytest.raises(NotPointed):  # no rows: all of R^2
+        h_to_v(HPolyhedron(QMatrix.zero(0, 2), QVector.zero(0)))
 
 
 def test_h_to_v_empty_polyhedron():

@@ -5,7 +5,7 @@ import pytest
 
 from miqpcert.cones import normalizing_hyperplane
 from miqpcert.linalg import QMatrix, QVector, rank
-from miqpcert.polyhedra import SimpleCone, cone_hull, h_to_v
+from miqpcert.polyhedra import NotPointed, SimpleCone, cone_hull, h_to_v
 from miqpcert.qp import (
     EmptyFeasibleSet,
     QuadraticForm,
@@ -283,7 +283,7 @@ def test_qp_grid_agreement():
 
 
 def test_cone_slice_examples():
-    quadrant = hpoly([[-1, 0], [0, -1]], [0, 0])
+    quadrant = h_to_v(hpoly([[-1, 0], [0, -1]], [0, 0])).rays
     res = min_quadratic_on_cone_slice(QMatrix.identity(2), quadrant, vec(1, 1))
     assert res.minimizer == vec(Fraction(1, 2), Fraction(1, 2)) and res.value == Fraction(1, 2)
     res = min_quadratic_on_cone_slice(mat([[1, 0], [0, -1]]), quadrant, vec(1, 1))
@@ -294,7 +294,7 @@ def test_cone_slice_examples():
 
 def test_cone_slice_accepts_simple_cone():
     cone = SimpleCone((vec(1, 0), vec(1, 1)))
-    res = min_quadratic_on_cone_slice(QMatrix.identity(2), cone, vec(1, 0))
+    res = min_quadratic_on_cone_slice(QMatrix.identity(2), cone.rays, vec(1, 0))
     assert res.value > 0
 
 
@@ -308,39 +308,58 @@ def test_simplex_slice_matches_h_form_reference():
     # slab of its H-form: the same value and the same minimizer, the least
     # optimal x.  Zero forms, and the PSD forms u u^T with u orthogonal to
     # the first two rays, are optimal on a whole face, where breaking ties on
-    # the multipliers instead of on x would pick another point
+    # the multipliers instead of on x would pick another point.  The
+    # non-simple cones are the extreme rays of random pointed H-cones, k > n
+    # of them in R^3, where many multipliers map to one x
     rng = random.Random(9090)
-    cases = ties = 0
-    for kind in ("definite", "indefinite", "low-rank psd", "zero"):
+    cases = ties = non_simple = 0
+    for kind in ("definite", "indefinite", "low-rank psd", "zero", "non-simple"):
         for _ in range(120):
-            n = rng.randint(2 if kind == "indefinite" else 1, 4)
-            k = rng.randint(1, n)
-            rays = tuple(vec(*[rng.randint(-3, 3) for _ in range(n)]) for _ in range(k))
-            if rank(QMatrix.from_rows([r.entries for r in rays], n)) < k:
-                continue
+            if kind == "non-simple":
+                # rows a with a_n of one sign s, so (0, .., 0, s) is interior
+                n, s = rng.randint(2, 3), rng.choice((1, -1))
+                rows = [
+                    [rng.randint(-3, 3) for _ in range(n - 1)] + [-s * rng.randint(1, 3)]
+                    for _ in range(rng.randint(n + 1, 7))
+                ]
+                try:
+                    rays = h_to_v(hpoly(rows, [0] * len(rows))).rays
+                except NotPointed:
+                    continue
+                non_simple += len(rays) > n
+            else:
+                n = rng.randint(2 if kind == "indefinite" else 1, 4)
+                k = rng.randint(1, n)
+                rays = tuple(vec(*[rng.randint(-3, 3) for _ in range(n)]) for _ in range(k))
+                if rank(QMatrix.from_rows([r.entries for r in rays], n)) < k:
+                    continue
             if kind == "low-rank psd":  # u u^T, u orthogonal to the first ray or two
                 u = _orthogonal(vec(*[rng.randint(-2, 2) for _ in range(n)]), rays[0])
                 if k > 1:
                     u = _orthogonal(u, _orthogonal(rays[1], rays[0]))
                 h = QMatrix.from_rows([[a * b for b in u] for a in u])
+            elif kind == "non-simple":
+                h = QMatrix.from_rows(_random_hessian(rng, n, rng.choice(("definite", "indefinite", "rank-one"))))
             else:
                 h = QMatrix.from_rows(_random_hessian(rng, n, kind))
             f = normalizing_hyperplane(rays).f
             slab = cone_hull(rays).with_equality(f, Fraction(1))
             expected = qp_global_min(QuadraticForm.pure(h), slab)
-            got = min_quadratic_on_cone_slice(h, SimpleCone(rays), f)
+            got = min_quadratic_on_cone_slice(h, rays, f)
             assert (got.value, got.minimizer) == (expected.value, expected.minimizer)
             q = QuadraticForm.pure(h)
             optimal = {x for x in _pool(q, slab) if eval_quadratic(q, x) == expected.value}
             ties += len(optimal) > 1
             cases += 1
-    assert cases >= 300 and ties >= 100
+    assert cases >= 400 and ties >= 100 and non_simple >= 40
 
 
 def test_cone_slice_rejects_bad_hyperplane():
-    quadrant = hpoly([[-1, 0], [0, -1]], [0, 0])
+    quadrant = h_to_v(hpoly([[-1, 0], [0, -1]], [0, 0])).rays
     with pytest.raises(Unbounded):
         min_quadratic_on_cone_slice(QMatrix.identity(2), quadrant, vec(1, -1))
+    with pytest.raises(EmptyFeasibleSet):  # f . r <= 0 on every ray: the slice is empty
+        min_quadratic_on_cone_slice(QMatrix.identity(2), quadrant, vec(-1, 0))
 
 
 def test_restrict_quadratic_matches_eval():
