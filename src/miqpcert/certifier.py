@@ -43,10 +43,10 @@ from .linalg import (
 from .milp import MAX_FIBERS, Fiber, MixedIntegerSet, mip_point, ray_families, window_fibers
 from .polyhedra import (
     HPolyhedron,
+    NotPointed,
     SimpleCone,
     VPolyhedron,
     h_to_v,
-    is_pointed,
     iter_orthant_parts,
     primitivize,
 )
@@ -231,12 +231,11 @@ def _ceil_root(e: Fraction, disc: Fraction, g: Fraction) -> int:
 def find_certificate(inst: MiqpInstance) -> Certificate | None:
     """A verified feasibility certificate, or None when the system has no
     solution.  Deterministic: reruns reproduce the identical certificate."""
-    if is_pointed(inst.polyhedron):
-        parts = [(None, inst.polyhedron)]
-    else:
-        parts = list(iter_orthant_parts(inst.polyhedron))
-    for signs, part in parts:
-        vrep = h_to_v(part)
+    try:  # h_to_v's vertex walk decides pointedness
+        parts = [(None, inst.polyhedron, h_to_v(inst.polyhedron))]
+    except NotPointed:
+        parts = ((signs, part, h_to_v(part)) for signs, part in iter_orthant_parts(inst.polyhedron))
+    for signs, part, vrep in parts:
         if vrep.is_empty:
             continue
         cert = certify_pointed_part(inst, part, vrep, signs)
@@ -406,18 +405,23 @@ def linear_descent_step(
 
 
 def _fiber_min(quad: QuadraticForm, fiber: Fiber, shift: QVector | None = None) -> tuple[Fraction, QVector]:
-    """Exact minimum of the quadratic over fiber + shift, or over the fiber
-    itself when no shift is given, and a point where it is attained."""
-    prefix, reduced = fiber.integer_part, fiber.reduced
+    """Exact minimum of the quadratic over fiber + shift (the fiber itself
+    when no shift is given) and the point qp_global_min reports there.
+
+    With s = (s_p, s_q) and prefix y, the completions of y + s_p are the
+    reduced polytope Az <= b moved by s_q, {w : Aw <= b + A s_q}: the same
+    rows, so the same independent row subsets.  Its vertices are the reduced
+    ones plus s_q, and with w = z + s_q its KKT systems are the reduced
+    polytope's for c + 2H s_q, the linear term of z -> q(y + s_p, z + s_q).
+    So the pools match one to one by the move, with equal values, and a move
+    keeps lexicographic order: the least (value, z), moved, is the least (value, w)."""
+    prefix, reduced, offset = fiber.integer_part, fiber.reduced, None
     if shift is not None:
-        p = prefix.dim
-        prefix = prefix + shift.take(p)
-        reduced = None if reduced is None else reduced.translate(shift.drop(p))
+        prefix, offset = prefix + shift.take(prefix.dim), shift.drop(prefix.dim)
     if reduced is None:  # no continuous coordinates: the fiber is its prefix
         return eval_quadratic(quad, prefix), prefix
-    inner = quad if prefix.dim == 0 else restrict_quadratic(quad, prefix)
-    point = prefix.concat(qp_global_min(inner, reduced).minimizer)
-    return eval_quadratic(quad, point), point
+    best = qp_global_min(restrict_quadratic(quad, prefix, offset), reduced)
+    return best.value, prefix.concat(best.minimizer if offset is None else best.minimizer + offset)
 
 
 def _box_bound(

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import QMatrix, QVector, rank
-from .polyhedra import HPolyhedron, SimpleCone, h_to_v, primitivize
+from .linalg import QMatrix, QVector
+from .polyhedra import HPolyhedron, NotPointed, SimpleCone, h_to_v, primitivize
 from .qp import min_quadratic_on_cone_slice
 
 
@@ -58,13 +58,14 @@ def normalizing_hyperplane(rays: list[QVector] | tuple[QVector, ...]) -> Normali
         for aug_idx in combinations(range(n), count):
             augmented = tuple(QVector.unit(i, n) for i in aug_idx)
             generators = rays + augmented
-            if rank(QMatrix.from_rows([g.entries for g in generators], n)) < n:
-                continue
             feasible = HPolyhedron(
                 QMatrix.from_rows([(-g).entries for g in generators], n),
                 QVector.of([-1] * len(generators)),
             )
-            vertices = h_to_v(feasible).vertices
+            try:
+                vertices = h_to_v(feasible).vertices
+            except NotPointed:
+                continue  # the generators do not span R^n
             if not vertices:
                 continue  # this augmentation broke pointedness
             f = vertices[0]
@@ -82,29 +83,28 @@ def simple_cone_decomposition(h: QMatrix, cone: SimpleCone) -> ConeDecomposition
     (the caller should have taken the descent branch instead).
     """
     ambient = cone.rays[0].dim if cone.rays else 1
+    return ConeDecomposition(tuple(_split(h, cone, 0, ambient)))
 
-    def split(c: SimpleCone, depth: int) -> list[SimpleCone]:
-        assert depth <= ambient, "splitting recursed below dimension one"
-        if len(c.rays) <= 1:
-            return [c]
-        hyper = normalizing_hyperplane(c.rays)
-        best = min_quadratic_on_cone_slice(h, c.rays, hyper.f)
-        if best.value > 0:
-            return [c]
-        if best.value < 0:
-            raise NegativeCurvature(
-                f"slice minimum {best.value} < 0 at {best.minimizer}"
-            )
-        apex = primitivize(best.minimizer)
-        mu = c.multipliers(best.minimizer)
-        pieces = []
-        for drop in range(len(c.rays)):
-            if mu[drop] == 0:
-                continue  # the facet without this ray holds the apex
-            facet = SimpleCone(c.rays[:drop] + c.rays[drop + 1 :])
-            for sub in split(facet, depth + 1):
-                pieces.append(SimpleCone(sub.rays + (apex,)))
-        assert pieces, "slice minimizer cannot lie on every facet"
-        return pieces
 
-    return ConeDecomposition(tuple(split(cone, 0)))
+def _split(h: QMatrix, c: SimpleCone, depth: int, ambient: int) -> list[SimpleCone]:
+    """The pieces of c; a module function, as a recursive closure is a reference cycle."""
+    assert depth <= ambient, "splitting recursed below dimension one"
+    if len(c.rays) <= 1:
+        return [c]
+    hyper = normalizing_hyperplane(c.rays)
+    best = min_quadratic_on_cone_slice(h, c.rays, hyper.f)
+    if best.value > 0:
+        return [c]
+    if best.value < 0:
+        raise NegativeCurvature(f"slice minimum {best.value} < 0 at {best.minimizer}")
+    apex = primitivize(best.minimizer)
+    mu = c.multipliers(best.minimizer)
+    pieces = []
+    for drop in range(len(c.rays)):
+        if mu[drop] == 0:
+            continue  # the facet without this ray holds the apex
+        facet = SimpleCone(c.rays[:drop] + c.rays[drop + 1 :])
+        for sub in _split(h, facet, depth + 1, ambient):
+            pieces.append(SimpleCone(sub.rays + (apex,)))
+    assert pieces, "slice minimizer cannot lie on every facet"
+    return pieces

@@ -58,8 +58,7 @@ def brute_force_feasibility(inst: MiqpInstance, box: int) -> OracleVerdict:
             raise UnboundedFiber(f"fiber at integer part {y} is unbounded")
         if not vrep.vertices:
             continue
-        inner = inst.quad if p == 0 else restrict_quadratic(inst.quad, y)
-        res = qp_global_min(inner, fiber)
+        res = qp_global_min(restrict_quadratic(inst.quad, y), fiber)
         if res.value <= 0:
             witness = y.concat(res.minimizer)
             report = verify_certificate(inst, witness)

@@ -96,10 +96,6 @@ class HPolyhedron:
     def with_equality(self, normal: QVector, value: Fraction) -> "HPolyhedron":
         return self.with_rows([normal, -normal], [value, -value])
 
-    def translate(self, w: QVector) -> "HPolyhedron":
-        """Shifted copy {x : x - w in self}."""
-        return HPolyhedron(self.a, self.b + self.a.matvec(w))
-
 
 @dataclass(frozen=True)
 class VPolyhedron:

@@ -88,15 +88,16 @@ def eval_quadratic(q: QuadraticForm, x: QVector) -> Fraction:
     return Fraction(quadratic * cs + _dot(c, u) * hs * den, hs * cs * den * den) + q.d
 
 
-def restrict_quadratic(q: QuadraticForm, y: QVector) -> QuadraticForm:
-    """The quadratic in the trailing coordinates once the first len(y)
-    coordinates are fixed to y: its value and gradient at x = (y, 0) give
-    the constant and linear term, and H's trailing block stays."""
+def restrict_quadratic(q: QuadraticForm, y: QVector, offset: QVector | None = None) -> QuadraticForm:
+    """The quadratic z -> q(y, z + offset), offset zero when not given, in
+    the trailing coordinates once the first len(y), possibly none, are fixed
+    to y: its value and gradient at the base point (y, offset) give the
+    constant and linear term, and H's trailing block stays."""
     k = y.dim
     n = q.dim
-    if not 0 < k < n:
-        raise ValueError("prefix must fix a proper nonempty subset of coordinates")
-    x = y.concat(QVector.zero(n - k))
+    if not 0 <= k < n:
+        raise ValueError("prefix must leave at least one trailing coordinate")
+    x = y.concat(QVector.zero(n - k) if offset is None else offset)
     gradient = q.h.matvec(x).scale(2) + q.c
     hzz = QMatrix.from_rows([row[k:] for row in q.h.entries[k:]], n - k)
     return QuadraticForm(hzz, gradient.drop(k), eval_quadratic(q, x))

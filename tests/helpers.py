@@ -25,9 +25,10 @@ from miqpcert import (
     VPolyhedron,
     h_to_v,
 )
-from miqpcert.certifier import Certificate, SearchTrace, _ceil_root, _fiber_min
+from miqpcert.certifier import Certificate, SearchTrace, _ceil_root
 from miqpcert.linalg import encoding_size, isqrt_ceil, solve_linear_system
 from miqpcert.polyhedra import cone_hull, independent_row_subsets
+from miqpcert.qp import eval_quadratic, qp_global_min, restrict_quadratic
 
 
 def vec(*values) -> QVector:
@@ -307,6 +308,23 @@ def shift_lower_bound(quad: QuadraticForm, fiber, v3: Fraction, shift: QVector) 
     return v3 + min(2 * v.dot(hs) for v in fiber.vertices) + quad.c.dot(shift) + shift.dot(hs)
 
 
+def reference_fiber_min(quad: QuadraticForm, fiber, shift: QVector) -> tuple[Fraction, QVector]:
+    """The exact minimum of the quadratic over fiber + shift and a point
+    where it is attained, over the moved polytope itself: the trailing
+    coordinates of prefix y + s_p range over {w : Aw <= b + A s_q} when the
+    fiber's reduced polytope is Az <= b.  The reference for the certifier's
+    ``_fiber_min``, which moves the quadratic instead of the polytope."""
+    p = fiber.integer_part.dim
+    prefix = fiber.integer_part + shift.take(p)
+    if fiber.reduced is None:  # no continuous coordinates: the fiber is its prefix
+        return eval_quadratic(quad, prefix), prefix
+    a, b = fiber.reduced.a, fiber.reduced.b
+    moved = HPolyhedron(a, b + a.matvec(shift.drop(p)))
+    inner = quad if p == 0 else restrict_quadratic(quad, prefix)
+    point = prefix.concat(qp_global_min(inner, moved).minimizer)
+    return eval_quadratic(quad, point), point
+
+
 def reference_window_bounds(inst: MiqpInstance, fiber, piece, f: QVector):
     """(v3, lam_max, norm_bound, caps) of a curving residual window, with v2
     and the slice norm read off the vertices of the curving slice
@@ -317,7 +335,7 @@ def reference_window_bounds(inst: MiqpInstance, fiber, piece, f: QVector):
     v1 = piece.v1
     quad = inst.quad
     v2 = min(2 * pv.dot(quad.h.matvec(u)) + quad.c.dot(u) for pv in fiber.vertices for u in slice_v.vertices)
-    v3, _ = _fiber_min(quad, fiber, QVector.zero(n))
+    v3, _ = reference_fiber_min(quad, fiber, QVector.zero(n))
     v4 = max(math.ceil(abs(coord)) for vert in fiber.vertices for coord in vert.entries)
     disc = v2 * v2 - 4 * v1 * v3
     lam_max = 0 if disc < 0 else max(0, _ceil_root(-v2, disc, 2 * v1))
@@ -334,7 +352,7 @@ def reference_window_search(inst: MiqpInstance, fiber, piece, f: QVector, signs,
     fiber_index, family_index, piece_index = indices
 
     def certificate(counts, shift, bound):
-        value, point = _fiber_min(inst.quad, fiber, shift)
+        value, point = reference_fiber_min(inst.quad, fiber, shift)
         if value > 0:
             return None
         trace = SearchTrace(

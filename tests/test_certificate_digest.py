@@ -1,11 +1,15 @@
-"""Every certificate of the benchmark's three corpora, pinned by one sha256
-per corpus.
+"""Every certificate of the benchmark's three corpora, and of one fuzz corpus
+the benchmark never reaches, pinned by one sha256 per corpus.
 
 Each generated instance is solved in generator order with the ``h_to_v``
 cache cleared first, and its serialized certificate (or ``infeasible``) goes
-into the corpus digest.  A kernel change that claims byte-identical
-certificates must leave all three digests as they are; a change that alters
-certificates on purpose updates them and says which ones changed and why.
+into the corpus digest.  The fuzz corpus is seed 4 of the unbounded
+generator, 300 instances: its residual windows send 156 fibers with
+continuous coordinates to the QP at a nonzero shift, 52 of them with p = 0,
+where the benchmark corpora send at most one.  A kernel change that claims
+byte-identical certificates must leave all four digests as they are; a
+change that alters certificates on purpose updates them and says which ones
+changed and why.
 ``bench/workloads.py`` is only read.
 
 Needs no pytest, so it also runs on its own under any supported Python:
@@ -27,7 +31,9 @@ EXPECTED = {
     "maxcut5_sweep": "4625c2dc3fae011fbedf4fc9d18e9855b40dafca1d5827464da2ebb589b45150",
     "boxed_cli": "a8d73926952e51216667ee718270a0e5e809ebfccd4726c423bd4016887455b1",
     "unbounded_budget": "b261ea704cd39b0a21cf967e0a3b744a404f5dd988148a41483c598b2dd589d7",
+    "unbounded_seed4": "a2ea0a72d5645f4895b485128565e5095753c52049335897047d3b59d412a1a0",
 }
+FUZZ = {"unbounded_seed4": ("unbounded_budget", 4, 300)}  # name: (generator's workload, seed, size)
 
 
 def _workloads():
@@ -38,13 +44,19 @@ def _workloads():
     return module.WORKLOADS
 
 
-def corpus_digest(name: str) -> str:
+def _generated(name: str) -> list:
+    """The corpus's instances in generator order, set-aside ones left out."""
+    if name in FUZZ:
+        workload_name, seed, size = FUZZ[name]
+        return _workloads()[workload_name].generator(random.Random(seed), size)
     workload = _workloads()[name]
     generated = workload.generator(random.Random(workload.corpus_seed), workload.corpus_size)
+    return [case for index, case in enumerate(generated) if index not in workload.set_aside]
+
+
+def corpus_digest(name: str) -> str:
     digest = hashlib.sha256()
-    for index, case in enumerate(generated):
-        if index in workload.set_aside:
-            continue
+    for case in _generated(name):
         h_to_v.cache_clear()
         cert = find_certificate(parse_instance(case.text))
         digest.update((serialize_certificate(cert) if cert is not None else "infeasible\n").encode())
@@ -61,6 +73,10 @@ def test_boxed_cli_certificates():
 
 def test_unbounded_budget_certificates():
     assert corpus_digest("unbounded_budget") == EXPECTED["unbounded_budget"]
+
+
+def test_unbounded_seed4_certificates():
+    assert corpus_digest("unbounded_seed4") == EXPECTED["unbounded_seed4"]
 
 
 if __name__ == "__main__":

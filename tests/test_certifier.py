@@ -28,6 +28,7 @@ from helpers import (
     instance,
     random_boxed_instance,
     random_symmetric,
+    reference_fiber_min,
     reference_window_bounds,
     reference_window_search,
     shift_lower_bound,
@@ -338,6 +339,28 @@ def test_box_bound_is_a_relaxation():
             checked["box"] += lo != hi
     assert checked["single"] >= 300 and checked["point"] >= 150
     assert checked["box"] >= 150 and checked["empty"] >= 150
+
+
+def test_fiber_min_moves_the_quadratic_not_the_polytope():
+    # the minimum over fiber + s taken over the fiber's own reduced polytope,
+    # of z -> q(y + s_p, z + s_q), is the one over the moved polytope, value
+    # and point, for p = 0, 0 < p < n and p = n alike; shifts are window
+    # tuples up to the caps and arbitrary rational vectors
+    rng = random.Random(9191)
+    checked = {"p = 0": 0, "0 < p < n": 0, "p = n": 0}
+    for inst, fiber, piece, _, _, _, bounds in _small_windows(8181, 80, 4):
+        n, p = inst.dim, inst.integer_count
+        kind = "p = 0" if p == 0 else "p = n" if p == n else "0 < p < n"
+        assert _fiber_min(inst.quad, fiber) == reference_fiber_min(inst.quad, fiber, QVector.zero(n))
+        for _ in range(3):
+            counts = [rng.randint(0, cap) for cap in bounds[3]]
+            shift = sum((ray.scale(m) for m, ray in zip(counts, piece.curving)), QVector.zero(n))
+            assert _fiber_min(inst.quad, fiber, shift) == reference_fiber_min(inst.quad, fiber, shift)
+            checked[kind] += 1
+        shift = QVector.of(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n))
+        assert _fiber_min(inst.quad, fiber, shift) == reference_fiber_min(inst.quad, fiber, shift)
+        checked[kind] += 1
+    assert min(checked.values()) >= 100
 
 
 # generator instance 29 of the unbounded benchmark corpus: n = 2, p = 0, a

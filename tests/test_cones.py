@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -95,6 +96,24 @@ def test_split_diagonal_zero_set():
         frozenset({vec(1, 0), vec(1, 1)}),
         frozenset({vec(0, 1), vec(1, 1)}),
     }
+
+
+def test_split_leaves_no_reference_cycle():
+    # a recursive closure would leave a cycle per decomposition (the function,
+    # its cells and a tuple) for the cyclic collector; DEBUG_SAVEALL keeps
+    # whatever that collector frees in gc.garbage
+    decompose([[1, -1], [-1, 1]], [[1, 0], [0, 1]])  # warm-up: caches and first-use objects
+    gc.collect()
+    gc.garbage.clear()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        decompose([[1, -1], [-1, 1]], [[1, 0], [0, 1]])
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
 
 
 def test_split_rejects_negative_curvature():

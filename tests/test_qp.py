@@ -363,12 +363,24 @@ def test_cone_slice_rejects_bad_hyperplane():
 
 
 def test_restrict_quadratic_matches_eval():
+    # q(y, z + offset) for prefixes of every length k < n, the empty one
+    # included, with and without an offset; k = n leaves nothing to restrict
     rng = random.Random(53)
-    for _ in range(50):
-        n = rng.randint(2, 4)
-        p = rng.randint(1, n - 1)
+    checked = {"empty": 0, "offset": 0}
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        p = rng.randint(0, n - 1)
         q = form(random_symmetric(rng, n), [rng.randint(-4, 4) for _ in range(n)], rng.randint(-4, 4))
         y = vec(*[rng.randint(-3, 3) for _ in range(p)])
-        z = vec(*[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n - p)])
+        offset = vec(*[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n - p)])
         reduced = restrict_quadratic(q, y)
-        assert eval_quadratic(reduced, z) == eval_quadratic(q, y.concat(z))
+        moved = restrict_quadratic(q, y, offset)
+        for _ in range(3):
+            z = vec(*[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n - p)])
+            assert eval_quadratic(reduced, z) == eval_quadratic(q, y.concat(z))
+            assert eval_quadratic(moved, z) == eval_quadratic(q, y.concat(z + offset))
+        checked["empty"] += p == 0
+        checked["offset"] += not offset.is_zero()
+        with pytest.raises(ValueError):
+            restrict_quadratic(q, q.c)
+    assert checked["empty"] >= 20 and checked["offset"] >= 60
