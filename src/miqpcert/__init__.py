@@ -39,6 +39,7 @@ from .linalg import (
 )
 from .milp import (
     Fiber,
+    FiberLimit,
     MisDecomposition,
     MixedIntegerSet,
     decompose_mixed_integer_set,

@@ -40,7 +40,7 @@ from .linalg import (
     encoding_size,
     isqrt_ceil,
 )
-from .milp import MAX_FIBERS, Fiber, MixedIntegerSet, mip_point, ray_families, window_fibers
+from .milp import MAX_FIBERS, Fiber, FiberLimit, MixedIntegerSet, mip_point, ray_families, window_fibers
 from .polyhedra import (
     HPolyhedron,
     NotPointed,
@@ -316,7 +316,7 @@ def nonnegative_recession_search(
         for fiber_index, fiber in enumerate(window_fibers(s, vrep, family, family_index)):
             built += 1
             if built > MAX_FIBERS:
-                raise ValueError(f"decomposition exceeds {MAX_FIBERS} fibers")
+                raise FiberLimit(f"decomposition exceeds {MAX_FIBERS} fibers")
             if pieces is None:
                 pieces = [
                     _window_piece(inst.quad, piece, f)

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes are part of the contract: 0 feasible / verified, 1 infeasible /
-rejected, 2 input error.  All output is UTF-8 text.
+rejected, 2 input error, 3 unknown (a resource limit was reached).  All
+output is UTF-8 text.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .formats import (
     serialize_instance,
 )
 from .linalg import DimensionMismatch
-from .milp import MixedIntegerSet, decompose_mixed_integer_set
+from .milp import FiberLimit, MixedIntegerSet, decompose_mixed_integer_set
 from .oracle import UnboundedFiber, brute_force_feasibility
 from .polyhedra import NotPointed
 
@@ -159,6 +160,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0) and 2
     try:
         return args.func(args)
+    except FiberLimit as exc:  # a ValueError, but no fault of the input
+        print(f"UNKNOWN: {exc}")
+        return 3
     except (InstanceFormatError, DimensionMismatch, NotPointed, UnboundedFiber, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

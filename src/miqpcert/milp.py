@@ -37,6 +37,11 @@ from .polyhedra import (
 MAX_FIBERS = 20000  # nonempty fibers one decomposition or search may build
 
 
+class FiberLimit(ValueError):
+    """More than MAX_FIBERS fibers: a resource limit, so the verdict is
+    unknown, not an input error."""
+
+
 @dataclass(frozen=True)
 class MixedIntegerSet:
     """P cap (Z^p x R^(n-p)): the first integer_count coordinates integral."""
@@ -88,16 +93,14 @@ def ray_families(vrep: VPolyhedron) -> tuple[SimpleCone, ...]:
     )
 
 
-def _box(vertices: tuple[QVector, ...], rays: tuple[QVector, ...]) -> list[tuple[Fraction, Fraction]]:
+def _box(vrep: VPolyhedron, rays: tuple[QVector, ...]) -> list[tuple[Fraction, Fraction]]:
     """The bounding box of conv(vertices) + sum of segments [0, r] over the
     rays, one (lo, hi) pair per coordinate:
-    min_v v_t + sum_r min(r_t, 0) <= x_t <= max_v v_t + sum_r max(r_t, 0)."""
+    min_v v_t + sum_r min(r_t, 0) <= x_t <= max_v v_t + sum_r max(r_t, 0).
+    The vertex part is the V-description's own ``vertex_box``."""
     return [
-        (
-            min(v[t] for v in vertices) + sum(min(r[t], 0) for r in rays),
-            max(v[t] for v in vertices) + sum(max(r[t], 0) for r in rays),
-        )
-        for t in range(vertices[0].dim)
+        (lo + sum(min(r[t], 0) for r in rays), hi + sum(max(r[t], 0) for r in rays))
+        for t, (lo, hi) in enumerate(vrep.vertex_box)
     ]
 
 
@@ -145,7 +148,7 @@ def window_fibers(
     the nonempty V-description of the pointed polyhedron of ``s``.  Sound and
     complete as B^K <= W <= P: every point of F + intcone(R_K) lies in P, and
     flooring the ray multipliers of a point of the set lands it in B^K."""
-    box = _box(vrep.vertices, family.rays)
+    box = _box(vrep, family.rays)
     window = _window_polytope(s.polyhedron, family, box)
     for y in _integer_prefixes(box, s.integer_count):
         fiber = _build_fiber(window, y, family_index, s.integer_count)
@@ -158,7 +161,7 @@ def decompose_mixed_integer_set(s: MixedIntegerSet, max_fibers: int = MAX_FIBERS
 
     Emits only nonempty fibers, family by family.  An empty polyhedron yields
     an empty decomposition.  Raises :class:`NotPointed` for non-pointed input
-    and ValueError when the fiber count exceeds ``max_fibers``.
+    and :class:`FiberLimit` when the fiber count exceeds ``max_fibers``.
     """
     vrep = h_to_v(s.polyhedron)
     if vrep.is_empty:
@@ -169,7 +172,7 @@ def decompose_mixed_integer_set(s: MixedIntegerSet, max_fibers: int = MAX_FIBERS
         for fiber in window_fibers(s, vrep, family, family_index):
             records.append(fiber)
             if len(records) > max_fibers:
-                raise ValueError(f"decomposition exceeds {max_fibers} fibers")
+                raise FiberLimit(f"decomposition exceeds {max_fibers} fibers")
     return MisDecomposition(tuple(records), families)
 
 
@@ -190,7 +193,7 @@ def mip_point(s: MixedIntegerSet) -> QVector | None:
     vrep = h_to_v(s.polyhedron)
     if vrep.is_empty:
         return None
-    for y in _integer_prefixes(_box(vrep.vertices, vrep.rays), s.integer_count):
+    for y in _integer_prefixes(_box(vrep, vrep.rays), s.integer_count):
         fiber = _build_fiber(s.polyhedron, y, 0, s.integer_count)  # P's own fiber: no family
         if fiber is not None:
             return min(fiber.vertices)

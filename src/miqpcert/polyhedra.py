@@ -1,10 +1,9 @@
 """Rational polyhedra: H- and V-descriptions, cones, and conversions.
 
 All enumeration here is desk scale and exact: vertices come from independent
-row subsets, extreme rays from independent (n-1)-subsets, facets of a point
-set from affinely independent d-subsets, and the facets of a pointed cone as
-the hull rows through the origin.  Deterministic throughout; ties are broken
-by lexicographic order on rational tuples.
+row subsets, extreme rays from independent (n-1)-subsets, and facets of a
+point set from affinely independent d-subsets.  Deterministic throughout;
+ties are broken by lexicographic order on rational tuples.
 """
 
 from __future__ import annotations
@@ -107,6 +106,12 @@ class VPolyhedron:
     @property
     def is_empty(self) -> bool:
         return not self.vertices
+
+    @cached_property
+    def vertex_box(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(min, max) of the vertices' coordinate t, for each t.  Computed
+        once per object; not a field, so eq and hash ignore it."""
+        return tuple((min(col), max(col)) for col in zip(*(v.entries for v in self.vertices)))
 
 
 @dataclass(frozen=True)
@@ -289,7 +294,7 @@ def faces_of_simple_cone(cone: SimpleCone) -> list[SimpleCone]:
 
 
 # ---------------------------------------------------------------------------
-# V -> H conversion (desk scale: cone descriptions)
+# V -> H conversion (desk scale; the search itself never builds a hull)
 
 
 def _canonical_facet(normal: QVector, offset: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -357,22 +362,6 @@ def polytope_hull(points: Sequence[QVector]) -> HPolyhedron:
     hull = HPolyhedron(QMatrix.from_rows(rows, n), QVector.of(rhs))
     assert all(hull.contains(p) for p in pts)
     return hull
-
-
-def cone_hull(rays: Sequence[QVector]) -> HPolyhedron:
-    """Exact inequality description of the pointed cone spanned by the rays:
-    the rhs-0 rows of polytope_hull({0} + rays).  The origin is a vertex of
-    that hull, and the rows through a vertex (its facets and the affine-hull
-    equalities) cut out the tangent cone there, which is cone(rays)."""
-    if not rays:
-        raise ValueError("hull of an empty ray set")
-    if any(r.is_zero() for r in rays):
-        raise ValueError("zero vector is not a ray")
-    hull = polytope_hull([QVector.zero(rays[0].dim), *rays])
-    keep = [i for i in range(hull.num_rows) if hull.b[i] == 0]
-    return HPolyhedron(
-        QMatrix.from_rows([hull.a.entries[i] for i in keep], hull.dim), QVector.zero(len(keep))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from miqpcert import (
 )
 from miqpcert.certifier import Certificate, SearchTrace, _ceil_root
 from miqpcert.linalg import encoding_size, isqrt_ceil, solve_linear_system
-from miqpcert.polyhedra import cone_hull, independent_row_subsets
+from miqpcert.polyhedra import independent_row_subsets, polytope_hull
 from miqpcert.qp import eval_quadratic, qp_global_min, restrict_quadratic
 
 
@@ -229,6 +229,35 @@ def window_points(vrep: VPolyhedron, family: SimpleCone) -> list[QVector]:
                 shift = shift + r
             points.update(v + shift for v in vrep.vertices)
     return sorted(points)
+
+
+def reference_box(vertices, rays) -> list[tuple[Fraction, Fraction]]:
+    """The bounding box of conv(vertices) + sum of segments [0, r] over the
+    rays, every vertex scanned per call:
+    min_v v_t + sum_r min(r_t, 0) <= x_t <= max_v v_t + sum_r max(r_t, 0)."""
+    return [
+        (
+            min(v[t] for v in vertices) + sum(min(r[t], 0) for r in rays),
+            max(v[t] for v in vertices) + sum(max(r[t], 0) for r in rays),
+        )
+        for t in range(vertices[0].dim)
+    ]
+
+
+def cone_hull(rays) -> HPolyhedron:
+    """Exact inequality description of the pointed cone spanned by the rays:
+    the rhs-0 rows of polytope_hull({0} + rays).  The origin is a vertex of
+    that hull, and the rows through a vertex (its facets and the affine-hull
+    equalities) cut out the tangent cone there, which is cone(rays)."""
+    if not rays:
+        raise ValueError("hull of an empty ray set")
+    if any(r.is_zero() for r in rays):
+        raise ValueError("zero vector is not a ray")
+    hull = polytope_hull([QVector.zero(rays[0].dim), *rays])
+    keep = [i for i in range(hull.num_rows) if hull.b[i] == 0]
+    return HPolyhedron(
+        QMatrix.from_rows([hull.a.entries[i] for i in keep], hull.dim), QVector.zero(len(keep))
+    )
 
 
 def sample_in_cone(rng: random.Random, rays, max_scale: int = 3) -> QVector:

@@ -23,7 +23,6 @@ from miqpcert.polyhedra import (
     HPolyhedron,
     SimpleCone,
     caratheodory_simple_cone,
-    cone_hull,
     faces_of_simple_cone,
     h_to_v,
     is_pointed,
@@ -34,6 +33,7 @@ from miqpcert.qp import QuadraticForm, eval_quadratic, min_quadratic_on_cone_sli
 
 from helpers import (
     all_graphs,
+    cone_hull,
     grid_min_scaled,
     max_cut_value,
     random_boxed_instance,

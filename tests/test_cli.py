@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from miqpcert import certifier, milp
 from miqpcert.cli import main
 from miqpcert.formats import parse_instance, serialize_instance
 from miqpcert.oracle import brute_force_feasibility
@@ -154,6 +155,23 @@ def test_decompose_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ray-families 3" in out
     assert "fibers" in out
+
+
+def test_fiber_limit_is_unknown(tmp_path, capsys, monkeypatch):
+    # a resource limit is neither a verdict nor an input error: both fiber
+    # limit sites exit 3; certifier imports MAX_FIBERS by name, and the
+    # decomposition's default limit is bound when it is defined
+    inst = str(tmp_path / "k3.inst")
+    assert main(["gen-maxcut", "--edges", "a-b,b-c,a-c", "--k", "3", "--out", inst]) == 0
+    monkeypatch.setattr(certifier, "MAX_FIBERS", 1)
+    monkeypatch.setattr(milp.decompose_mixed_integer_set, "__defaults__", (1,))
+    capsys.readouterr()
+    assert main(["solve", "--instance", inst, "--out", str(tmp_path / "k3.cert")]) == 3
+    assert capsys.readouterr().out.startswith("UNKNOWN: ")
+    assert main(["decompose", "--instance", inst]) == 3
+    assert capsys.readouterr().out.startswith("UNKNOWN: ")
+    assert not (tmp_path / "k3.cert").exists()
+    assert issubclass(milp.FiberLimit, ValueError)
 
 
 def test_decompose_requires_pointed(tmp_path, capsys):

@@ -28,6 +28,7 @@ from helpers import (
     enumerate_integer_box,
     family_index_by_rays,
     hpoly,
+    reference_box,
     sample_in_polytope,
     vec,
     window_points,
@@ -235,9 +236,32 @@ def test_window_lies_between_b_k_and_p():
             parts += 1
             for family in ray_families(vrep):
                 families += 1
-                window = _window_polytope(part, family, _box(vrep.vertices, family.rays))
+                window = _window_polytope(part, family, _box(vrep, family.rays))
                 assert all(window.contains(x) for x in window_points(vrep, family))
                 wrep = h_to_v(window)
                 assert not wrep.rays
                 assert all(part.contains(v) for v in wrep.vertices)
     assert families >= 200
+
+
+def test_box_matches_reference_scan():
+    # the box from the V-description's cached vertex box equals a fresh scan
+    # of every vertex, for each family's rays and for all extreme rays; the
+    # orthant parts of random unboxed rows give rays with entries of both signs
+    rng = random.Random(7171)
+    families = 0
+    signs = set()
+    while families < 200:
+        n = rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+        whole = hpoly(rows, [rng.randint(-3, 3) for _ in rows])
+        for _, part in iter_orthant_parts(whole):
+            vrep = h_to_v(part)
+            if not vrep.rays:
+                continue
+            signs.update(x > 0 for r in vrep.rays for x in r if x != 0)
+            assert _box(vrep, vrep.rays) == reference_box(vrep.vertices, vrep.rays)
+            for family in ray_families(vrep):
+                families += 1
+                assert _box(vrep, family.rays) == reference_box(vrep.vertices, family.rays)
+    assert signs == {True, False}

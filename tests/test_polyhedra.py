@@ -10,8 +10,8 @@ from miqpcert.polyhedra import (
     NotInCone,
     NotPointed,
     SimpleCone,
+    VPolyhedron,
     caratheodory_simple_cone,
-    cone_hull,
     faces_of_simple_cone,
     h_to_v,
     independent_row_subsets,
@@ -23,7 +23,7 @@ from miqpcert.polyhedra import (
 )
 from miqpcert.linalg import encoding_size
 
-from helpers import hpoly, mat, sample_in_cone, sample_in_polytope, vec
+from helpers import cone_hull, hpoly, mat, sample_in_cone, sample_in_polytope, vec
 
 
 def unit_square():
@@ -351,3 +351,11 @@ def test_integer_rows_stay_out_of_equality():
     assert p.integer_rows == ((2, 12, 5),)
     assert p == twin and hash(p) == hash(twin)
     assert p.integer_rows is p.integer_rows  # computed once per object
+
+
+def test_vertex_box_stays_out_of_equality():
+    v = VPolyhedron((vec(Fraction(1, 2), 3), vec(-1, 4), vec(2, Fraction(-1, 3))), (vec(1, 0),))
+    twin = VPolyhedron(v.vertices, v.rays)
+    assert v.vertex_box == ((-1, 2), (Fraction(-1, 3), 4))
+    assert v.vertex_box is v.vertex_box  # computed once per object
+    assert v == twin and hash(v) == hash(twin)

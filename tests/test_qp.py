@@ -5,7 +5,7 @@ import pytest
 
 from miqpcert.cones import normalizing_hyperplane
 from miqpcert.linalg import QMatrix, QVector, rank
-from miqpcert.polyhedra import NotPointed, SimpleCone, cone_hull, h_to_v
+from miqpcert.polyhedra import NotPointed, SimpleCone, h_to_v
 from miqpcert.qp import (
     EmptyFeasibleSet,
     QuadraticForm,
@@ -19,6 +19,7 @@ from miqpcert.qp import (
 )
 
 from helpers import (
+    cone_hull,
     grid_min_scaled,
     hpoly,
     mat,
