@@ -59,7 +59,6 @@ from .polyhedra import (
     h_to_v,
     is_pointed,
     iter_orthant_parts,
-    polytope_hull,
     primitivize,
     recession_cone,
 )

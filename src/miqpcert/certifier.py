@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .cones import normalizing_hyperplane, simple_cone_decomposition
 from .linalg import (
@@ -40,7 +41,7 @@ from .linalg import (
     encoding_size,
     isqrt_ceil,
 )
-from .milp import MAX_FIBERS, Fiber, FiberLimit, MixedIntegerSet, mip_point, ray_families, window_fibers
+from .milp import Fiber, FiberLimit, MixedIntegerSet, mip_point, ray_families, window_fibers
 from .polyhedra import (
     HPolyhedron,
     NotPointed,
@@ -230,7 +231,20 @@ def _ceil_root(e: Fraction, disc: Fraction, g: Fraction) -> int:
 
 def find_certificate(inst: MiqpInstance) -> Certificate | None:
     """A verified feasibility certificate, or None when the system has no
-    solution.  Deterministic: reruns reproduce the identical certificate."""
+    solution.  Deterministic: reruns reproduce the identical certificate.
+
+    The instance is valid once built, so a ValueError the search lets out is
+    the library's own fault and is raised as a CertifierError chained to it;
+    only FiberLimit, a resource limit, passes through as it is."""
+    try:
+        return _search(inst)
+    except FiberLimit:
+        raise
+    except ValueError as exc:
+        raise CertifierError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _search(inst: MiqpInstance) -> Certificate | None:
     try:  # h_to_v's vertex walk decides pointedness
         parts = [(None, inst.polyhedron, h_to_v(inst.polyhedron))]
     except NotPointed:
@@ -307,21 +321,15 @@ def nonnegative_recession_search(
     its own family's pairs, so those pairs are never needed.  The piece data
     that does not depend on the fiber (flat and curving rays, their Gram
     matrix and the curvature minimum of the curving slice) is computed once
-    per family, when its first fiber is reached.
+    per family, when its first fiber is reached.  ``window_fibers`` streams
+    the fibers of all families and owns the fiber limit.
     """
-    s = MixedIntegerSet(part, inst.integer_count)
-    built = 0
-    for family_index, family in enumerate(ray_families(vrep)):
-        pieces: list[WindowPiece] | None = None
-        for fiber_index, fiber in enumerate(window_fibers(s, vrep, family, family_index)):
-            built += 1
-            if built > MAX_FIBERS:
-                raise FiberLimit(f"decomposition exceeds {MAX_FIBERS} fibers")
-            if pieces is None:
-                pieces = [
-                    _window_piece(inst.quad, piece, f)
-                    for piece in simple_cone_decomposition(inst.quad.h, family).pieces
-                ]
+    families = ray_families(vrep)
+    stream = window_fibers(MixedIntegerSet(part, inst.integer_count), vrep)
+    for family_index, fibers in groupby(stream, key=lambda fiber: fiber.family_index):
+        cone = simple_cone_decomposition(inst.quad.h, families[family_index])
+        pieces = [_window_piece(inst.quad, piece, f) for piece in cone.pieces]
+        for fiber_index, fiber in enumerate(fibers):
             for piece_index, piece in enumerate(pieces):
                 for ray_index in piece.flat:
                     found = linear_descent_step(inst.quad, fiber, piece.rays, ray_index)

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes are part of the contract: 0 feasible / verified, 1 infeasible /
-rejected, 2 input error, 3 unknown (a resource limit was reached).  All
-output is UTF-8 text.
+rejected, 2 input error, 3 unknown (a resource limit was reached), 4
+internal error (a fault of the library, not of the input).  All output is
+UTF-8 text.
 """
 
 from __future__ import annotations
@@ -13,17 +14,14 @@ from pathlib import Path
 
 from .certifier import CertifierError, find_certificate, verify_certificate
 from .formats import (
-    InstanceFormatError,
     maxcut_instance,
     parse_certificate,
     parse_instance,
     serialize_certificate,
     serialize_instance,
 )
-from .linalg import DimensionMismatch
 from .milp import FiberLimit, MixedIntegerSet, decompose_mixed_integer_set
-from .oracle import UnboundedFiber, brute_force_feasibility
-from .polyhedra import NotPointed
+from .oracle import brute_force_feasibility
 
 
 def _load_instance(path: str):
@@ -163,12 +161,12 @@ def main(argv: list[str] | None = None) -> int:
     except FiberLimit as exc:  # a ValueError, but no fault of the input
         print(f"UNKNOWN: {exc}")
         return 3
-    except (InstanceFormatError, DimensionMismatch, NotPointed, UnboundedFiber, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # the input's own errors are ValueError subclasses
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CertifierError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return 2
+        return 4
 
 
 if __name__ == "__main__":

@@ -11,9 +11,10 @@ inside the family's window W = P cap box(B^K), with B^K = conv(vertices) +
 sum over R_K of the segments [0, r].  Any W with B^K <= W <= P is sound,
 because every point of F + intcone(R_K) lies in P, and complete, because
 flooring the ray multipliers of a point of the set lands it in B^K <= W.
-``window_fibers`` builds the fibers of one window lazily, so a search can
-stop before building the rest; ``decompose_mixed_integer_set`` materializes
-them all.
+``window_fibers`` is the one lazy stream of a part's fibers, family by
+family, so a search can stop before building the rest, and the one place
+that counts them against MAX_FIBERS; ``decompose_mixed_integer_set``
+materializes it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .polyhedra import (
     restrict_prefix,
 )
 
-MAX_FIBERS = 20000  # nonempty fibers one decomposition or search may build
+MAX_FIBERS = 20000  # nonempty fibers one stream may build, over all its families
 
 
 class FiberLimit(ValueError):
@@ -117,63 +118,52 @@ def _window_polytope(
     return poly.with_rows(rows, [bound for lo, hi in box for bound in (hi, -lo)])
 
 
-def _integer_prefixes(box: list[tuple[Fraction, Fraction]], p: int) -> Iterator[QVector]:
-    """Integer points of the first p ranges of a box, in product order."""
+def _fibers(poly: HPolyhedron, box: list[tuple[Fraction, Fraction]], p: int, family_index: int) -> Iterator[Fiber]:
+    """The nonempty fibers of poly over the integer prefixes y in the first p
+    ranges of box, in product order: the completions of y inside poly."""
     ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box[:p]]
     for combo in product(*ranges):
-        yield QVector.of(combo)
+        y = QVector.of(combo)
+        if poly.dim == p:
+            if poly.contains(y):
+                yield Fiber(poly, y, family_index, (y,), None)
+            continue
+        reduced = restrict_prefix(poly, y)
+        verts = h_to_v(reduced).vertices
+        if verts:
+            yield Fiber(poly, y, family_index, tuple(sorted(y.concat(z) for z in verts)), reduced)
 
 
-def _build_fiber(
-    window: HPolyhedron, y: QVector, family_index: int, p: int
-) -> Fiber | None:
-    """The completions of prefix y inside window, or None when there are none."""
-    if window.dim == p:
-        if not window.contains(y):
-            return None
-        return Fiber(window, y, family_index, (y,), None)
-    reduced = restrict_prefix(window, y)
-    verts = h_to_v(reduced).vertices
-    if not verts:
-        return None
-    lifted = tuple(sorted(y.concat(z) for z in verts))
-    return Fiber(window, y, family_index, lifted, reduced)
-
-
-def window_fibers(
-    s: MixedIntegerSet, vrep: VPolyhedron, family: SimpleCone, family_index: int
-) -> Iterator[Fiber]:
-    """The nonempty fibers of the window W = P cap box(B^K) of one family,
-    built lazily in the product order of their integer prefixes.  ``vrep`` is
-    the nonempty V-description of the pointed polyhedron of ``s``.  Sound and
-    complete as B^K <= W <= P: every point of F + intcone(R_K) lies in P, and
-    flooring the ray multipliers of a point of the set lands it in B^K."""
-    box = _box(vrep, family.rays)
-    window = _window_polytope(s.polyhedron, family, box)
-    for y in _integer_prefixes(box, s.integer_count):
-        fiber = _build_fiber(window, y, family_index, s.integer_count)
-        if fiber is not None:
+def window_fibers(s: MixedIntegerSet, vrep: VPolyhedron) -> Iterator[Fiber]:
+    """The nonempty fibers of a pointed part, built lazily: each family of
+    ``ray_families(vrep)`` in turn, the fibers of its window W = P cap box(B^K)
+    in the product order of their integer prefixes.  ``vrep`` is the nonempty
+    V-description of the polyhedron of ``s``.  Sound and complete as
+    B^K <= W <= P: every point of F + intcone(R_K) lies in P, and flooring the
+    ray multipliers of a point of the set lands it in B^K.  Raises
+    :class:`FiberLimit` instead of yielding fiber MAX_FIBERS + 1."""
+    built = 0
+    for family_index, family in enumerate(ray_families(vrep)):
+        box = _box(vrep, family.rays)
+        window = _window_polytope(s.polyhedron, family, box)
+        for fiber in _fibers(window, box, s.integer_count, family_index):
+            built += 1
+            if built > MAX_FIBERS:
+                raise FiberLimit(f"decomposition exceeds {MAX_FIBERS} fibers")
             yield fiber
 
 
-def decompose_mixed_integer_set(s: MixedIntegerSet, max_fibers: int = MAX_FIBERS) -> MisDecomposition:
+def decompose_mixed_integer_set(s: MixedIntegerSet) -> MisDecomposition:
     """Materialize the fiber/ray-family decomposition of a pointed set.
 
-    Emits only nonempty fibers, family by family.  An empty polyhedron yields
-    an empty decomposition.  Raises :class:`NotPointed` for non-pointed input
-    and :class:`FiberLimit` when the fiber count exceeds ``max_fibers``.
+    An empty polyhedron yields an empty decomposition.  Raises
+    :class:`NotPointed` for non-pointed input and :class:`FiberLimit` as
+    ``window_fibers`` does.
     """
     vrep = h_to_v(s.polyhedron)
     if vrep.is_empty:
         return MisDecomposition((), ())
-    families = ray_families(vrep)
-    records: list[Fiber] = []
-    for family_index, family in enumerate(families):
-        for fiber in window_fibers(s, vrep, family, family_index):
-            records.append(fiber)
-            if len(records) > max_fibers:
-                raise FiberLimit(f"decomposition exceeds {max_fibers} fibers")
-    return MisDecomposition(tuple(records), families)
+    return MisDecomposition(tuple(window_fibers(s, vrep)), ray_families(vrep))
 
 
 def mip_point(s: MixedIntegerSet) -> QVector | None:
@@ -193,8 +183,5 @@ def mip_point(s: MixedIntegerSet) -> QVector | None:
     vrep = h_to_v(s.polyhedron)
     if vrep.is_empty:
         return None
-    for y in _integer_prefixes(_box(vrep, vrep.rays), s.integer_count):
-        fiber = _build_fiber(s.polyhedron, y, 0, s.integer_count)  # P's own fiber: no family
-        if fiber is not None:
-            return min(fiber.vertices)
-    return None
+    fiber = next(_fibers(s.polyhedron, _box(vrep, vrep.rays), s.integer_count, 0), None)  # P's own: no family
+    return None if fiber is None else min(fiber.vertices)

@@ -370,13 +370,17 @@ def polytope_hull(points: Sequence[QVector]) -> HPolyhedron:
 
 def restrict_prefix(p: HPolyhedron, y: QVector) -> HPolyhedron:
     """The polyhedron of trailing coordinates once the first len(y) are fixed
-    to y.  Requires at least one trailing coordinate."""
+    to y.  Requires at least one trailing coordinate.  A row whose trailing
+    part is zero is dropped when it holds at y, as it no longer constrains
+    anything, and kept when it fails, so the result stays empty."""
     k = y.dim
     q = p.dim - k
     if q < 1:
         raise ValueError("no trailing coordinates left")
-    rows = [row[k:] for row in p.a.entries]
-    rhs = [
-        p.b[i] - sum(p.a.entries[i][j] * y[j] for j in range(k)) for i in range(p.num_rows)
-    ]
+    rows, rhs = [], []
+    for row, bound in zip(p.a.entries, p.b):
+        value = bound - sum(a * v for a, v in zip(row, y))
+        if any(row[k:]) or value < 0:
+            rows.append(row[k:])
+            rhs.append(value)
     return HPolyhedron(QMatrix.from_rows(rows, q), QVector.of(rhs))

@@ -27,7 +27,8 @@ from miqpcert import (
 )
 from miqpcert.certifier import Certificate, SearchTrace, _ceil_root
 from miqpcert.linalg import encoding_size, isqrt_ceil, solve_linear_system
-from miqpcert.polyhedra import independent_row_subsets, polytope_hull
+from miqpcert.milp import Fiber, ray_families
+from miqpcert.polyhedra import independent_row_subsets, polytope_hull, restrict_prefix
 from miqpcert.qp import eval_quadratic, qp_global_min, restrict_quadratic
 
 
@@ -242,6 +243,32 @@ def reference_box(vertices, rays) -> list[tuple[Fraction, Fraction]]:
         )
         for t in range(vertices[0].dim)
     ]
+
+
+def reference_window_fibers(s, vrep: VPolyhedron) -> list:
+    """The nonempty fibers of a pointed part by one loop per family, as the
+    search built them before they came as one stream: each family's window
+    P cap box(B^K) from a fresh vertex scan, its integer prefixes in product
+    order, and the completions of each prefix."""
+    poly, p = s.polyhedron, s.integer_count
+    fibers = []
+    for family_index, family in enumerate(ray_families(vrep)):
+        box = reference_box(vrep.vertices, family.rays)
+        window = poly
+        if family.rays:
+            units = [QVector.unit(t, poly.dim).scale(sign) for t in range(poly.dim) for sign in (1, -1)]
+            window = poly.with_rows(units, [bound for lo, hi in box for bound in (hi, -lo)])
+        for combo in product(*(range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box[:p])):
+            y = QVector.of(combo)
+            if poly.dim == p:
+                if window.contains(y):
+                    fibers.append(Fiber(window, y, family_index, (y,), None))
+                continue
+            reduced = restrict_prefix(window, y)
+            verts = h_to_v(reduced).vertices
+            if verts:
+                fibers.append(Fiber(window, y, family_index, tuple(sorted(y.concat(z) for z in verts)), reduced))
+    return fibers
 
 
 def cone_hull(rays) -> HPolyhedron:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
 
+from miqpcert import milp
 from miqpcert.certifier import find_certificate, verify_certificate
 from miqpcert.cli import main
 from miqpcert.cones import ConeNotPointed, normalizing_hyperplane, simple_cone_decomposition
@@ -230,20 +231,21 @@ def _hull_cone_split(vrep, x):
     return ray_ids, ray_weights
 
 
-def test_criterion_5_mixed_integer_decomposition_suite():
+def test_criterion_5_mixed_integer_decomposition_suite(monkeypatch):
     """50 random pointed polyhedra in R^3: integer-part grid (radius 4)
     occupancy agrees between P cap (Z^p x R^q) and the fiber/family union.
     Completeness is shown constructively per occupied grid point (split off
     the conic part, floor the multipliers, land in an emitted fiber);
     soundness by sampling shifted fibers back into P."""
     rng = random.Random(5055)
+    monkeypatch.setattr(milp, "MAX_FIBERS", 4000)
     instances = 0
     while instances < 50:
         poly = _random_pointed_r3(rng)
         p = rng.randint(1, 3)
         s = MixedIntegerSet(poly, p)
         try:
-            dec = decompose_mixed_integer_set(s, max_fibers=4000)
+            dec = decompose_mixed_integer_set(s)
         except ValueError:
             continue
         instances += 1

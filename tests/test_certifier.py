@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, islice, product
 
 import pytest
 
@@ -266,13 +266,12 @@ def _curving_windows(inst, max_fibers=4):
         f = normalizing_hyperplane(vrep.rays).f
         if min_quadratic_on_cone_slice(inst.quad.h, vrep.rays, f).value < 0:
             continue
-        s = MixedIntegerSet(part, inst.integer_count)
-        for family_index, family in enumerate(ray_families(vrep)):
-            cones = simple_cone_decomposition(inst.quad.h, family).pieces
+        families = ray_families(vrep)
+        stream = window_fibers(MixedIntegerSet(part, inst.integer_count), vrep)
+        for family_index, fibers in groupby(stream, key=lambda fiber: fiber.family_index):
+            cones = simple_cone_decomposition(inst.quad.h, families[family_index]).pieces
             pieces = [_window_piece(inst.quad, cone, f) for cone in cones]
-            for fiber_index, fiber in enumerate(window_fibers(s, vrep, family, family_index)):
-                if fiber_index == max_fibers:
-                    break
+            for fiber_index, fiber in enumerate(islice(fibers, max_fibers)):
                 for piece_index, piece in enumerate(pieces):
                     if piece.curving:
                         yield fiber, piece, f, signs, (fiber_index, family_index, piece_index)

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from miqpcert import certifier, milp
+from miqpcert.certifier import CertifierError, find_certificate
 from miqpcert.cli import main
+from miqpcert.cones import NegativeCurvature
 from miqpcert.formats import parse_instance, serialize_instance
 from miqpcert.oracle import brute_force_feasibility
 
@@ -158,13 +160,12 @@ def test_decompose_output(tmp_path, capsys):
 
 
 def test_fiber_limit_is_unknown(tmp_path, capsys, monkeypatch):
-    # a resource limit is neither a verdict nor an input error: both fiber
-    # limit sites exit 3; certifier imports MAX_FIBERS by name, and the
-    # decomposition's default limit is bound when it is defined
+    # a resource limit is neither a verdict nor an input error: the search
+    # and the decomposition walk one fiber stream, which reads the limit
+    # when it runs, so both commands exit 3
     inst = str(tmp_path / "k3.inst")
     assert main(["gen-maxcut", "--edges", "a-b,b-c,a-c", "--k", "3", "--out", inst]) == 0
-    monkeypatch.setattr(certifier, "MAX_FIBERS", 1)
-    monkeypatch.setattr(milp.decompose_mixed_integer_set, "__defaults__", (1,))
+    monkeypatch.setattr(milp, "MAX_FIBERS", 1)
     capsys.readouterr()
     assert main(["solve", "--instance", inst, "--out", str(tmp_path / "k3.cert")]) == 3
     assert capsys.readouterr().out.startswith("UNKNOWN: ")
@@ -172,6 +173,23 @@ def test_fiber_limit_is_unknown(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("UNKNOWN: ")
     assert not (tmp_path / "k3.cert").exists()
     assert issubclass(milp.FiberLimit, ValueError)
+
+
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    # the instance is valid, so a kernel ValueError escaping the search is the
+    # library's fault: a CertifierError chained to it, exit 4, no certificate
+    def fail(*args):
+        raise NegativeCurvature("injected")
+
+    monkeypatch.setattr(certifier, "certify_pointed_part", fail)
+    with pytest.raises(CertifierError) as info:
+        find_certificate(parse_instance(CASE1))
+    assert isinstance(info.value.__cause__, NegativeCurvature)
+    inst = write(tmp_path, "a.inst", CASE1)
+    capsys.readouterr()
+    assert main(["solve", "--instance", inst, "--out", str(tmp_path / "a.cert")]) == 4
+    assert capsys.readouterr().err.startswith("internal error: NegativeCurvature: injected")
+    assert not (tmp_path / "a.cert").exists()
 
 
 def test_decompose_requires_pointed(tmp_path, capsys):

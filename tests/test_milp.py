@@ -1,20 +1,25 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from miqpcert import milp
 from miqpcert.cones import normalizing_hyperplane
-from miqpcert.linalg import QMatrix, rank
+from miqpcert.linalg import QMatrix, QVector, rank
 from miqpcert.milp import (
+    FiberLimit,
     MixedIntegerSet,
     _box,
     _window_polytope,
     decompose_mixed_integer_set,
     mip_point,
     ray_families,
+    window_fibers,
 )
 from miqpcert.polyhedra import (
+    HPolyhedron,
     NotPointed,
     VPolyhedron,
     caratheodory_simple_cone,
@@ -22,13 +27,16 @@ from miqpcert.polyhedra import (
     iter_orthant_parts,
     restrict_prefix,
 )
+from miqpcert.qp import EmptyFeasibleSet, QuadraticForm, qp_global_min
 
 from helpers import (
     decomposition_covers_point,
     enumerate_integer_box,
     family_index_by_rays,
     hpoly,
+    random_symmetric,
     reference_box,
+    reference_window_fibers,
     sample_in_polytope,
     vec,
     window_points,
@@ -265,3 +273,90 @@ def test_box_matches_reference_scan():
                 families += 1
                 assert _box(vrep, family.rays) == reference_box(vrep.vertices, family.rays)
     assert signs == {True, False}
+
+
+def _seeded_parts(rng, count):
+    """(part, vrep) for count orthant parts with rays of random unboxed rows."""
+    found = 0
+    while found < count:
+        n = rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+        whole = hpoly(rows, [rng.randint(-3, 3) for _ in rows])
+        for _, part in iter_orthant_parts(whole):
+            vrep = h_to_v(part)
+            if vrep.rays and found < count:
+                found += 1
+                yield part, vrep
+
+
+def test_window_fibers_match_reference_loop():
+    # one stream over all families yields the fibers, in the order, of one
+    # loop per family, on parts whose windows have rays of either sign
+    rng = random.Random(1414)
+    several = 0  # parts whose stream crosses from one family to the next
+    for part, vrep in _seeded_parts(rng, 200):
+        s = MixedIntegerSet(part, rng.randint(0, part.dim))
+        stream = list(window_fibers(s, vrep))
+        assert stream == reference_window_fibers(s, vrep)
+        several += len({fiber.family_index for fiber in stream}) > 1
+    assert several >= 100
+
+
+def test_fiber_limit_counts_across_families(monkeypatch):
+    # with the limit at the largest family's count, no family alone exceeds it
+    # but the stream does: it yields exactly that many fibers, then raises
+    rng = random.Random(1515)
+    checked = 0
+    for part, vrep in _seeded_parts(rng, 60):
+        s = MixedIntegerSet(part, rng.randint(0, part.dim))
+        per_family = Counter(fiber.family_index for fiber in window_fibers(s, vrep))
+        if len(per_family) < 2:
+            continue
+        checked += 1
+        monkeypatch.setattr(milp, "MAX_FIBERS", max(per_family.values()))
+        stream = window_fibers(s, vrep)
+        yielded = []
+        with pytest.raises(FiberLimit):
+            for fiber in stream:
+                yielded.append(fiber)
+        assert len(yielded) == milp.MAX_FIBERS
+        monkeypatch.setattr(milp, "MAX_FIBERS", sum(per_family.values()))
+        assert len(list(window_fibers(s, vrep))) == milp.MAX_FIBERS
+        monkeypatch.undo()
+    assert checked >= 10
+
+
+def test_restrict_prefix_drops_only_zero_rows_that_hold():
+    # a window's box rows on the prefix coordinates reduce to zero rows: they
+    # leave the reduced polytope when they hold, which changes neither its
+    # vertices nor a QP minimum over it, and stay when they fail, so a prefix
+    # outside the window keeps an empty fiber
+    rng = random.Random(1616)
+    dropped = failing = 0
+    for part, vrep in _seeded_parts(rng, 20):
+        if part.dim < 2:
+            continue
+        p = rng.randint(1, part.dim - 1)
+        for family in ray_families(vrep):
+            box = _box(vrep, family.rays)
+            window = _window_polytope(part, family, box)
+            quad = QuadraticForm(QMatrix.from_rows(random_symmetric(rng, part.dim - p, -3, 3)),
+                                 QVector.of([rng.randint(-3, 3) for _ in range(part.dim - p)]), Fraction(0))
+            for combo in enumerate_integer_box(2, p):
+                y = vec(*combo)
+                reduced = restrict_prefix(window, y)
+                rows = [row[p:] for row in window.a.entries]
+                rhs = [b - sum(a * v for a, v in zip(row, y)) for row, b in zip(window.a.entries, window.b)]
+                full = HPolyhedron(QMatrix.from_rows(rows, part.dim - p), QVector.of(rhs))
+                assert all(any(row) or b < 0 for row, b in zip(reduced.a.entries, reduced.b))
+                dropped += full.num_rows - reduced.num_rows
+                if any(not any(row) and b < 0 for row, b in zip(rows, rhs)):
+                    failing += 1
+                    assert h_to_v(reduced).is_empty
+                assert h_to_v(reduced) == h_to_v(full)
+                if h_to_v(full).is_empty:
+                    with pytest.raises(EmptyFeasibleSet):
+                        qp_global_min(quad, reduced)
+                    continue
+                assert qp_global_min(quad, reduced) == qp_global_min(quad, full)
+    assert dropped >= 1000 and failing >= 200
