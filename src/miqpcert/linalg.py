@@ -8,7 +8,7 @@ integers by the positive lcm of its denominators (:func:`_integer_row`),
 eliminated fraction-free, and turned back into Fractions only for the
 returned entries.  :func:`solve_linear_system` is that scaling followed by
 the integer core :func:`_solve_integer`, which callers holding integer rows
-(a polyhedron's vertex and ray solves, the QP pool's KKT solves) call
+(a polyhedron's vertex solves, the QP pool's KKT solves) call
 directly.  No floating point anywhere.
 """
 

@@ -2,8 +2,11 @@
 
 All enumeration here is desk scale and exact: vertices come from independent
 row subsets, extreme rays from independent (n-1)-subsets, and facets of a
-point set from affinely independent d-subsets.  Deterministic throughout;
-ties are broken by lexicographic order on rational tuples.
+point set from affinely independent d-subsets.  A ray candidate is
+back-substituted in integers from the subset walk's own elimination,
+sign-tested with integer dot products, and made into Fractions only when it
+is kept.  Deterministic throughout; ties are broken by lexicographic order
+on rational tuples.
 """
 
 from __future__ import annotations
@@ -186,19 +189,22 @@ def independent_row_subsets(rows: Sequence[Sequence[int]], size: int) -> Iterato
     """Index subsets of the given size whose integer rows are linearly
     independent, in lexicographic order.  Dependent prefixes are pruned by
     keeping an incremental elimination basis."""
-    yield from _independent_extensions(rows, size, 0, [], [])
+    return (idx for idx, _ in _independent_extensions(rows, size, 0, [], []))
 
 
 def _independent_extensions(
     rows: Sequence[Sequence[int]], size: int, start: int, chosen: list[int], basis: list[tuple[Sequence[int], int]]
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple[tuple[int, ...], list[tuple[Sequence[int], int]]]]:
     """The subsets that extend ``chosen`` by rows from ``start`` on, given
-    the chosen rows' reduced rows and pivot columns in ``basis``.  A module
+    the chosen rows' reduced rows and pivot columns in ``basis``.  Each
+    subset comes with that basis for it: reduced row k is zero in the pivot
+    columns of rows 0..k-1, and rows 0..k span the subset's first k+1 rows.
+    The list is the walk's own, valid until the walk moves on.  A module
     function, not a recursive closure: a closure that calls itself is a
     reference cycle, which keeps every finished walk in memory until the
     cyclic garbage collector runs."""
     if len(chosen) == size:
-        yield tuple(chosen)
+        yield tuple(chosen), basis
         return
     for i in range(start, len(rows) - (size - len(chosen)) + 1):
         v = rows[i]
@@ -218,12 +224,38 @@ def _independent_extensions(
         chosen.pop()
 
 
+def _kernel_direction(basis: Sequence[tuple[Sequence[int], int]], n: int) -> list[int]:
+    """The primitive integer g, up to sign, with row . g = 0 for every
+    reduced row of a walk's basis of n - 1 independent rows, by integer
+    back-substitution: g starts as the unit vector of the one column that
+    is no pivot, and each row, last to first, scales g by its pivot and sets
+    g's pivot entry to minus its dot product with g.  A later row is zero in
+    an earlier row's pivot column, so each step keeps the rows already done
+    at zero."""
+    pivots = {pcol for _, pcol in basis}
+    g = [0] * n
+    g[next(j for j in range(n) if j not in pivots)] = 1
+    for prow, pcol in reversed(basis):
+        t = _dot(prow, g)
+        g = [prow[pcol] * x for x in g]
+        g[pcol] = -t
+    d = math.gcd(*g)
+    return [x // d for x in g]
+
+
 @lru_cache(maxsize=4096)
 def h_to_v(p: HPolyhedron) -> VPolyhedron:
     """Exact vertex and extreme-ray enumeration of a pointed polyhedron.
 
-    An empty polyhedron yields empty vertex and ray lists.  Raises
-    :class:`NotPointed` when rank(A) < n: then the vertex walk finds no basis.
+    Each vertex is the unique solution of an independent n-subset of rows
+    that lies in p.  Each ray candidate comes from the walk over the
+    independent (n-1)-subsets itself: :func:`_kernel_direction`
+    back-substitutes the subset's one-dimensional nullspace g from the walk's
+    reduced rows, in integers, and g and -g are each kept when every integer
+    row dots to <= 0 with them.  Only a kept direction is made into
+    Fractions.  An empty polyhedron yields empty vertex and ray lists.
+    Raises :class:`NotPointed` when rank(A) < n: then the vertex walk finds
+    no basis.
     """
     n = p.dim
     int_rows = p.integer_rows
@@ -236,14 +268,12 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
     if not vertices:
         return VPolyhedron((), ())
     rays = set()
-    for idx in independent_row_subsets(rows, n - 1):
-        null = _solve_integer([(*rows[i], 0) for i in idx], n).nullspace
-        if len(null) != 1:
-            continue
-        g = primitivize(null[0])
-        for cand in (g, -g):
-            if _is_recession_direction(p, cand):
-                rays.add(cand)
+    for idx, basis in _independent_extensions(rows, n - 1, 0, [], []):
+        g = _kernel_direction(basis, n)
+        assert all(_dot(rows[i], g) == 0 for i in idx)  # substitution
+        for cand in (g, [-x for x in g]):
+            if all(_dot(row, cand) <= 0 for row in int_rows):
+                rays.add(QVector.of(cand))
     result = VPolyhedron(tuple(sorted(vertices)), tuple(sorted(rays)))
     assert all(p.contains(v) for v in result.vertices)
     assert all(_is_recession_direction(p, r) for r in result.rays)

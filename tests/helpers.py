@@ -26,9 +26,16 @@ from miqpcert import (
     h_to_v,
 )
 from miqpcert.certifier import Certificate, SearchTrace, _ceil_root
-from miqpcert.linalg import encoding_size, isqrt_ceil, solve_linear_system
+from miqpcert.linalg import _solve_integer, encoding_size, isqrt_ceil, solve_linear_system
 from miqpcert.milp import Fiber, ray_families
-from miqpcert.polyhedra import independent_row_subsets, polytope_hull, restrict_prefix
+from miqpcert.polyhedra import (
+    NotPointed,
+    _is_recession_direction,
+    independent_row_subsets,
+    polytope_hull,
+    primitivize,
+    restrict_prefix,
+)
 from miqpcert.qp import eval_quadratic, qp_global_min, restrict_quadratic
 
 
@@ -105,6 +112,38 @@ def random_bounded_polytope(rng: random.Random, n: int) -> HPolyhedron:
         poly = hpoly(rows, rhs)
         if not h_to_v(poly).is_empty:
             return poly
+
+
+def reference_h_to_v(p: HPolyhedron) -> VPolyhedron:
+    """Vertex and extreme-ray enumeration with a separate elimination per
+    ray candidate: one ``_solve_integer`` per independent (n-1)-subset for
+    its nullspace, ``primitivize``, and both signs tested on Fractions with
+    ``_is_recession_direction``.  The reference for ``h_to_v``, whose ray
+    pass back-substitutes from the subset walk's own elimination.
+    Uncached."""
+    n = p.dim
+    int_rows = p.integer_rows
+    rows = [row[:n] for row in int_rows]
+    bases = [_solve_integer([int_rows[i] for i in idx], n) for idx in independent_row_subsets(rows, n)]
+    if not bases:
+        raise NotPointed("polyhedron has a nontrivial lineality space")
+    assert all(sol is not None and sol.is_unique for sol in bases)
+    vertices = {sol.particular for sol in bases if p.contains(sol.particular)}
+    if not vertices:
+        return VPolyhedron((), ())
+    rays = set()
+    for idx in independent_row_subsets(rows, n - 1):
+        null = _solve_integer([(*rows[i], 0) for i in idx], n).nullspace
+        if len(null) != 1:
+            continue
+        g = primitivize(null[0])
+        for cand in (g, -g):
+            if _is_recession_direction(p, cand):
+                rays.add(cand)
+    result = VPolyhedron(tuple(sorted(vertices)), tuple(sorted(rays)))
+    assert all(p.contains(v) for v in result.vertices)
+    assert all(_is_recession_direction(p, r) for r in result.rays)
+    return result
 
 
 def reference_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -1,15 +1,19 @@
-"""Every certificate of the benchmark's three corpora, and of one fuzz corpus
-the benchmark never reaches, pinned by one sha256 per corpus.
+"""Every certificate of the benchmark's three corpora, and of two fuzz
+corpora the benchmark never reaches, pinned by one sha256 per corpus.
 
 Each generated instance is solved in generator order with the ``h_to_v``
 cache cleared first, and its serialized certificate (or ``infeasible``) goes
-into the corpus digest.  The fuzz corpus is seed 4 of the unbounded
-generator, 300 instances: its residual windows send 156 fibers with
-continuous coordinates to the QP at a nonzero shift, 52 of them with p = 0,
-where the benchmark corpora send at most one.  A kernel change that claims
-byte-identical certificates must leave all four digests as they are; a
-change that alters certificates on purpose updates them and says which ones
-changed and why.
+into the corpus digest.  The fuzz corpora are 300 instances each of the
+unbounded generator:
+- seed 4: its residual windows send 156 fibers with continuous coordinates
+  to the QP at a nonzero shift, 52 of them with p = 0, where the benchmark
+  corpora send at most one;
+- seed 12: it holds the long-tail instance 12 / 274, and its residual
+  windows send 313 such fibers to the QP at a nonzero shift, 305 of them
+  from 12 / 274.
+A kernel change that claims byte-identical certificates must leave all five
+digests as they are; a change that alters certificates on purpose updates
+them and says which ones changed and why.
 ``bench/workloads.py`` is only read.
 
 Needs no pytest, so it also runs on its own under any supported Python:
@@ -32,8 +36,12 @@ EXPECTED = {
     "boxed_cli": "a8d73926952e51216667ee718270a0e5e809ebfccd4726c423bd4016887455b1",
     "unbounded_budget": "b261ea704cd39b0a21cf967e0a3b744a404f5dd988148a41483c598b2dd589d7",
     "unbounded_seed4": "a2ea0a72d5645f4895b485128565e5095753c52049335897047d3b59d412a1a0",
+    "unbounded_seed12": "d33f8b8e68062702178338127dec49ed7c1aa9aa45fb4b29ea340cd94f7b27f6",
 }
-FUZZ = {"unbounded_seed4": ("unbounded_budget", 4, 300)}  # name: (generator's workload, seed, size)
+FUZZ = {  # name: (generator's workload, seed, size)
+    "unbounded_seed4": ("unbounded_budget", 4, 300),
+    "unbounded_seed12": ("unbounded_budget", 12, 300),
+}
 
 
 def _workloads():
@@ -77,6 +85,10 @@ def test_unbounded_budget_certificates():
 
 def test_unbounded_seed4_certificates():
     assert corpus_digest("unbounded_seed4") == EXPECTED["unbounded_seed4"]
+
+
+def test_unbounded_seed12_certificates():
+    assert corpus_digest("unbounded_seed12") == EXPECTED["unbounded_seed12"]
 
 
 if __name__ == "__main__":

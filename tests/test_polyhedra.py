@@ -1,16 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from miqpcert.cones import normalizing_hyperplane
-from miqpcert.linalg import QMatrix, QVector, rank, solve_linear_system
+from miqpcert.linalg import QMatrix, QVector, _dot, _solve_integer, rank, solve_linear_system
 from miqpcert.polyhedra import (
     HPolyhedron,
     NotInCone,
     NotPointed,
     SimpleCone,
     VPolyhedron,
+    _independent_extensions,
+    _kernel_direction,
     caratheodory_simple_cone,
     faces_of_simple_cone,
     h_to_v,
@@ -23,7 +26,7 @@ from miqpcert.polyhedra import (
 )
 from miqpcert.linalg import encoding_size
 
-from helpers import cone_hull, hpoly, mat, sample_in_cone, sample_in_polytope, vec
+from helpers import cone_hull, hpoly, mat, reference_h_to_v, sample_in_cone, sample_in_polytope, vec
 
 
 def unit_square():
@@ -359,3 +362,82 @@ def test_vertex_box_stays_out_of_equality():
     assert v.vertex_box == ((-1, 2), (Fraction(-1, 3), 4))
     assert v.vertex_box is v.vertex_box  # computed once per object
     assert v == twin and hash(v) == hash(twin)
+
+
+def _differential_system(rng: random.Random, n: int) -> HPolyhedron:
+    """Rational rows in n unknowns, mixed with duplicate, parallel (a
+    rational multiple of either sign) and all-zero rows.  One system in
+    four is a pointed cone over 3-6 directions, shifted and cut, which
+    gives more than n extreme rays; contradictory rows make some empty."""
+    rows, rhs = [], []
+    if n >= 2 and rng.random() < 0.25:
+        for _ in range(rng.randint(3, 6)):
+            direction = [rng.randint(-2, 2) for _ in range(n - 1)]
+            rows.append([*direction, -rng.randint(1, 3)])  # direction . x' <= k x_n
+            rhs.append(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    for _ in range(rng.randint(n, n + 4)):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            i = rng.randrange(len(rows))
+            rows.append(list(rows[i]))
+            rhs.append(rhs[i] if rng.random() < 0.5 else rhs[i] + rng.randint(-2, 2))
+        elif rows and kind < 0.3:
+            i = rng.randrange(len(rows))
+            factor = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+            rows.append([v * factor for v in rows[i]])
+            rhs.append(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        elif kind < 0.37:
+            rows.append([0] * n)
+            rhs.append(rng.randint(-1, 2))  # a negative right-hand side empties the system
+        else:
+            rows.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)])
+            rhs.append(Fraction(rng.randint(-2, 4), rng.randint(1, 3)))
+    return hpoly(rows, rhs)
+
+
+def test_h_to_v_matches_reference():
+    """The ray pass back-substitutes from the walk's own elimination and
+    sign-tests in integers; the reference solves each subset's nullspace
+    and tests it in Fractions.  Same V-description, or NotPointed from
+    both, on seeded systems in R^1..R^4."""
+    rng = random.Random(1515)
+    with_rays = many_rays = empty = not_pointed = 0
+    for trial in range(360):
+        p = _differential_system(rng, 1 + trial % 4)
+        try:
+            expected = reference_h_to_v(p)
+        except NotPointed:
+            not_pointed += 1
+            with pytest.raises(NotPointed):
+                h_to_v(p)
+            continue
+        got = h_to_v(p)
+        assert got == expected, p
+        empty += got.is_empty
+        with_rays += bool(got.rays)
+        many_rays += len(got.rays) > p.dim
+    assert with_rays >= 60 and many_rays >= 10 and empty >= 10 and not_pointed >= 10
+
+
+def test_kernel_direction_back_substitution():
+    """For every independent (n-1)-subset of seeded integer rows, the
+    back-substituted direction is nonzero, primitive, orthogonal to the
+    subset's rows and ± the primitive nullspace vector of a separate
+    elimination.  For n = 1 the only subset is the empty one."""
+    rng = random.Random(77)
+    checked = 0
+    for n in range(1, 6):
+        for _ in range(15):
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(max(n - 1, 1), n + 3))]
+            rows.append([2 * v for v in rng.choice(rows)])  # a parallel row: dependent pairs are pruned
+            if n == 1:
+                assert [idx for idx, _ in _independent_extensions(rows, 0, 0, [], [])] == [()]
+            for idx, basis in _independent_extensions(rows, n - 1, 0, [], []):
+                g = _kernel_direction(basis, n)
+                assert any(g) and math.gcd(*g) == 1
+                assert all(_dot(rows[i], g) == 0 for i in idx)
+                null = _solve_integer([(*rows[i], 0) for i in idx], n).nullspace
+                assert len(null) == 1
+                assert QVector.of(g) in (primitivize(null[0]), -primitivize(null[0]))
+                checked += 1
+    assert checked >= 300
