@@ -8,8 +8,7 @@ integers by the positive lcm of its denominators (:func:`_integer_row`),
 eliminated fraction-free, and turned back into Fractions only for the
 returned entries.  :func:`solve_linear_system` is that scaling followed by
 the integer core :func:`_solve_integer`, which callers holding integer rows
-(a polyhedron's vertex solves, the QP pool's KKT solves) call
-directly.  No floating point anywhere.
+(the QP pool's KKT solves) call directly.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -347,9 +346,8 @@ def _solve_integer(aug: Sequence[Sequence[int]], n: int) -> LinearSolution | Non
     """:func:`solve_linear_system` on integer rows in n unknowns, each with
     its right-hand side last.  Scaling a row by a nonzero factor changes
     neither the solution set nor the result, which is built from ratios of
-    the reduced rows' entries, so callers that hold integer rows (a
-    polyhedron's ``integer_rows``, a form's integer H and c) pass them here
-    as they are."""
+    the reduced rows' entries, so integer rows (the QP pool's KKT rows) go
+    in as they are."""
     if not aug:
         return LinearSolution(QVector.zero(n), tuple(QVector.unit(j, n) for j in range(n)))
     reduced, pivot_cols = _echelon(aug)

@@ -62,7 +62,7 @@ class Fiber:
     window: HPolyhedron
     integer_part: QVector
     family_index: int
-    vertices: tuple[QVector, ...]  # full-space vertices
+    vertices: tuple[QVector, ...]  # full-space vertices, in lexicographic order
     reduced: HPolyhedron | None  # trailing-coordinate polyhedron; None when q = 0
 
     @property
@@ -90,7 +90,7 @@ def ray_families(vrep: VPolyhedron) -> tuple[SimpleCone, ...]:
     return tuple(
         SimpleCone(tuple(vrep.rays[i] for i in idx))
         for size in range(1, min(len(rows), vrep.rays[0].dim) + 1)
-        for idx in independent_row_subsets(rows, size)
+        for idx in independent_row_subsets(rows, size, vrep.rays[0].dim)
     )
 
 
@@ -131,7 +131,7 @@ def _fibers(poly: HPolyhedron, box: list[tuple[Fraction, Fraction]], p: int, fam
         reduced = restrict_prefix(poly, y)
         verts = h_to_v(reduced).vertices
         if verts:
-            yield Fiber(poly, y, family_index, tuple(sorted(y.concat(z) for z in verts)), reduced)
+            yield Fiber(poly, y, family_index, tuple(y.concat(z) for z in verts), reduced)
 
 
 def window_fibers(s: MixedIntegerSet, vrep: VPolyhedron) -> Iterator[Fiber]:
@@ -184,4 +184,4 @@ def mip_point(s: MixedIntegerSet) -> QVector | None:
     if vrep.is_empty:
         return None
     fiber = next(_fibers(s.polyhedron, _box(vrep, vrep.rays), s.integer_count, 0), None)  # P's own: no family
-    return None if fiber is None else min(fiber.vertices)
+    return None if fiber is None else fiber.vertices[0]

@@ -2,8 +2,8 @@
 
 All enumeration here is desk scale and exact: vertices come from independent
 row subsets, extreme rays from independent (n-1)-subsets, and facets of a
-point set from affinely independent d-subsets.  A ray candidate is
-back-substituted in integers from the subset walk's own elimination,
+point set from affinely independent d-subsets.  A vertex or ray candidate
+is back-substituted in integers from the subset walk's own elimination,
 sign-tested with integer dot products, and made into Fractions only when it
 is kept.  Deterministic throughout; ties are broken by lexicographic order
 on rational tuples.
@@ -24,7 +24,6 @@ from .linalg import (
     QVector,
     _dot,
     _integer_row,
-    _solve_integer,
     nullspace_basis,
     rank,
     solve_linear_system,
@@ -185,24 +184,26 @@ def iter_orthant_parts(p: HPolyhedron) -> Iterator[tuple[tuple[int, ...], HPolyh
 # H -> V conversion
 
 
-def independent_row_subsets(rows: Sequence[Sequence[int]], size: int) -> Iterator[tuple[int, ...]]:
+def independent_row_subsets(rows: Sequence[Sequence[int]], size: int, cols: int) -> Iterator[tuple[int, ...]]:
     """Index subsets of the given size whose integer rows are linearly
-    independent, in lexicographic order.  Dependent prefixes are pruned by
-    keeping an incremental elimination basis."""
-    return (idx for idx, _ in _independent_extensions(rows, size, 0, [], []))
+    independent in their first ``cols`` columns, in lexicographic order,
+    pruning dependent prefixes with an incremental elimination basis."""
+    return (idx for idx, _ in _independent_extensions(rows, size, cols, 0, [], []))
 
 
 def _independent_extensions(
-    rows: Sequence[Sequence[int]], size: int, start: int, chosen: list[int], basis: list[tuple[Sequence[int], int]]
+    rows: Sequence[Sequence[int]], size: int, cols: int,
+    start: int, chosen: list[int], basis: list[tuple[Sequence[int], int]],
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[Sequence[int], int]]]]:
     """The subsets that extend ``chosen`` by rows from ``start`` on, given
-    the chosen rows' reduced rows and pivot columns in ``basis``.  Each
-    subset comes with that basis for it: reduced row k is zero in the pivot
-    columns of rows 0..k-1, and rows 0..k span the subset's first k+1 rows.
-    The list is the walk's own, valid until the walk moves on.  A module
-    function, not a recursive closure: a closure that calls itself is a
-    reference cycle, which keeps every finished walk in memory until the
-    cyclic garbage collector runs."""
+    the chosen rows' reduced rows and pivot columns in ``basis``.  Pivots lie
+    in the first ``cols`` columns: a right-hand side kept last is eliminated
+    along but makes no row independent.  Each subset comes with its basis:
+    reduced row k is zero in the pivot columns of rows 0..k-1, and rows 0..k
+    span the subset's first k+1 rows.  The list is the walk's own, valid
+    until the walk moves on.  A module function, not a recursive closure: a
+    closure that calls itself is a reference cycle, which keeps every
+    finished walk in memory until the cyclic collector runs."""
     if len(chosen) == size:
         yield tuple(chosen), basis
         return
@@ -214,24 +215,24 @@ def _independent_extensions(
                 p = prow[pcol]
                 g = math.gcd(p, e)
                 v = [(p // g) * a - (e // g) * b for a, b in zip(v, prow)]
-        pivot = next((j for j, val in enumerate(v) if val != 0), None)
+        pivot = next((j for j in range(cols) if v[j] != 0), None)
         if pivot is None:
             continue
         basis.append((v, pivot))
         chosen.append(i)
-        yield from _independent_extensions(rows, size, i + 1, chosen, basis)
+        yield from _independent_extensions(rows, size, cols, i + 1, chosen, basis)
         basis.pop()
         chosen.pop()
 
 
 def _kernel_direction(basis: Sequence[tuple[Sequence[int], int]], n: int) -> list[int]:
     """The primitive integer g, up to sign, with row . g = 0 for every
-    reduced row of a walk's basis of n - 1 independent rows, by integer
-    back-substitution: g starts as the unit vector of the one column that
-    is no pivot, and each row, last to first, scales g by its pivot and sets
-    g's pivot entry to minus its dot product with g.  A later row is zero in
-    an earlier row's pivot column, so each step keeps the rows already done
-    at zero."""
+    reduced row of a walk's basis that leaves one of the first n columns
+    free of pivots: n - 1 rows over n columns, or n rows over n + 1 with
+    the right-hand side free.  Integer back-substitution: g starts as the
+    free column's unit vector, and each row, last to first, scales g by its
+    pivot and sets g's pivot entry to minus its dot product with g; a later
+    row is zero in an earlier one's pivot column, so done rows stay zero."""
     pivots = {pcol for _, pcol in basis}
     g = [0] * n
     g[next(j for j in range(n) if j not in pivots)] = 1
@@ -247,32 +248,34 @@ def _kernel_direction(basis: Sequence[tuple[Sequence[int], int]], n: int) -> lis
 def h_to_v(p: HPolyhedron) -> VPolyhedron:
     """Exact vertex and extreme-ray enumeration of a pointed polyhedron.
 
-    Each vertex is the unique solution of an independent n-subset of rows
-    that lies in p.  Each ray candidate comes from the walk over the
-    independent (n-1)-subsets itself: :func:`_kernel_direction`
-    back-substitutes the subset's one-dimensional nullspace g from the walk's
-    reduced rows, in integers, and g and -g are each kept when every integer
-    row dots to <= 0 with them.  Only a kept direction is made into
-    Fractions.  An empty polyhedron yields empty vertex and ray lists.
-    Raises :class:`NotPointed` when rank(A) < n: then the vertex walk finds
-    no basis.
+    Both passes walk ``p.integer_rows`` with pivots in the n coefficient
+    columns and back-substitute in integers (:func:`_kernel_direction`).  An
+    independent n-subset S gives (u, s), s < 0, with A_S u + s b_S = 0: the
+    vertex -u / s, kept when a . u + s b <= 0 on every row.  An independent
+    (n-1)-subset gives its nullspace g; g and -g are kept when every row
+    dots to <= 0 with them.  Only what is kept becomes Fractions.  An empty
+    polyhedron yields empty lists; rank(A) < n raises :class:`NotPointed`,
+    as the vertex walk then finds no subset.
     """
     n = p.dim
-    int_rows = p.integer_rows
-    rows = [row[:n] for row in int_rows]
-    bases = [_solve_integer([int_rows[i] for i in idx], n) for idx in independent_row_subsets(rows, n)]
-    if not bases:
+    rows = p.integer_rows
+    candidates = set()
+    for idx, basis in _independent_extensions(rows, n, n, 0, [], []):
+        g = _kernel_direction(basis, n + 1)  # the right-hand side is free, so s = g[n] != 0
+        assert all(_dot(rows[i], g) == 0 for i in idx)  # substitution
+        candidates.add(tuple(g) if g[n] < 0 else tuple(-x for x in g))
+    if not candidates:
         raise NotPointed("polyhedron has a nontrivial lineality space")
-    assert all(sol is not None and sol.is_unique for sol in bases)
-    vertices = {sol.particular for sol in bases if p.contains(sol.particular)}
-    if not vertices:
+    kept = [g for g in candidates if all(_dot(row, g) <= 0 for row in rows)]
+    if not kept:
         return VPolyhedron((), ())
+    vertices = [QVector(tuple(Fraction(x, -g[n]) for x in g[:n])) for g in kept]
     rays = set()
-    for idx, basis in _independent_extensions(rows, n - 1, 0, [], []):
+    for idx, basis in _independent_extensions(rows, n - 1, n, 0, [], []):
         g = _kernel_direction(basis, n)
         assert all(_dot(rows[i], g) == 0 for i in idx)  # substitution
         for cand in (g, [-x for x in g]):
-            if all(_dot(row, cand) <= 0 for row in int_rows):
+            if all(_dot(row, cand) <= 0 for row in rows):
                 rays.add(QVector.of(cand))
     result = VPolyhedron(tuple(sorted(vertices)), tuple(sorted(rays)))
     assert all(p.contains(v) for v in result.vertices)
@@ -300,7 +303,7 @@ def caratheodory_simple_cone(
     n = r.dim
     rows = [_integer_row(ray.entries) for ray in rays]
     for size in range(1, min(len(rays), n) + 1):
-        for subset in independent_row_subsets(rows, size):
+        for subset in independent_row_subsets(rows, size, n):
             sol = solve_linear_system(QMatrix.from_rows([rays[i].entries for i in subset], n).transpose(), r)
             if sol is None or any(v < 0 for v in sol.particular):
                 continue

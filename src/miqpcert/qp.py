@@ -111,7 +111,6 @@ def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
     the vertices of p."""
     n = p.dim
     int_rows = p.integer_rows
-    rows = [row[:n] for row in int_rows]
     h, hs, c, cs = q._integer_form
     # 2H x + A_S^T y = -c times hs cs, with A_S's rows scaled to integers;
     # y_j is free, so its column takes integer row j as it is (y rescaled)
@@ -119,7 +118,7 @@ def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
     minus_c = [-hs * v for v in c]
     candidates: list[QVector] = []
     for size in range(n):
-        for idx in independent_row_subsets(rows, size):
+        for idx in independent_row_subsets(int_rows, size, n):
             kkt = [stationary[i] + [int_rows[j][i] for j in idx] + [minus_c[i]] for i in range(n)]
             kkt += [[*int_rows[j][:n], *[0] * size, int_rows[j][n]] for j in idx]
             solution = _solve_integer(kkt, n + size)
@@ -204,7 +203,7 @@ def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector)
     gram = [[_dot(r, [_dot(row, s) for row in h_int]) for s in ray_rows] for r in ray_rows]  # G times hs
     pool = []
     for size in range(1, min(len(rays), f.dim) + 1):
-        for t in independent_row_subsets(ray_rows, size):
+        for t in independent_row_subsets(ray_rows, size, f.dim):
             g = [[gram[i][j] for j in t] for i in t]
             # 2 G_TT m_T + f_T lam = 0 with lam rescaled, and f_T . m_T = 1, in integers
             kkt = [[2 * v for v in row] + [rates[i], 0] for row, i in zip(g, t)] + [[rates[j] for j in t] + [0, fs]]

@@ -116,15 +116,16 @@ def random_bounded_polytope(rng: random.Random, n: int) -> HPolyhedron:
 
 def reference_h_to_v(p: HPolyhedron) -> VPolyhedron:
     """Vertex and extreme-ray enumeration with a separate elimination per
-    ray candidate: one ``_solve_integer`` per independent (n-1)-subset for
-    its nullspace, ``primitivize``, and both signs tested on Fractions with
-    ``_is_recession_direction``.  The reference for ``h_to_v``, whose ray
-    pass back-substitutes from the subset walk's own elimination.
-    Uncached."""
+    candidate: one ``_solve_integer`` per independent n-subset for its
+    unique solution, tested with ``contains``, and one per
+    independent (n-1)-subset for its nullspace, ``primitivize``, and both
+    signs tested on Fractions with ``_is_recession_direction``.  The
+    reference for ``h_to_v``, whose vertex and ray passes back-substitute
+    from the subset walk's own elimination.  Uncached."""
     n = p.dim
     int_rows = p.integer_rows
     rows = [row[:n] for row in int_rows]
-    bases = [_solve_integer([int_rows[i] for i in idx], n) for idx in independent_row_subsets(rows, n)]
+    bases = [_solve_integer([int_rows[i] for i in idx], n) for idx in independent_row_subsets(rows, n, n)]
     if not bases:
         raise NotPointed("polyhedron has a nontrivial lineality space")
     assert all(sol is not None and sol.is_unique for sol in bases)
@@ -132,7 +133,7 @@ def reference_h_to_v(p: HPolyhedron) -> VPolyhedron:
     if not vertices:
         return VPolyhedron((), ())
     rays = set()
-    for idx in independent_row_subsets(rows, n - 1):
+    for idx in independent_row_subsets(rows, n - 1, n):
         null = _solve_integer([(*rows[i], 0) for i in idx], n).nullspace
         if len(null) != 1:
             continue
@@ -488,7 +489,7 @@ def reference_stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[l
     candidates: list[QVector] = []
     flats = 0
     for size in range(n):
-        for idx in independent_row_subsets(rows, size):
+        for idx in independent_row_subsets(rows, size, n):
             sub = QMatrix.from_rows([p.a.entries[i] for i in idx], n)
             hull = solve_linear_system(sub, QVector.of(p.b[i] for i in idx))
             assert hull is not None  # independent rows are always consistent

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -324,11 +325,9 @@ def test_row_scaling_changes_nothing():
         assert h_to_v(scaled) == vrep
         unbounded += bool(vrep.rays)
         rows = [p.a.row(i) for i in range(p.num_rows)]
-        int_rows = [row[:n] for row in p.integer_rows]
-        scaled_rows = [row[:n] for row in scaled.integer_rows]
         for size in range(n + 1):
-            assert list(independent_row_subsets(scaled_rows, size)) == list(
-                independent_row_subsets(int_rows, size)
+            assert list(independent_row_subsets(scaled.integer_rows, size, n)) == list(
+                independent_row_subsets(p.integer_rows, size, n)
             )
         points = []
         for i, row in enumerate(rows):
@@ -396,12 +395,14 @@ def _differential_system(rng: random.Random, n: int) -> HPolyhedron:
 
 
 def test_h_to_v_matches_reference():
-    """The ray pass back-substitutes from the walk's own elimination and
-    sign-tests in integers; the reference solves each subset's nullspace
-    and tests it in Fractions.  Same V-description, or NotPointed from
-    both, on seeded systems in R^1..R^4."""
+    """The vertex and ray passes back-substitute from the walk's own
+    elimination and sign-test in integers; the reference solves each
+    subset's system or nullspace separately and tests it in Fractions.  Same
+    V-description, or NotPointed from both, on seeded systems in R^1..R^4,
+    among them degenerate vertices (more than n rows tight) and parallel
+    row pairs with different right-hand sides."""
     rng = random.Random(1515)
-    with_rays = many_rays = empty = not_pointed = 0
+    with_rays = many_rays = empty = not_pointed = degenerate = parallel = 0
     for trial in range(360):
         p = _differential_system(rng, 1 + trial % 4)
         try:
@@ -416,28 +417,57 @@ def test_h_to_v_matches_reference():
         empty += got.is_empty
         with_rays += bool(got.rays)
         many_rays += len(got.rays) > p.dim
+        rows = p.a.entries
+        for v in got.vertices:  # more than n rows tight
+            degenerate += sum(p.a.row(i).dot(v) == p.b[i] for i in range(p.num_rows)) > p.dim
+        parallel += any(
+            any(rows[i]) and any(rows[j]) and rank(mat([rows[i], rows[j]])) == 1
+            and rank(mat([(*rows[i], p.b[i]), (*rows[j], p.b[j])])) == 2
+            for i, j in combinations(range(p.num_rows), 2)
+        )
     assert with_rays >= 60 and many_rays >= 10 and empty >= 10 and not_pointed >= 10
+    assert degenerate >= 50 and parallel >= 60
 
 
 def test_kernel_direction_back_substitution():
-    """For every independent (n-1)-subset of seeded integer rows, the
+    """Seeded integer rows with the right-hand side last, one of them
+    parallel to another with a different right-hand side.  Walked with
+    pivots in the n coefficient columns, they yield exactly the subsets of
+    the rows without their right-hand sides, so the parallel pair is never
+    chosen together.  For every independent (n-1)-subset the
     back-substituted direction is nonzero, primitive, orthogonal to the
-    subset's rows and ± the primitive nullspace vector of a separate
-    elimination.  For n = 1 the only subset is the empty one."""
+    subset's coefficients and ± the primitive nullspace vector of a separate
+    elimination; for n = 1 the only subset is the empty one.  For every
+    independent n-subset, (u, s) over the n + 1 columns has s != 0, and
+    -u / s is the subset's unique solution by a separate elimination."""
     rng = random.Random(77)
-    checked = 0
+    rays = vertices = 0
     for n in range(1, 6):
         for _ in range(15):
-            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(max(n - 1, 1), n + 3))]
-            rows.append([2 * v for v in rng.choice(rows)])  # a parallel row: dependent pairs are pruned
+            rows = [[rng.randint(-4, 4) for _ in range(n + 1)] for _ in range(rng.randint(max(n - 1, 1), n + 3))]
+            twin = rng.randrange(len(rows))
+            factor = rng.choice((-2, -1, 2))
+            rows.append([factor * v for v in rows[twin][:n]] + [factor * rows[twin][n] + rng.randint(1, 3)])
+            coefficients = [row[:n] for row in rows]
+            for size in (n - 1, n):
+                walked = [idx for idx, _ in _independent_extensions(rows, size, n, 0, [], [])]
+                assert walked == list(independent_row_subsets(coefficients, size, n))
+                assert not any({twin, len(rows) - 1} <= set(idx) for idx in walked)
             if n == 1:
-                assert [idx for idx, _ in _independent_extensions(rows, 0, 0, [], [])] == [()]
-            for idx, basis in _independent_extensions(rows, n - 1, 0, [], []):
+                assert [idx for idx, _ in _independent_extensions(rows, 0, 1, 0, [], [])] == [()]
+            for idx, basis in _independent_extensions(rows, n - 1, n, 0, [], []):
                 g = _kernel_direction(basis, n)
                 assert any(g) and math.gcd(*g) == 1
                 assert all(_dot(rows[i], g) == 0 for i in idx)
-                null = _solve_integer([(*rows[i], 0) for i in idx], n).nullspace
+                null = _solve_integer([(*coefficients[i], 0) for i in idx], n).nullspace
                 assert len(null) == 1
                 assert QVector.of(g) in (primitivize(null[0]), -primitivize(null[0]))
-                checked += 1
-    assert checked >= 300
+                rays += 1
+            for idx, basis in _independent_extensions(rows, n, n, 0, [], []):
+                *u, s = _kernel_direction(basis, n + 1)
+                assert s != 0
+                solution = _solve_integer([rows[i] for i in idx], n)
+                assert solution.is_unique
+                assert QVector(tuple(Fraction(-x, s) for x in u)) == solution.particular
+                vertices += 1
+    assert rays >= 500 and vertices >= 400
