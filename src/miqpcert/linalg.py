@@ -7,8 +7,9 @@ run on integers: a rational row is scaled, with its right-hand side, to
 integers by the positive lcm of its denominators (:func:`_integer_row`),
 eliminated fraction-free, and turned back into Fractions only for the
 returned entries.  :func:`solve_linear_system` is that scaling followed by
-the integer core :func:`_solve_integer`, which callers holding integer rows
-(the QP pool's KKT solves) call directly.  No floating point anywhere.
+the integer core :func:`_solve_integer`.  The vertex, ray and QP-pool solves
+do not come here: they back-substitute from their subset walk's own
+elimination (``polyhedra._kernel_direction``).  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -346,8 +347,7 @@ def _solve_integer(aug: Sequence[Sequence[int]], n: int) -> LinearSolution | Non
     """:func:`solve_linear_system` on integer rows in n unknowns, each with
     its right-hand side last.  Scaling a row by a nonzero factor changes
     neither the solution set nor the result, which is built from ratios of
-    the reduced rows' entries, so integer rows (the QP pool's KKT rows) go
-    in as they are."""
+    the reduced rows' entries, so integer rows go in as they are."""
     if not aug:
         return LinearSolution(QVector.zero(n), tuple(QVector.unit(j, n) for j in range(n)))
     reduced, pivot_cols = _echelon(aug)

@@ -194,6 +194,7 @@ def independent_row_subsets(rows: Sequence[Sequence[int]], size: int, cols: int)
 def _independent_extensions(
     rows: Sequence[Sequence[int]], size: int, cols: int,
     start: int, chosen: list[int], basis: list[tuple[Sequence[int], int]],
+    every_depth: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[Sequence[int], int]]]]:
     """The subsets that extend ``chosen`` by rows from ``start`` on, given
     the chosen rows' reduced rows and pivot columns in ``basis``.  Pivots lie
@@ -201,13 +202,18 @@ def _independent_extensions(
     along but makes no row independent.  Each subset comes with its basis:
     reduced row k is zero in the pivot columns of rows 0..k-1, and rows 0..k
     span the subset's first k+1 rows.  The list is the walk's own, valid
-    until the walk moves on.  A module function, not a recursive closure: a
-    closure that calls itself is a reference cycle, which keeps every
-    finished walk in memory until the cyclic collector runs."""
-    if len(chosen) == size:
+    until the walk moves on.  With ``every_depth``, one walk yields every
+    subset of at most ``size`` rows, ``chosen`` first, each before its
+    extensions, so each prefix is reduced once for all sizes.  A module
+    function, not a recursive closure: a closure that calls itself is a
+    reference cycle, which keeps every finished walk in memory until the
+    cyclic collector runs."""
+    if every_depth or len(chosen) == size:
         yield tuple(chosen), basis
-        return
-    for i in range(start, len(rows) - (size - len(chosen)) + 1):
+        if len(chosen) == size:
+            return
+    stop = len(rows) if every_depth else len(rows) - (size - len(chosen)) + 1
+    for i in range(start, stop):
         v = rows[i]
         for prow, pcol in basis:  # fraction-free: v <- p*v - v[pcol]*prow keeps v[pcol] = 0
             e = v[pcol]
@@ -220,7 +226,7 @@ def _independent_extensions(
             continue
         basis.append((v, pivot))
         chosen.append(i)
-        yield from _independent_extensions(rows, size, cols, i + 1, chosen, basis)
+        yield from _independent_extensions(rows, size, cols, i + 1, chosen, basis, every_depth)
         basis.pop()
         chosen.pop()
 

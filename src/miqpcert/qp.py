@@ -2,17 +2,28 @@
 
 The candidate pool follows Vavasis (1990): the vertices of the polytope,
 plus, for every independent row subset S of size below n (a face affine
-hull of dimension at least one), the x of the KKT system
-[2H A_S^T; A_S 0] (x, y) = (-c, b_S) when that solution is unique and x
-lies in the polytope.  The lexicographically least global minimizer is
-always in this pool (see :func:`qp_global_min`), so the minimum is exact and
-the reported minimizer is that point: the least (value, x) over the pool.
-A cone's slice is minimized the same way in its ray multipliers.
+hull of dimension at least one), the stationary point of q on the hull
+{A_S x = b_S} when it is unique and lies in the polytope.  The
+lexicographically least global minimizer is always in this pool (see
+:func:`qp_global_min`), so the minimum is exact and the reported minimizer
+is that point: the least (value, x) over the pool.  A cone's slice is
+minimized the same way in its ray multipliers.
+
+Each stationary point is solved in its hull's own coordinates, read from the
+subset walk (:func:`_hull_stationary_point`): x = (w0 + N z) / P, where P is
+the product of the walk's pivots, A_S w0 = b_S P and A_S N = 0, and z solves
+the k x k system N^T H N z = -N^T (H w0 + P c / 2), k = n - |S|.  A_S has
+full row rank, because the walk pivots only in coefficient columns, so the
+stationary point is unique exactly when N^T H N is nonsingular, that is,
+exactly when the KKT system [2H A_S^T; A_S 0] (x, y) = (-c, b_S) has a
+unique solution.  So the pool is the KKT pool, and no KKT matrix is built.
 
 The arithmetic is on integers: a form keeps H and c as integer numerators
-over one denominator each, made once per object.  The KKT rows start from
-those and from the polytope's integer rows, and :func:`eval_quadratic` sums
-over a point's integer numerators, building one Fraction for the value.
+over one denominator each, made once per object.  The hulls and the reduced
+systems start from those and from the polytope's integer rows, candidates
+are tested as integer points u / den, and only a kept one becomes Fractions.
+:func:`eval_quadratic` sums over a point's integer numerators, building one
+Fraction for the value.
 
 Everything here is a pure function of immutable inputs; candidate active
 sets are independent, so callers may fan the enumeration out and min-reduce.
@@ -25,8 +36,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .linalg import DimensionMismatch, QMatrix, QVector, _dot, _integer_row, _solve_integer
-from .polyhedra import HPolyhedron, independent_row_subsets, h_to_v
+from .linalg import DimensionMismatch, QMatrix, QVector, _dot, _integer_row
+from .polyhedra import HPolyhedron, _independent_extensions, _kernel_direction, h_to_v
 
 
 class Unbounded(ValueError):
@@ -103,30 +114,73 @@ def restrict_quadratic(q: QuadraticForm, y: QVector, offset: QVector | None = No
     return QuadraticForm(hzz, gradient.drop(k), eval_quadratic(q, x))
 
 
+def _hull_stationary_point(
+    basis: Sequence[tuple[Sequence[int], int]], n: int, h: Sequence[Sequence[int]], c: Sequence[int]
+) -> tuple[list[int], int] | None:
+    """The stationary point u / den, den > 0, of x^T h x + c . x on the
+    affine hull {a . x = b} of a walk's basis of integer rows (a, b), with
+    pivots in the n coefficient columns, or None when it is not unique.
+
+    The hull is back-substituted in integers as in :func:`_kernel_direction`,
+    for every free column at once and with no gcd, so that all share the
+    scale P, the product of the pivots: the right-hand side's column gives
+    w0 with A_S w0 = b_S P, and each free coefficient column a direction d
+    with A_S d = 0.  With x = (w0 + N z) / P, stationarity on the hull is
+    the k x k integer system 2 N^T h N z = -(2 N^T h w0 + P N^T c).  A walk
+    of its rows yields one subset exactly when the system is nonsingular,
+    and its kernel direction (v, t) then gives z = v / t."""
+    pivots = {pcol for _, pcol in basis}
+    # the free coefficient columns' unit vectors, then the right-hand side's
+    columns = [[int(i == j) for i in range(n + 1)] for j in range(n + 1) if j not in pivots]
+    scale = 1
+    for prow, pcol in reversed(basis):
+        p = prow[pcol]
+        scale *= p
+        dots = [_dot(prow, g) for g in columns]
+        columns = [[p * x for x in g] for g in columns]
+        for g, t in zip(columns, dots):
+            g[pcol] = -t
+    *dirs, w0 = [g[:n] for g in columns]
+    w0 = [-x for x in w0]
+    h_dirs = [[_dot(row, d) for row in h] for d in dirs]
+    h_w0 = [_dot(row, w0) for row in h]
+    # rows (2 N^T h N, 2 N^T h w0 + P N^T c): M z = -rhs for z = v / t
+    system = [[2 * _dot(d, e) for e in h_dirs] + [2 * _dot(d, h_w0) + scale * _dot(d, c)] for d in dirs]
+    k = len(dirs)
+    walk = next(_independent_extensions(system, k, k, 0, [], []), None)
+    if walk is None:
+        return None
+    *v, t = _kernel_direction(walk[1], k + 1)
+    assert all(_dot(row, (*v, t)) == 0 for row in system)  # a zero residual of the reduced system
+    u = [t * w for w in w0]
+    for vj, d in zip(v, dirs):
+        u = [a + vj * b for a, b in zip(u, d)]
+    den = t * scale
+    if den < 0:
+        return [-x for x in u], -den
+    return u, den
+
+
 def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
     """Unique stationary points of q on the affine hulls of p's faces of
-    dimension at least one that lie in p, one KKT solve per hull.  A_S has
-    full row rank, so the KKT solution is unique exactly when x is.  Row
-    subsets of size n are not walked: their feasible basic solutions are
-    the vertices of p."""
+    dimension at least one that lie in p, one reduced system per hull from
+    one walk over every row subset of size below n.  Row subsets of size n
+    are not walked: their feasible basic solutions are the vertices of p."""
     n = p.dim
     int_rows = p.integer_rows
     h, hs, c, cs = q._integer_form
-    # 2H x + A_S^T y = -c times hs cs, with A_S's rows scaled to integers;
-    # y_j is free, so its column takes integer row j as it is (y rescaled)
-    stationary = [[2 * cs * v for v in row] for row in h]
-    minus_c = [-hs * v for v in c]
+    # H and c times hs cs: cs Ĥ and hs ĉ, with the same stationary points
+    h_scaled = [[cs * v for v in row] for row in h]
+    c_scaled = [hs * v for v in c]
     candidates: list[QVector] = []
-    for size in range(n):
-        for idx in independent_row_subsets(int_rows, size, n):
-            kkt = [stationary[i] + [int_rows[j][i] for j in idx] + [minus_c[i]] for i in range(n)]
-            kkt += [[*int_rows[j][:n], *[0] * size, int_rows[j][n]] for j in idx]
-            solution = _solve_integer(kkt, n + size)
-            if solution is None or not solution.is_unique:
-                continue
-            x = solution.particular.take(n)
-            if p.contains(x):
-                candidates.append(x)
+    for idx, basis in _independent_extensions(int_rows, n - 1, n, 0, [], [], every_depth=True):
+        point = _hull_stationary_point(basis, n, h_scaled, c_scaled)
+        if point is None:
+            continue
+        u, den = point
+        assert all(_dot(int_rows[i], u) == int_rows[i][-1] * den for i in idx)  # on the hull
+        if all(_dot(row, u) <= row[-1] * den for row in int_rows):
+            candidates.append(QVector(tuple(Fraction(x, den) for x in u)))
     return candidates
 
 
@@ -156,9 +210,9 @@ def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
     gradient and the curvature of q vanish, so q would be constant on it.
     Lexicographic order is monotone along a line, so the points of that line
     near y on one side lie in F, are optimal and are less than y: a
-    contradiction.  So y is the unique stationary point of q on aff(F), and
-    the KKT system of a maximal independent subset of the rows tight on F
-    has the unique solution with x = y, which the pool keeps.
+    contradiction.  So y is the unique stationary point of q on aff(F), which
+    is the hull of a maximal independent subset of the rows tight on F, and
+    the pool keeps it.
 
     The same holds for an affine map m -> Rm from a polytope onto the
     feasible set, injective or not, when q is pulled back to m and ties are
@@ -180,14 +234,19 @@ def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector)
 
     With G = R^T H R, the slice is the image x = R m of the simplex
     {m >= 0 : sum m_i (f . r_i) = 1}.  The pool holds, per support T of
-    linearly independent rays, the m_T of [2 G_TT f_T; f_T^T 0] (m_T, lam) =
-    (0, 1) when it is unique and m_T >= 0; ties are broken on x = R m.  It
-    holds the least optimal x, y: a vertex m* of the preimage
+    linearly independent rays, the stationary point m_T of m^T G_TT m on
+    the hull f_T . m_T = 1 when it is unique and m_T >= 0; ties are broken
+    on x = R m.  It is solved in the hull's own coordinates, as in the
+    polytope pool, with the one row f_T, G's integer form for H and c = 0;
+    f_T != 0, so the point is unique exactly when the KKT system
+    [2 G_TT f_T; f_T^T 0] (m_T, lam) = (0, 1) has a unique solution.  The
+    pool holds the least optimal x, y: a vertex m* of the preimage
     {m >= 0 : R m = y} has a support T of independent rays (or a null
     combination would move it inside the preimage) and lies in the relative
     interior of the face {m_i = 0 off T}, so by the second paragraph of
     :func:`qp_global_min` it is the unique stationary point on that face's
-    affine hull; as f_T != 0, (m_T*, lam) is the KKT system's unique solution.
+    affine hull.  One walk over the rays yields every support, each
+    independent prefix reduced once.
 
     Raises :class:`EmptyFeasibleSet` when f . r <= 0 on every ray, and
     :class:`Unbounded` when on only some: then f does not normalize the cone.
@@ -202,18 +261,21 @@ def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector)
     h_int, hs, _, _ = QuadraticForm.pure(h)._integer_form
     gram = [[_dot(r, [_dot(row, s) for row in h_int]) for s in ray_rows] for r in ray_rows]  # G times hs
     pool = []
-    for size in range(1, min(len(rays), f.dim) + 1):
-        for t in independent_row_subsets(ray_rows, size, f.dim):
-            g = [[gram[i][j] for j in t] for i in t]
-            # 2 G_TT m_T + f_T lam = 0 with lam rescaled, and f_T . m_T = 1, in integers
-            kkt = [[2 * v for v in row] + [rates[i], 0] for row, i in zip(g, t)] + [[rates[j] for j in t] + [0, fs]]
-            solution = _solve_integer(kkt, size + 1)
-            if solution is None or not solution.is_unique:
-                continue
-            *u, den = _integer_row((*solution.particular.take(size), 1))  # m_T = u / den
-            if min(u) >= 0:
-                value = Fraction(sum(a * _dot(row, u) for a, row in zip(u, g)), hs * den * den)
-                x = QVector(tuple(Fraction(_dot(u, [ray_rows[i][c] for i in t]), den) for c in range(f.dim)))
-                pool.append((value, x))
+    for t, _ in _independent_extensions(ray_rows, min(len(rays), f.dim), f.dim, 0, [], [], every_depth=True):
+        if not t:
+            continue
+        # the hull f_T . m_T = 1 as the integer row (rates_T, fs): the rates
+        # are positive, so it is its own walk basis with pivot column 0
+        hull = [rates[i] for i in t] + [fs]
+        g = [[gram[i][j] for j in t] for i in t]
+        point = _hull_stationary_point([(hull, 0)], len(t), g, [0] * len(t))
+        if point is None:
+            continue
+        u, den = point  # m_T = u / den
+        assert _dot(hull, u) == fs * den  # on the hull
+        if min(u) >= 0:
+            value = Fraction(sum(a * _dot(row, u) for a, row in zip(u, g)), hs * den * den)
+            x = QVector(tuple(Fraction(_dot(u, [ray_rows[i][c] for i in t]), den) for c in range(f.dim)))
+            pool.append((value, x))
     value, x = min(pool)
     return QpResult(x, value)

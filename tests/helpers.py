@@ -26,7 +26,7 @@ from miqpcert import (
     h_to_v,
 )
 from miqpcert.certifier import Certificate, SearchTrace, _ceil_root
-from miqpcert.linalg import _solve_integer, encoding_size, isqrt_ceil, solve_linear_system
+from miqpcert.linalg import _integer_row, _solve_integer, encoding_size, isqrt_ceil, solve_linear_system
 from miqpcert.milp import Fiber, ray_families
 from miqpcert.polyhedra import (
     NotPointed,
@@ -36,7 +36,7 @@ from miqpcert.polyhedra import (
     primitivize,
     restrict_prefix,
 )
-from miqpcert.qp import eval_quadratic, qp_global_min, restrict_quadratic
+from miqpcert.qp import QpResult, eval_quadratic, qp_global_min, restrict_quadratic
 
 
 def vec(*values) -> QVector:
@@ -478,11 +478,11 @@ def reference_eval_quadratic(q: QuadraticForm, x: QVector) -> Fraction:
 
 
 def reference_stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[list[QVector], int]:
-    """The QP pool's face-hull candidates in two stages, the reference for the
-    single KKT solve of ``qp._stationary_candidates``: each hull of an
-    independent row subset of size below n as a particular point plus
-    nullspace directions, then the stationarity system of q reduced to those
-    directions.  Also returns how many hulls carry a flat stationary set
+    """The QP pool's face-hull candidates in two stages on Fractions, a
+    reference for ``qp._stationary_candidates``: each hull of an independent
+    row subset of size below n as a particular point plus nullspace
+    directions from ``solve_linear_system``, then the stationarity system of
+    q reduced to those directions.  Also returns how many hulls carry a flat stationary set
     (consistent but not unique), which the pool skips."""
     n = p.dim
     rows = [row[:n] for row in p.integer_rows]
@@ -513,3 +513,68 @@ def reference_stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[l
             if p.contains(x_s):
                 candidates.append(x_s)
     return candidates, flats
+
+
+def reference_kkt_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[list[QVector], list[int]]:
+    """The QP pool's face-hull candidates with one ``_solve_integer`` per
+    hull on the full KKT rows [2H A_S^T; A_S 0] (x, y) = (-c, b_S), a walk
+    per size, the reference for ``qp._stationary_candidates``, which solves
+    each hull's reduced system from the walk's own elimination.  Also
+    returns the hull dimension n - |S| of every subset whose KKT system has
+    no unique solution."""
+    n = p.dim
+    int_rows = p.integer_rows
+    h, hs, c, cs = q._integer_form
+    # 2H x + A_S^T y = -c times hs cs, with A_S's rows scaled to integers;
+    # y_j is free, so its column takes integer row j as it is (y rescaled)
+    stationary = [[2 * cs * v for v in row] for row in h]
+    minus_c = [-hs * v for v in c]
+    candidates: list[QVector] = []
+    singular: list[int] = []
+    for size in range(n):
+        for idx in independent_row_subsets(int_rows, size, n):
+            kkt = [stationary[i] + [int_rows[j][i] for j in idx] + [minus_c[i]] for i in range(n)]
+            kkt += [[*int_rows[j][:n], *[0] * size, int_rows[j][n]] for j in idx]
+            solution = _solve_integer(kkt, n + size)
+            if solution is None or not solution.is_unique:
+                singular.append(n - size)
+                continue
+            x = solution.particular.take(n)
+            if p.contains(x):
+                candidates.append(x)
+    return candidates, singular
+
+
+def reference_cone_slice_min(h: QMatrix, rays, f: QVector) -> tuple[QpResult, int]:
+    """The minimum of x^T H x over {x in cone(rays) : f . x = 1} with one
+    ``_solve_integer`` per support T of independent rays on the KKT rows
+    [2 G_TT f_T; f_T^T 0] (m_T, lam) = (0, 1), G = R^T H R, a walk per
+    support size: the reference for ``qp.min_quadratic_on_cone_slice``,
+    which solves each support's reduced system on the hull f_T . m_T = 1.
+    f must be positive on every ray.  Also returns how many supports have
+    no unique KKT solution."""
+    n = f.dim
+    ray_rows = [_integer_row(r.entries) for r in rays]
+    *f_int, fs = _integer_row((*f.entries, 1))
+    rates = [sum(a * b for a, b in zip(f_int, r)) for r in ray_rows]  # f . r_i times fs
+    assert all(rate > 0 for rate in rates)
+    h_int, hs, _, _ = QuadraticForm.pure(h)._integer_form
+    h_rays = [[sum(a * b for a, b in zip(row, s)) for row in h_int] for s in ray_rows]
+    gram = [[sum(a * b for a, b in zip(r, hr)) for hr in h_rays] for r in ray_rows]  # G times hs
+    pool = []
+    singular = 0
+    for size in range(1, min(len(rays), n) + 1):
+        for t in independent_row_subsets(ray_rows, size, n):
+            g = [[gram[i][j] for j in t] for i in t]
+            kkt = [[2 * v for v in row] + [rates[i], 0] for row, i in zip(g, t)] + [[rates[j] for j in t] + [0, fs]]
+            solution = _solve_integer(kkt, size + 1)
+            if solution is None or not solution.is_unique:
+                singular += 1
+                continue
+            m = solution.particular.take(size)
+            if min(m) >= 0:
+                x = QVector(tuple(Fraction(sum(mj * ray_rows[i][c] for mj, i in zip(m, t))) for c in range(n)))
+                value = sum(a * sum(v * b for v, b in zip(row, m)) for a, row in zip(m, g)) / hs
+                pool.append((value, x))
+    value, x = min(pool)
+    return QpResult(x, value), singular

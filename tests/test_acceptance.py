@@ -13,7 +13,7 @@ from itertools import product as iter_product
 from pathlib import Path
 
 from miqpcert import milp
-from miqpcert.certifier import find_certificate, verify_certificate
+from miqpcert.certifier import MiqpInstance, find_certificate, verify_certificate
 from miqpcert.cli import main
 from miqpcert.cones import ConeNotPointed, normalizing_hyperplane, simple_cone_decomposition
 from miqpcert.formats import maxcut_instance, parse_instance, serialize_instance
@@ -402,3 +402,32 @@ def test_criterion_9_unbounded_differential():
     branches = ("negative-ray, k > n", "linear-ray", "window-qp", "orthant split")
     assert all(hits[b] >= 10 for b in branches), hits
     print(f"\nACCEPTANCE 9 PASS: unbounded differential on seeds {UNBOUNDED_SEEDS}, {dict(hits)}")
+
+
+CONTINUOUS_ORACLE_RADIUS = 10**6
+
+
+def test_criterion_10_continuous_two_sided():
+    """The p = 0 instances of criterion 9's seeds, both ways: the certifier
+    finds a point exactly when the oracle does on P cut to
+    [-10^6, 10^6]^n.  With no integer coordinates the oracle is one exact QP
+    over that polytope, whatever its radius, so it can answer "infeasible"
+    too.  This is the first independent check of infeasible verdicts on
+    unbounded instances.  It is independent of the search, but not of the QP
+    kernel, which criterion 6 checks against a grid."""
+    unbounded_corpus = _workloads()["unbounded_budget"].generator
+    verdicts = Counter()
+    for seed in UNBOUNDED_SEEDS:
+        for case in unbounded_corpus(random.Random(seed), 300):
+            inst = parse_instance(case.text)
+            if inst.integer_count:
+                continue
+            n = inst.dim
+            box = [QVector.unit(t, n).scale(sign) for t in range(n) for sign in (1, -1)]
+            cut = inst.polyhedron.with_rows(box, [CONTINUOUS_ORACLE_RADIUS] * len(box))
+            oracle = brute_force_feasibility(MiqpInstance(inst.quad, cut, 0), 0)
+            cert = find_certificate(inst)
+            assert (cert is not None) == oracle.feasible, case.text
+            verdicts["feasible" if oracle.feasible else "infeasible"] += 1
+    assert verdicts["feasible"] >= 150 and verdicts["infeasible"] >= 40, verdicts
+    print(f"\nACCEPTANCE 10 PASS: continuous two-sided on seeds {UNBOUNDED_SEEDS}, {dict(verdicts)}")

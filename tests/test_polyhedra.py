@@ -434,7 +434,9 @@ def test_kernel_direction_back_substitution():
     parallel to another with a different right-hand side.  Walked with
     pivots in the n coefficient columns, they yield exactly the subsets of
     the rows without their right-hand sides, so the parallel pair is never
-    chosen together.  For every independent (n-1)-subset the
+    chosen together.  Walked once with ``every_depth``, they yield the
+    subsets of every size up to n with the same bases, each after its
+    prefix.  For every independent (n-1)-subset the
     back-substituted direction is nonzero, primitive, orthogonal to the
     subset's coefficients and ± the primitive nullspace vector of a separate
     elimination; for n = 1 the only subset is the empty one.  For every
@@ -455,6 +457,11 @@ def test_kernel_direction_back_substitution():
                 assert not any({twin, len(rows) - 1} <= set(idx) for idx in walked)
             if n == 1:
                 assert [idx for idx, _ in _independent_extensions(rows, 0, 1, 0, [], [])] == [()]
+            every = [(idx, list(basis)) for idx, basis in _independent_extensions(rows, n, n, 0, [], [], every_depth=True)]
+            per_size = [(idx, list(basis)) for size in range(n + 1) for idx, basis in _independent_extensions(rows, size, n, 0, [], [])]
+            assert sorted(every) == sorted(per_size)
+            position = {idx: i for i, (idx, _) in enumerate(every)}
+            assert all(position[idx[:-1]] < position[idx] for idx in position if idx)
             for idx, basis in _independent_extensions(rows, n - 1, n, 0, [], []):
                 g = _kernel_direction(basis, n)
                 assert any(g) and math.gcd(*g) == 1

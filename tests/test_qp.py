@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from miqpcert import linalg, qp
+from miqpcert.certifier import find_certificate, verify_certificate
 from miqpcert.cones import normalizing_hyperplane
 from miqpcert.linalg import QMatrix, QVector, rank
-from miqpcert.polyhedra import NotPointed, SimpleCone, h_to_v
+from miqpcert.polyhedra import HPolyhedron, NotPointed, SimpleCone, h_to_v
 from miqpcert.qp import (
     EmptyFeasibleSet,
     QuadraticForm,
@@ -24,8 +27,11 @@ from helpers import (
     hpoly,
     mat,
     random_bounded_polytope,
+    random_boxed_instance,
     random_symmetric,
+    reference_cone_slice_min,
     reference_eval_quadratic,
+    reference_kkt_candidates,
     reference_stationary_candidates,
     sample_in_polytope,
     vec,
@@ -198,17 +204,35 @@ def _rational_data(rng: random.Random, h, c, poly):
     return h, c, hpoly(rows, rhs)
 
 
+def _moved_rhs(rng: random.Random, poly, shape: str, rational: bool) -> list:
+    """A new right-hand side for the rows of poly whose polyhedron is still
+    nonempty: a polytope's rows loosened by up to 2 each, or a slab dilated
+    by t > 0 (which keeps its equality), then translated by a random shift s
+    (b + A s)."""
+    n = poly.dim
+    if shape == "polytope":
+        b = [v + rng.randint(0, 2) for v in poly.b]
+    else:
+        t = Fraction(rng.randint(1, 4), rng.randint(1, 2))
+        b = [t * v for v in poly.b]
+    s = vec(*[_rational(rng, 3) if rational else rng.randint(-2, 2) for _ in range(n)])
+    return [v + w for v, w in zip(b, poly.a.matvec(s))]
+
+
 def test_kkt_pool_matches_two_stage_reference():
-    # one KKT solve per face hull against the hull-then-reduced-system
-    # reference: the same candidates, on polytopes and on cone-slice slabs,
-    # with integer data and with rational H, c and rows (whose KKT rows the
-    # pool rescales to integers, multiplier columns included)
+    # the hull-coordinate pool against two references: one KKT solve per
+    # face hull with _solve_integer, and hull-then-reduced-system in
+    # Fractions.  The same candidates, on polytopes and on cone-slice slabs,
+    # with integer data and with rational H, c and rows (which the pool
+    # rescales to integers), 20 (c, b) pairs per (H, A).  Rank-one and zero
+    # forms leave the reduced system of hulls of dimension >= 2 singular
+    # (its rank is at most one)
     rng = random.Random(8080)
     for rational in (False, True):
-        cases = flats = 0
+        matrices = cases = flats = singular = 0
         for kind in ("definite", "indefinite", "rank-one", "zero"):
             for shape in ("polytope", "slab"):
-                for _ in range(25):
+                for _ in range(6):
                     n = rng.randint(2 if kind == "indefinite" else 1, 3)
                     if shape == "polytope":
                         poly = random_bounded_polytope(rng, n)
@@ -217,19 +241,29 @@ def test_kkt_pool_matches_two_stage_reference():
                     if poly is None:
                         continue
                     h = _random_hessian(rng, n, kind)
-                    c = [0] * n if rng.random() < 0.3 else [rng.randint(-4, 4) for _ in range(n)]
                     if rational:
-                        h, c, poly = _rational_data(rng, h, c, poly)
+                        h, _, poly = _rational_data(rng, h, [0] * n, poly)
                         if h_to_v(poly).is_empty:
                             continue
-                    q = form(h, c, 0)
-                    expected, flat = reference_stationary_candidates(q, poly)
-                    got = _stationary_candidates(q, poly)
-                    assert sorted(got) == sorted(expected)
-                    cases += 1
-                    flats += flat > 0
-        assert cases >= 160
+                    matrices += 1
+                    for _ in range(20):
+                        c = [0] * n if rng.random() < 0.3 else [rng.randint(-4, 4) for _ in range(n)]
+                        if rational:
+                            c = [Fraction(v, rng.randint(1, 6)) for v in c]
+                        moved = HPolyhedron(poly.a, QVector.of(_moved_rhs(rng, poly, shape, rational)))
+                        q = form(h, c, 0)
+                        expected, flat = reference_stationary_candidates(q, moved)
+                        kkt, singular_dims = reference_kkt_candidates(q, moved)
+                        got = _stationary_candidates(q, moved)
+                        assert sorted(got) == sorted(expected) == sorted(kkt)
+                        cases += 1
+                        flats += flat > 0
+                        if kind in ("rank-one", "zero"):
+                            singular += sum(k >= 2 for k in singular_dims)
+        assert matrices >= 36
+        assert cases >= 700
         assert flats >= 30
+        assert singular >= 600
 
 
 def test_qp_minimizer_deterministic_lex():
@@ -355,6 +389,41 @@ def test_simplex_slice_matches_h_form_reference():
     assert cases >= 400 and ties >= 100 and non_simple >= 40
 
 
+def test_cone_slice_matches_support_kkt_reference():
+    # the hull-coordinate support pool against one KKT solve per support
+    # with _solve_integer: the same value and minimizer.  Rays are random
+    # integer vectors with f . r > 0, often more of them than n and often
+    # dependent, and f is rational half the time; supports whose KKT system
+    # is singular, which zero and rank-one forms give on larger supports,
+    # are skipped by both
+    rng = random.Random(7171)
+    hits = Counter()
+    for kind in ("definite", "indefinite", "rank-one", "zero"):
+        for trial in range(120):
+            n = rng.randint(2 if kind == "indefinite" else 1, 4)
+            f = vec(*[rng.randint(-2, 4) for _ in range(n)])
+            if trial % 2:
+                f = vec(*[Fraction(v, rng.randint(1, 5)) for v in f])
+            if f.is_zero():
+                continue
+            k, rays = rng.randint(1, n + 3), []
+            while len(rays) < k:
+                r = vec(*[rng.randint(-3, 3) for _ in range(n)])
+                if f.dot(r) > 0:
+                    rays.append(r)
+            h = QMatrix.from_rows(_random_hessian(rng, n, kind))
+            expected, singular = reference_cone_slice_min(h, rays, f)
+            got = min_quadratic_on_cone_slice(h, rays, f)
+            assert (got.value, got.minimizer) == (expected.value, expected.minimizer)
+            hits[kind] += 1
+            hits["k > n"] += len(rays) > n
+            hits["rational f"] += not f.is_integral()
+            hits[f"singular, {kind}"] += singular > 0
+    assert all(hits[kind] >= 100 for kind in ("definite", "indefinite", "rank-one", "zero")), hits
+    assert hits["k > n"] >= 200 and hits["rational f"] >= 150, hits
+    assert hits["singular, zero"] >= 50 and hits["singular, rank-one"] >= 30, hits
+
+
 def test_cone_slice_rejects_bad_hyperplane():
     quadrant = h_to_v(hpoly([[-1, 0], [0, -1]], [0, 0])).rays
     with pytest.raises(Unbounded):
@@ -385,3 +454,34 @@ def test_restrict_quadratic_matches_eval():
         with pytest.raises(ValueError):
             restrict_quadratic(q, q.c)
     assert checked["empty"] >= 20 and checked["offset"] >= 60
+
+
+def test_qp_makes_no_solve_integer_calls(monkeypatch):
+    # both pools solve in the hulls' own coordinates from the subset walk,
+    # so the general solver never runs: not in the QP kernel, and not in a
+    # boxed instance solved end to end from a cold h_to_v cache
+    def refuse(*_args):
+        raise AssertionError("_solve_integer called")
+
+    monkeypatch.setattr(linalg, "_solve_integer", refuse)
+    assert not hasattr(qp, "_solve_integer")
+    rng = random.Random(6262)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        q = form(random_symmetric(rng, n), [rng.randint(-5, 5) for _ in range(n)], 0)
+        res = qp_global_min(q, random_bounded_polytope(rng, n))
+        assert eval_quadratic(q, res.minimizer) == res.value
+        f = vec(*[rng.randint(1, 3) for _ in range(n)])
+        rays = [vec(*[rng.randint(0, 3) for _ in range(n)]) for _ in range(rng.randint(1, n + 2))]
+        rays = [r for r in rays if not r.is_zero()] or [f]
+        res = min_quadratic_on_cone_slice(mat(random_symmetric(rng, n)), rays, f)
+        assert f.dot(res.minimizer) == 1
+    solved = 0
+    while solved < 3:
+        inst, _ = random_boxed_instance(rng)
+        if inst.dim - inst.integer_count < 2:
+            continue
+        h_to_v.cache_clear()
+        cert = find_certificate(inst)
+        assert cert is None or verify_certificate(inst, cert.point).ok
+        solved += 1
