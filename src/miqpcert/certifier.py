@@ -245,7 +245,7 @@ def find_certificate(inst: MiqpInstance) -> Certificate | None:
 
 
 def _search(inst: MiqpInstance) -> Certificate | None:
-    try:  # h_to_v's vertex walk decides pointedness
+    try:  # h_to_v's line walk decides pointedness: NotPointed when no line has a nonzero rate
         parts = [(None, inst.polyhedron, h_to_v(inst.polyhedron))]
     except NotPointed:
         parts = ((signs, part, h_to_v(part)) for signs, part in iter_orthant_parts(inst.polyhedron))
@@ -325,7 +325,7 @@ def nonnegative_recession_search(
     the fibers of all families and owns the fiber limit.
     """
     families = ray_families(vrep)
-    stream = window_fibers(MixedIntegerSet(part, inst.integer_count), vrep)
+    stream = window_fibers(MixedIntegerSet(part, inst.integer_count), vrep, families)
     for family_index, fibers in groupby(stream, key=lambda fiber: fiber.family_index):
         cone = simple_cone_decomposition(inst.quad.h, families[family_index])
         pieces = [_window_piece(inst.quad, piece, f) for piece in cone.pieces]

@@ -7,9 +7,10 @@ run on integers: a rational row is scaled, with its right-hand side, to
 integers by the positive lcm of its denominators (:func:`_integer_row`),
 eliminated fraction-free, and turned back into Fractions only for the
 returned entries.  :func:`solve_linear_system` is that scaling followed by
-the integer core :func:`_solve_integer`.  The vertex, ray and QP-pool solves
-do not come here: they back-substitute from their subset walk's own
-elimination (``polyhedra._kernel_direction``).  No floating point anywhere.
+the integer core :func:`_solve_integer`.  No solve of the search calls it: its
+vertices, rays, QP pools and cone multipliers are back-substituted from a
+subset walk's own elimination (``polyhedra._affine_hull``).  No floating
+point anywhere.
 """
 
 from __future__ import annotations

@@ -134,16 +134,16 @@ def _fibers(poly: HPolyhedron, box: list[tuple[Fraction, Fraction]], p: int, fam
             yield Fiber(poly, y, family_index, tuple(y.concat(z) for z in verts), reduced)
 
 
-def window_fibers(s: MixedIntegerSet, vrep: VPolyhedron) -> Iterator[Fiber]:
-    """The nonempty fibers of a pointed part, built lazily: each family of
-    ``ray_families(vrep)`` in turn, the fibers of its window W = P cap box(B^K)
-    in the product order of their integer prefixes.  ``vrep`` is the nonempty
-    V-description of the polyhedron of ``s``.  Sound and complete as
-    B^K <= W <= P: every point of F + intcone(R_K) lies in P, and flooring the
-    ray multipliers of a point of the set lands it in B^K.  Raises
-    :class:`FiberLimit` instead of yielding fiber MAX_FIBERS + 1."""
+def window_fibers(s: MixedIntegerSet, vrep: VPolyhedron, families: tuple[SimpleCone, ...]) -> Iterator[Fiber]:
+    """The nonempty fibers of a pointed part, built lazily: for each of the
+    ``families`` (``ray_families(vrep)``, built once by the caller) in turn,
+    the fibers of its window W = P cap box(B^K) in the product order of their
+    integer prefixes; ``vrep`` is P's nonempty V-description.  Sound and
+    complete as B^K <= W <= P: every point of F + intcone(R_K) lies in P, and
+    flooring the ray multipliers of a point of the set lands it in B^K.
+    Raises :class:`FiberLimit` instead of yielding fiber MAX_FIBERS + 1."""
     built = 0
-    for family_index, family in enumerate(ray_families(vrep)):
+    for family_index, family in enumerate(families):
         box = _box(vrep, family.rays)
         window = _window_polytope(s.polyhedron, family, box)
         for fiber in _fibers(window, box, s.integer_count, family_index):
@@ -163,7 +163,8 @@ def decompose_mixed_integer_set(s: MixedIntegerSet) -> MisDecomposition:
     vrep = h_to_v(s.polyhedron)
     if vrep.is_empty:
         return MisDecomposition((), ())
-    return MisDecomposition(tuple(window_fibers(s, vrep)), ray_families(vrep))
+    families = ray_families(vrep)
+    return MisDecomposition(tuple(window_fibers(s, vrep, families)), families)
 
 
 def mip_point(s: MixedIntegerSet) -> QVector | None:

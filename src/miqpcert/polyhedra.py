@@ -1,18 +1,22 @@
 """Rational polyhedra: H- and V-descriptions, cones, and conversions.
 
-All enumeration here is desk scale and exact: vertices come from independent
-row subsets, extreme rays from independent (n-1)-subsets, and facets of a
-point set from affinely independent d-subsets.  A vertex or ray candidate
-is back-substituted in integers from the subset walk's own elimination,
-sign-tested with integer dot products, and made into Fractions only when it
-is kept.  Deterministic throughout; ties are broken by lexicographic order
-on rational tuples.
+All enumeration here is desk scale and exact.  Vertices and extreme rays
+both come from one walk over the independent (n-1)-row subsets: each gives
+a line, back-substituted in integers from the walk's own elimination
+(:func:`_affine_hull`), whose rates against every row give its interval
+inside the polyhedron.  The intervals' finite endpoints are the vertices,
+and a line's direction is an extreme ray where its interval has no end.  The
+lines that meet the polyhedron stay with its V-description for the QP pool.
+Facets of a point set come from affinely independent d-subsets.  Tests are
+integer dot products, and only what is kept becomes Fractions.
+Deterministic throughout; ties are broken by lexicographic order on rational
+tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -76,6 +80,9 @@ class HPolyhedron:
         once per object; not a field, so eq and hash ignore it."""
         return tuple(tuple(_integer_row((*row, self.b[i]))) for i, row in enumerate(self.a.entries))
 
+    def __hash__(self) -> int:  # equal (A, b) give equal integer rows, and ints hash natively
+        return hash(self.integer_rows)
+
     def contains(self, x: QVector) -> bool:
         return next(self._violations(x), None) is None
 
@@ -104,6 +111,8 @@ class VPolyhedron:
 
     vertices: tuple[QVector, ...]
     rays: tuple[QVector, ...]
+    # h_to_v's lines in the polyhedron, (subset, w0, d, scale, lo, hi), for the QP pool
+    _lines: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:
@@ -137,17 +146,20 @@ class SimpleCone:
         return len(self.rays)
 
     def multipliers(self, x: QVector) -> QVector | None:
-        """The unique mu >= 0 with sum(mu_j rays_j) = x, or None."""
+        """The unique mu >= 0 with sum(mu_j rays_j) = x, or None.  For x = u / D,
+        D mu solves the rows (r_1[t], ..., r_k[t], u[t]) over the coordinates t,
+        back-substituted from a walk of k of them (:func:`_affine_hull`)."""
         if not self.rays:
             return QVector.of([]) if x.is_zero() else None
-        cols = QMatrix.from_rows([r.entries for r in self.rays]).transpose()
-        sol = solve_linear_system(cols, x)
-        if sol is None:
-            return None
-        assert sol.is_unique
-        if any(m < 0 for m in sol.particular):
-            return None
-        return sol.particular
+        k = len(self.rays)
+        if x.dim != self.rays[0].dim:
+            raise DimensionMismatch(f"point dim {x.dim} vs ray dim {self.rays[0].dim}")
+        *u, den = _integer_row((*x.entries, 1))
+        rows = [(*(r[t].numerator for r in self.rays), u[t]) for t in range(x.dim)]
+        w, _, t = _affine_hull(next(_independent_extensions(rows, k, k, 0, [], []))[1], k)  # D mu = w / t
+        if min(w) < 0 or any(_dot(row, w) != row[-1] * t for row in rows):
+            return None  # a negative multiplier, or x is not in the rays' span
+        return QVector(tuple(Fraction(v, t * den) for v in w))
 
     def contains(self, x: QVector) -> bool:
         return self.multipliers(x) is not None
@@ -231,59 +243,82 @@ def _independent_extensions(
         chosen.pop()
 
 
-def _kernel_direction(basis: Sequence[tuple[Sequence[int], int]], n: int) -> list[int]:
-    """The primitive integer g, up to sign, with row . g = 0 for every
-    reduced row of a walk's basis that leaves one of the first n columns
-    free of pivots: n - 1 rows over n columns, or n rows over n + 1 with
-    the right-hand side free.  Integer back-substitution: g starts as the
-    free column's unit vector, and each row, last to first, scales g by its
-    pivot and sets g's pivot entry to minus its dot product with g; a later
-    row is zero in an earlier one's pivot column, so done rows stay zero."""
+def _affine_hull(basis: Sequence[tuple[Sequence[int], int]], n: int) -> tuple[list[int], list[list[int]], int]:
+    """The affine hull {a . x = b} of a walk's basis of integer rows (a, b),
+    pivots in the n coefficient columns, as x = (w0 + N z) / scale with
+    A_S w0 = b_S scale, A_S N = 0 (one column per free coefficient column)
+    and scale > 0, so that no inequality flips; with n rows, w0 / scale is
+    their unique solution.  Integer back-substitution with no gcd: a column
+    starts as a free column's unit vector, and each row, last to first,
+    scales it by its pivot and sets its pivot entry to minus the row's dot
+    product with it; a later row is zero in an earlier one's pivot column,
+    so done rows stay zero."""
     pivots = {pcol for _, pcol in basis}
-    g = [0] * n
-    g[next(j for j in range(n) if j not in pivots)] = 1
-    for prow, pcol in reversed(basis):
-        t = _dot(prow, g)
-        g = [prow[pcol] * x for x in g]
-        g[pcol] = -t
-    d = math.gcd(*g)
-    return [x // d for x in g]
+    columns = []
+    for j in range(n + 1):  # the free coefficient columns' unit vectors, then the right-hand side's
+        if j not in pivots:
+            g = [0] * (n + 1)
+            g[j] = 1
+            for prow, pcol in reversed(basis):
+                t = _dot(prow, g)
+                g = [prow[pcol] * x for x in g]
+                g[pcol] = -t
+            columns.append(g)
+    *dirs, w0 = columns
+    sign = -1 if w0[n] > 0 else 1  # a . w0[:n] + b w0[n] = 0 on every row
+    return [sign * x for x in w0[:n]], [d[:n] for d in dirs], -sign * w0[n]
 
 
 @lru_cache(maxsize=4096)
 def h_to_v(p: HPolyhedron) -> VPolyhedron:
-    """Exact vertex and extreme-ray enumeration of a pointed polyhedron.
+    """Exact vertex and extreme-ray enumeration of a pointed polyhedron, in
+    one walk over the independent (n-1)-subsets S of ``p.integer_rows``.
 
-    Both passes walk ``p.integer_rows`` with pivots in the n coefficient
-    columns and back-substitute in integers (:func:`_kernel_direction`).  An
-    independent n-subset S gives (u, s), s < 0, with A_S u + s b_S = 0: the
-    vertex -u / s, kept when a . u + s b <= 0 on every row.  An independent
-    (n-1)-subset gives its nullspace g; g and -g are kept when every row
-    dots to <= 0 with them.  Only what is kept becomes Fractions.  An empty
-    polyhedron yields empty lists; rank(A) < n raises :class:`NotPointed`,
-    as the vertex walk then finds no subset.
-    """
+    Each S gives a line x(t) = (w0 + t d) / scale (:func:`_affine_hull`), on
+    which row i holds exactly when t (a_i . d) <= b_i scale - a_i . w0, so
+    the rates a_i . d give the line's interval in p.  Its finite endpoints
+    are exactly the vertices: an endpoint has n independent tight rows, S and
+    a row with a nonzero rate, and a vertex is an endpoint of the line of any
+    n - 1 of its n independent tight rows.  Where it has no end, d (every
+    rate <= 0) or -d (every rate >= 0) is an extreme ray, and each extreme
+    ray is found so, as the direction of an unbounded edge, whose line meets
+    p.  Those lines are kept for the QP pool, and vertices sort on integer
+    numerators over one shared denominator.  An empty polyhedron yields empty
+    lists; rank(A) < n raises :class:`NotPointed`: no line has a nonzero rate."""
     n = p.dim
     rows = p.integer_rows
-    candidates = set()
-    for idx, basis in _independent_extensions(rows, n, n, 0, [], []):
-        g = _kernel_direction(basis, n + 1)  # the right-hand side is free, so s = g[n] != 0
-        assert all(_dot(rows[i], g) == 0 for i in idx)  # substitution
-        candidates.add(tuple(g) if g[n] < 0 else tuple(-x for x in g))
-    if not candidates:
-        raise NotPointed("polyhedron has a nontrivial lineality space")
-    kept = [g for g in candidates if all(_dot(row, g) <= 0 for row in rows)]
-    if not kept:
-        return VPolyhedron((), ())
-    vertices = [QVector(tuple(Fraction(x, -g[n]) for x in g[:n])) for g in kept]
-    rays = set()
+    pointed, ends, rays, lines = False, set(), set(), []
     for idx, basis in _independent_extensions(rows, n - 1, n, 0, [], []):
-        g = _kernel_direction(basis, n)
-        assert all(_dot(rows[i], g) == 0 for i in idx)  # substitution
-        for cand in (g, [-x for x in g]):
-            if all(_dot(row, cand) <= 0 for row in rows):
-                rays.add(QVector.of(cand))
-    result = VPolyhedron(tuple(sorted(vertices)), tuple(sorted(rays)))
+        w0, (d,), scale = _affine_hull(basis, n)
+        assert all(_dot(rows[i], w0) == rows[i][-1] * scale and _dot(rows[i], d) == 0 for i in idx)  # substitution
+        lo = hi = None  # (num, den), den > 0: lo <= t <= hi
+        for row in rows:
+            rate, slack = _dot(row, d), row[-1] * scale - _dot(row, w0)
+            if rate > 0 and (hi is None or slack * hi[1] < hi[0] * rate):
+                hi = (slack, rate)
+            elif rate < 0 and (lo is None or slack * lo[1] < lo[0] * rate):
+                lo = (-slack, -rate)
+            elif rate or slack >= 0:
+                continue
+            if rate == 0 or (lo and hi and lo[0] * hi[1] > hi[0] * lo[1]):
+                break  # a parallel row violated all along the line, or an empty interval
+        else:  # the line meets p
+            g = math.gcd(*d)
+            rays.update(tuple(sign * x // g for x in d) for sign, end in ((1, hi), (-1, lo)) if end is None)
+            lines.append((idx, tuple(w0), tuple(d), scale, lo, hi))
+            for num, den in filter(None, (lo, hi)):
+                u = [w * den + num * x for w, x in zip(w0, d)]
+                g = math.gcd(*u, scale * den)
+                ends.add((tuple(x // g for x in u), scale * den // g))
+        pointed = pointed or lo is not None or hi is not None or any(_dot(row, d) for row in rows)
+    if not pointed:
+        raise NotPointed("polyhedron has a nontrivial lineality space")
+    if not ends:
+        return VPolyhedron((), ())
+    common = math.lcm(*(den for _, den in ends))
+    ordered = sorted(ends, key=lambda end: [x * (common // end[1]) for x in end[0]])
+    vertices = tuple(QVector(tuple(Fraction(x, den) for x in u)) for u, den in ordered)
+    result = VPolyhedron(vertices, tuple(QVector.of(r) for r in sorted(rays)), tuple(lines))
     assert all(p.contains(v) for v in result.vertices)
     assert all(_is_recession_direction(p, r) for r in result.rays)
     return result

@@ -9,21 +9,19 @@ lexicographically least global minimizer is always in this pool (see
 is that point: the least (value, x) over the pool.  A cone's slice is
 minimized the same way in its ray multipliers.
 
-Each stationary point is solved in its hull's own coordinates, read from the
-subset walk (:func:`_hull_stationary_point`): x = (w0 + N z) / P, where P is
-the product of the walk's pivots, A_S w0 = b_S P and A_S N = 0, and z solves
-the k x k system N^T H N z = -N^T (H w0 + P c / 2), k = n - |S|.  A_S has
-full row rank, because the walk pivots only in coefficient columns, so the
-stationary point is unique exactly when N^T H N is nonsingular, that is,
-exactly when the KKT system [2H A_S^T; A_S 0] (x, y) = (-c, b_S) has a
-unique solution.  So the pool is the KKT pool, and no KKT matrix is built.
+Each stationary point is solved in its hull's own coordinates, read from a
+subset walk (``polyhedra._affine_hull``): x = (w0 + N z) / P with
+A_S w0 = b_S P and A_S N = 0, and z solves the k x k system
+N^T H N z = -N^T (H w0 + P c / 2), k = n - |S|.  A_S has full row rank, so
+the point is unique exactly when the KKT system
+[2H A_S^T; A_S 0] (x, y) = (-c, b_S) has a unique solution: the pool is the
+KKT pool, and no KKT matrix is built.  The lines (k = 1) are the ones
+``h_to_v`` already walked, with their interval in the polytope, so each
+polytope's lines are derived once for every form minimized over it.
 
 The arithmetic is on integers: a form keeps H and c as integer numerators
-over one denominator each, made once per object.  The hulls and the reduced
-systems start from those and from the polytope's integer rows, candidates
-are tested as integer points u / den, and only a kept one becomes Fractions.
-:func:`eval_quadratic` sums over a point's integer numerators, building one
-Fraction for the value.
+over one denominator each, candidates are tested as integer points u / den,
+and only a kept one becomes Fractions, as in :func:`eval_quadratic`.
 
 Everything here is a pure function of immutable inputs; candidate active
 sets are independent, so callers may fan the enumeration out and min-reduce.
@@ -37,7 +35,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .linalg import DimensionMismatch, QMatrix, QVector, _dot, _integer_row
-from .polyhedra import HPolyhedron, _independent_extensions, _kernel_direction, h_to_v
+from .polyhedra import HPolyhedron, _affine_hull, _independent_extensions, h_to_v
 
 
 class Unbounded(ValueError):
@@ -121,51 +119,30 @@ def _hull_stationary_point(
     affine hull {a . x = b} of a walk's basis of integer rows (a, b), with
     pivots in the n coefficient columns, or None when it is not unique.
 
-    The hull is back-substituted in integers as in :func:`_kernel_direction`,
-    for every free column at once and with no gcd, so that all share the
-    scale P, the product of the pivots: the right-hand side's column gives
-    w0 with A_S w0 = b_S P, and each free coefficient column a direction d
-    with A_S d = 0.  With x = (w0 + N z) / P, stationarity on the hull is
-    the k x k integer system 2 N^T h N z = -(2 N^T h w0 + P N^T c).  A walk
-    of its rows yields one subset exactly when the system is nonsingular,
-    and its kernel direction (v, t) then gives z = v / t."""
-    pivots = {pcol for _, pcol in basis}
-    # the free coefficient columns' unit vectors, then the right-hand side's
-    columns = [[int(i == j) for i in range(n + 1)] for j in range(n + 1) if j not in pivots]
-    scale = 1
-    for prow, pcol in reversed(basis):
-        p = prow[pcol]
-        scale *= p
-        dots = [_dot(prow, g) for g in columns]
-        columns = [[p * x for x in g] for g in columns]
-        for g, t in zip(columns, dots):
-            g[pcol] = -t
-    *dirs, w0 = [g[:n] for g in columns]
-    w0 = [-x for x in w0]
+    On the hull x = (w0 + N z) / P, stationarity is the k x k integer system
+    2 N^T h N z = -(2 N^T h w0 + P N^T c); a walk of its rows yields one
+    subset exactly when it is nonsingular, and back-substitution then gives
+    z = -v / t with t > 0."""
+    w0, dirs, scale = _affine_hull(basis, n)
     h_dirs = [[_dot(row, d) for row in h] for d in dirs]
     h_w0 = [_dot(row, w0) for row in h]
-    # rows (2 N^T h N, 2 N^T h w0 + P N^T c): M z = -rhs for z = v / t
+    # rows (2 N^T h N, 2 N^T h w0 + P N^T c): M z = -rhs
     system = [[2 * _dot(d, e) for e in h_dirs] + [2 * _dot(d, h_w0) + scale * _dot(d, c)] for d in dirs]
     k = len(dirs)
     walk = next(_independent_extensions(system, k, k, 0, [], []), None)
     if walk is None:
         return None
-    *v, t = _kernel_direction(walk[1], k + 1)
-    assert all(_dot(row, (*v, t)) == 0 for row in system)  # a zero residual of the reduced system
-    u = [t * w for w in w0]
-    for vj, d in zip(v, dirs):
-        u = [a + vj * b for a, b in zip(u, d)]
-    den = t * scale
-    if den < 0:
-        return [-x for x in u], -den
-    return u, den
+    v, _, t = _affine_hull(walk[1], k)
+    assert all(_dot(row, v) == row[-1] * t for row in system)  # a zero residual of the reduced system
+    return [t * w - sum(vj * d[i] for vj, d in zip(v, dirs)) for i, w in enumerate(w0)], t * scale
 
 
 def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
     """Unique stationary points of q on the affine hulls of p's faces of
-    dimension at least one that lie in p, one reduced system per hull from
-    one walk over every row subset of size below n.  Row subsets of size n
-    are not walked: their feasible basic solutions are the vertices of p."""
+    dimension at least one that lie in p.  The lines come from ``h_to_v(p)``
+    with their interval in p, which tests the 1 x 1 system's solution; one
+    walk over the row subsets of size at most n - 2 gives the other hulls.
+    Subsets of size n are not walked: their feasible points are the vertices."""
     n = p.dim
     int_rows = p.integer_rows
     h, hs, c, cs = q._integer_form
@@ -173,7 +150,18 @@ def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
     h_scaled = [[cs * v for v in row] for row in h]
     c_scaled = [hs * v for v in c]
     candidates: list[QVector] = []
-    for idx, basis in _independent_extensions(int_rows, n - 1, n, 0, [], [], every_depth=True):
+    for idx, w0, d, scale, lo, hi in h_to_v(p)._lines:
+        h_d = [_dot(row, d) for row in h_scaled]
+        # 2 d^T h d t = -(2 d^T h w0 + scale d . c), as t_num / t_den, t_den > 0
+        t_num, t_den = -(2 * _dot(h_d, w0) + scale * _dot(d, c_scaled)), 2 * _dot(h_d, d)
+        if t_den < 0:
+            t_num, t_den = -t_num, -t_den
+        if t_den == 0 or (lo and t_num * lo[1] < lo[0] * t_den) or (hi and t_num * hi[1] > hi[0] * t_den):
+            continue
+        u, den = [w * t_den + t_num * x for w, x in zip(w0, d)], scale * t_den
+        assert all(_dot(int_rows[i], u) == int_rows[i][-1] * den for i in idx)  # on the hull
+        candidates.append(QVector(tuple(Fraction(x, den) for x in u)))
+    for idx, basis in _independent_extensions(int_rows, n - 2, n, 0, [], [], every_depth=True) if n > 1 else ():
         point = _hull_stationary_point(basis, n, h_scaled, c_scaled)
         if point is None:
             continue

@@ -204,6 +204,46 @@ def reference_solve(m: QMatrix, rhs: QVector) -> tuple[QVector, tuple[QVector, .
     return QVector(tuple(particular)), tuple(basis)
 
 
+def line_key(direction: QVector, ends, unbounded) -> tuple[frozenset, frozenset, frozenset]:
+    """A line segment, ray or line inside a polyhedron as sets, whatever its
+    parametrization: the primitive direction both ways, the finite
+    endpoints, and the primitive directions in which it has no end."""
+    prim = primitivize(direction)
+    return frozenset((prim, -prim)), frozenset(ends), frozenset(primitivize(d) for d in unbounded)
+
+
+def reference_lines(p: HPolyhedron) -> tuple[dict, int]:
+    """Each independent (n-1)-subset's line and its interval in p, on
+    Fractions: a point x0 and the direction d of the subset's equalities by
+    ``reference_solve``, then per row t (a . d) <= b - a . x0.  The reference
+    for the lines ``h_to_v`` keeps.  Returns {subset: ``line_key``} over the
+    lines that meet p, and how many lines miss it."""
+    n = p.dim
+    rows = [row[:n] for row in p.integer_rows]
+    meeting, missed = {}, 0
+    for idx in independent_row_subsets(rows, n - 1, n):
+        x0, (d,) = reference_solve(QMatrix.from_rows([p.a.entries[i] for i in idx], n), QVector.of(p.b[i] for i in idx))
+        lo = hi = None
+        meets = True
+        for a, b in zip(p.a.entries, p.b):
+            rate = sum(x * y for x, y in zip(a, d.entries) if x)
+            slack = b - sum(x * y for x, y in zip(a, x0.entries) if x)
+            if rate > 0:
+                hi = slack / rate if hi is None else min(hi, slack / rate)
+            elif rate < 0:
+                lo = slack / rate if lo is None else max(lo, slack / rate)
+            elif slack < 0:
+                meets = False
+                break
+        if not meets or (lo is not None and hi is not None and lo > hi):
+            missed += 1
+            continue
+        ends = [x0 + d.scale(t) for t in (lo, hi) if t is not None]
+        unbounded = [end for end, t in ((-d, lo), (d, hi)) if t is None]
+        meeting[idx] = line_key(d, ends, unbounded)
+    return meeting, missed
+
+
 def reference_rank(m: QMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0

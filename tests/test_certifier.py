@@ -267,7 +267,7 @@ def _curving_windows(inst, max_fibers=4):
         if min_quadratic_on_cone_slice(inst.quad.h, vrep.rays, f).value < 0:
             continue
         families = ray_families(vrep)
-        stream = window_fibers(MixedIntegerSet(part, inst.integer_count), vrep)
+        stream = window_fibers(MixedIntegerSet(part, inst.integer_count), vrep, families)
         for family_index, fibers in groupby(stream, key=lambda fiber: fiber.family_index):
             cones = simple_cone_decomposition(inst.quad.h, families[family_index]).pieces
             pieces = [_window_piece(inst.quad, cone, f) for cone in cones]

@@ -296,7 +296,7 @@ def test_window_fibers_match_reference_loop():
     several = 0  # parts whose stream crosses from one family to the next
     for part, vrep in _seeded_parts(rng, 200):
         s = MixedIntegerSet(part, rng.randint(0, part.dim))
-        stream = list(window_fibers(s, vrep))
+        stream = list(window_fibers(s, vrep, ray_families(vrep)))
         assert stream == reference_window_fibers(s, vrep)
         several += len({fiber.family_index for fiber in stream}) > 1
     assert several >= 100
@@ -309,19 +309,19 @@ def test_fiber_limit_counts_across_families(monkeypatch):
     checked = 0
     for part, vrep in _seeded_parts(rng, 60):
         s = MixedIntegerSet(part, rng.randint(0, part.dim))
-        per_family = Counter(fiber.family_index for fiber in window_fibers(s, vrep))
+        per_family = Counter(fiber.family_index for fiber in window_fibers(s, vrep, ray_families(vrep)))
         if len(per_family) < 2:
             continue
         checked += 1
         monkeypatch.setattr(milp, "MAX_FIBERS", max(per_family.values()))
-        stream = window_fibers(s, vrep)
+        stream = window_fibers(s, vrep, ray_families(vrep))
         yielded = []
         with pytest.raises(FiberLimit):
             for fiber in stream:
                 yielded.append(fiber)
         assert len(yielded) == milp.MAX_FIBERS
         monkeypatch.setattr(milp, "MAX_FIBERS", sum(per_family.values()))
-        assert len(list(window_fibers(s, vrep))) == milp.MAX_FIBERS
+        assert len(list(window_fibers(s, vrep, ray_families(vrep)))) == milp.MAX_FIBERS
         monkeypatch.undo()
     assert checked >= 10
 

@@ -1,20 +1,21 @@
-import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from miqpcert import polyhedra
 from miqpcert.cones import normalizing_hyperplane
-from miqpcert.linalg import QMatrix, QVector, _dot, _solve_integer, rank, solve_linear_system
+from miqpcert.linalg import QMatrix, QVector, _dot, _integer_row, _solve_integer, rank, solve_linear_system
 from miqpcert.polyhedra import (
     HPolyhedron,
     NotInCone,
     NotPointed,
     SimpleCone,
     VPolyhedron,
+    _affine_hull,
     _independent_extensions,
-    _kernel_direction,
     caratheodory_simple_cone,
     faces_of_simple_cone,
     h_to_v,
@@ -27,7 +28,17 @@ from miqpcert.polyhedra import (
 )
 from miqpcert.linalg import encoding_size
 
-from helpers import cone_hull, hpoly, mat, reference_h_to_v, sample_in_cone, sample_in_polytope, vec
+from helpers import (
+    cone_hull,
+    hpoly,
+    line_key,
+    mat,
+    reference_h_to_v,
+    reference_lines,
+    sample_in_cone,
+    sample_in_polytope,
+    vec,
+)
 
 
 def unit_square():
@@ -363,18 +374,30 @@ def test_vertex_box_stays_out_of_equality():
     assert v == twin and hash(v) == hash(twin)
 
 
-def _differential_system(rng: random.Random, n: int) -> HPolyhedron:
+def test_lines_stay_out_of_equality():
+    p = hpoly([[-1, 0], [0, -1], [-1, 1], [1, 1]], [-1, 0, 0, 6])
+    twin = hpoly([[-1, 0], [0, -1], [-1, 1], [1, 1]], [-1, 0, 0, 6])
+    v = h_to_v(p)
+    bare = VPolyhedron(v.vertices, v.rays)
+    assert len(v._lines) == 4 and not bare._lines
+    assert v == bare and hash(v) == hash(bare) and repr(v) == repr(bare)
+    assert p == twin and p is not twin and hash(p) == hash(twin) == hash(p.integer_rows)
+    assert h_to_v(twin) is v  # one cache entry for equal polyhedra
+
+
+def _differential_system(rng: random.Random, n: int, max_rows: int | None = None) -> HPolyhedron:
     """Rational rows in n unknowns, mixed with duplicate, parallel (a
     rational multiple of either sign) and all-zero rows.  One system in
     four is a pointed cone over 3-6 directions, shifted and cut, which
-    gives more than n extreme rays; contradictory rows make some empty."""
+    gives more than n extreme rays; contradictory rows make some empty.
+    n to n + 4 rows follow the cone's, or up to ``max_rows`` in all."""
     rows, rhs = [], []
     if n >= 2 and rng.random() < 0.25:
         for _ in range(rng.randint(3, 6)):
             direction = [rng.randint(-2, 2) for _ in range(n - 1)]
             rows.append([*direction, -rng.randint(1, 3)])  # direction . x' <= k x_n
             rhs.append(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-    for _ in range(rng.randint(n, n + 4)):
+    for _ in range(rng.randint(n, n + 4) if max_rows is None else rng.randint(n, max_rows - len(rows))):
         kind = rng.random()
         if rows and kind < 0.15:
             i = rng.randrange(len(rows))
@@ -429,19 +452,84 @@ def test_h_to_v_matches_reference():
     assert degenerate >= 50 and parallel >= 60
 
 
-def test_kernel_direction_back_substitution():
+def _kept_line_key(line) -> tuple[frozenset, frozenset, frozenset]:
+    """``line_key`` of one of h_to_v's lines, (subset, w0, d, scale, lo, hi)
+    with x = (w0 + t d) / scale for lo <= t <= hi."""
+    _, w0, d, scale, lo, hi = line
+    ends = [
+        QVector(tuple(Fraction(w * den + num * x, scale * den) for w, x in zip(w0, d)))
+        for num, den in filter(None, (lo, hi))
+    ]
+    direction = QVector.of(d)
+    unbounded = [end for end, t in ((-direction, lo), (direction, hi)) if t is None]
+    return line_key(direction, ends, unbounded)
+
+
+def test_line_walk_matches_reference(monkeypatch):
+    """h_to_v's one walk over the independent (n-1)-subsets against two
+    references on Fractions: the same V-description as reference_h_to_v,
+    or NotPointed from both, and as kept lines exactly the reference lines
+    that meet p, each with the same interval.  Seeded systems in R^1..R^5
+    with up to 3n + 3 rows, among them degenerate vertices, parallel rows,
+    and empty and non-pointed systems.  One walk: a hull back-substituted
+    per line, none for anything else."""
+    hulls = []
+
+    def counted_hull(basis, n):
+        hulls.append(n)
+        return _affine_hull(basis, n)
+
+    monkeypatch.setattr(polyhedra, "_affine_hull", counted_hull)
+    rng = random.Random(1818)
+    counts = Counter()
+    for n in [1, 2, 3] * 50 + [4] * 30 + [5] * 5:  # the Fraction references dominate, most of all in R^5
+        p = _differential_system(rng, n, 3 * n + 3)
+        subsets = len(list(independent_row_subsets([row[:n] for row in p.integer_rows], n - 1, n)))
+        hulls.clear()
+        try:
+            expected = reference_h_to_v(p)
+        except NotPointed:
+            counts["not pointed"] += 1
+            with pytest.raises(NotPointed):
+                h_to_v.__wrapped__(p)
+            assert len(hulls) == subsets
+            continue
+        got = h_to_v.__wrapped__(p)
+        assert len(hulls) == subsets
+        assert got == expected, p
+        lines, missed = reference_lines(p)
+        assert {line[0]: _kept_line_key(line) for line in got._lines} == lines
+        assert len(got._lines) == len(lines)
+        counts["empty"] += got.is_empty
+        counts["n = 1"] += n == 1 and not got.is_empty
+        counts["with rays"] += bool(got.rays)
+        counts["some line misses"] += missed > 0 and not got.is_empty
+        rows = p.integer_rows
+        for v in got.vertices:  # more than n rows tight
+            *u, den = _integer_row((*v.entries, 1))
+            counts["degenerate"] += sum(_dot(row, u) == row[-1] * den for row in rows) > n
+        counts["parallel"] += any(  # nonzero rows with every 2 x 2 minor zero
+            any(a[:n]) and any(b[:n]) and all(a[i] * b[j] == a[j] * b[i] for i, j in combinations(range(n), 2))
+            for a, b in combinations(rows, 2)
+        )
+    assert counts["not pointed"] >= 15 and counts["empty"] >= 60 and counts["n = 1"] >= 15, counts
+    assert counts["with rays"] >= 40 and counts["some line misses"] >= 40, counts
+    assert counts["degenerate"] >= 80 and counts["parallel"] >= 100, counts
+
+
+def test_affine_hull_back_substitution():
     """Seeded integer rows with the right-hand side last, one of them
     parallel to another with a different right-hand side.  Walked with
     pivots in the n coefficient columns, they yield exactly the subsets of
     the rows without their right-hand sides, so the parallel pair is never
     chosen together.  Walked once with ``every_depth``, they yield the
     subsets of every size up to n with the same bases, each after its
-    prefix.  For every independent (n-1)-subset the
-    back-substituted direction is nonzero, primitive, orthogonal to the
-    subset's coefficients and ± the primitive nullspace vector of a separate
+    prefix.  For every independent (n-1)-subset the back-substituted line
+    (w0 + t d) / scale has scale > 0, lies on the subset's rows, and d is
+    nonzero and ± a multiple of the primitive nullspace vector of a separate
     elimination; for n = 1 the only subset is the empty one.  For every
-    independent n-subset, (u, s) over the n + 1 columns has s != 0, and
-    -u / s is the subset's unique solution by a separate elimination."""
+    independent n-subset the hull has no direction, and w0 / scale is the
+    subset's unique solution by a separate elimination."""
     rng = random.Random(77)
     rays = vertices = 0
     for n in range(1, 6):
@@ -463,18 +551,18 @@ def test_kernel_direction_back_substitution():
             position = {idx: i for i, (idx, _) in enumerate(every)}
             assert all(position[idx[:-1]] < position[idx] for idx in position if idx)
             for idx, basis in _independent_extensions(rows, n - 1, n, 0, [], []):
-                g = _kernel_direction(basis, n)
-                assert any(g) and math.gcd(*g) == 1
-                assert all(_dot(rows[i], g) == 0 for i in idx)
+                w0, (d,), scale = _affine_hull(basis, n)
+                assert scale > 0 and any(d)
+                assert all(_dot(rows[i], w0) == rows[i][n] * scale and _dot(rows[i], d) == 0 for i in idx)
                 null = _solve_integer([(*coefficients[i], 0) for i in idx], n).nullspace
                 assert len(null) == 1
-                assert QVector.of(g) in (primitivize(null[0]), -primitivize(null[0]))
+                assert primitivize(QVector.of(d)) in (primitivize(null[0]), -primitivize(null[0]))
                 rays += 1
             for idx, basis in _independent_extensions(rows, n, n, 0, [], []):
-                *u, s = _kernel_direction(basis, n + 1)
-                assert s != 0
+                w0, dirs, scale = _affine_hull(basis, n)
+                assert not dirs and scale > 0
                 solution = _solve_integer([rows[i] for i in idx], n)
                 assert solution.is_unique
-                assert QVector(tuple(Fraction(-x, s) for x in u)) == solution.particular
+                assert QVector(tuple(Fraction(x, scale) for x in w0)) == solution.particular
                 vertices += 1
     assert rays >= 500 and vertices >= 400

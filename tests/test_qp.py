@@ -8,7 +8,7 @@ from miqpcert import linalg, qp
 from miqpcert.certifier import find_certificate, verify_certificate
 from miqpcert.cones import normalizing_hyperplane
 from miqpcert.linalg import QMatrix, QVector, rank
-from miqpcert.polyhedra import HPolyhedron, NotPointed, SimpleCone, h_to_v
+from miqpcert.polyhedra import HPolyhedron, NotPointed, SimpleCone, h_to_v, independent_row_subsets
 from miqpcert.qp import (
     EmptyFeasibleSet,
     QuadraticForm,
@@ -226,10 +226,11 @@ def test_kkt_pool_matches_two_stage_reference():
     # with integer data and with rational H, c and rows (which the pool
     # rescales to integers), 20 (c, b) pairs per (H, A).  Rank-one and zero
     # forms leave the reduced system of hulls of dimension >= 2 singular
-    # (its rank is at most one)
+    # (its rank is at most one).  In many cases some line of an independent
+    # (n-1)-subset misses the moved polytope
     rng = random.Random(8080)
     for rational in (False, True):
-        matrices = cases = flats = singular = 0
+        matrices = cases = flats = singular = misses = 0
         for kind in ("definite", "indefinite", "rank-one", "zero"):
             for shape in ("polytope", "slab"):
                 for _ in range(6):
@@ -257,6 +258,8 @@ def test_kkt_pool_matches_two_stage_reference():
                         got = _stationary_candidates(q, moved)
                         assert sorted(got) == sorted(expected) == sorted(kkt)
                         cases += 1
+                        lines = independent_row_subsets([row[:n] for row in moved.integer_rows], n - 1, n)
+                        misses += len(h_to_v(moved)._lines) < len(list(lines))
                         flats += flat > 0
                         if kind in ("rank-one", "zero"):
                             singular += sum(k >= 2 for k in singular_dims)
@@ -264,6 +267,7 @@ def test_kkt_pool_matches_two_stage_reference():
         assert cases >= 700
         assert flats >= 30
         assert singular >= 600
+        assert misses >= 250  # the pool's lines come from h_to_v, which keeps only those that meet p
 
 
 def test_qp_minimizer_deterministic_lex():

@@ -1,0 +1,94 @@
+"""Work counts of the benchmark's two cold corpora, pinned like certificates.
+
+Each instance of ``boxed_cli`` and ``unbounded_budget`` is solved in
+generator order with the ``h_to_v`` cache cleared first, as in
+``tests/test_certificate_digest.py``, and three per-corpus totals are
+compared with committed constants:
+- ``h_to_v misses``: polyhedra enumerated, read from the cache's own
+  statistics;
+- ``back-substitutions``: calls of ``polyhedra._affine_hull``, one per line
+  of each enumeration, one per face hull below and one more for its reduced
+  system when that is nonsingular, and one per cone-multiplier solve;
+- ``face hulls``: calls of ``qp._hull_stationary_point``, one per QP face
+  hull of dimension at least two and per cone-slice support.  A line's
+  1 x 1 system is solved in closed form on a line ``h_to_v`` already has.
+``linalg._solve_integer`` must not run at all.
+
+Timed pairs on a shared machine swing by up to a factor of two; counts do
+not.  A change that changes the work updates the constants and says which
+moved, and by how much, as a digest change must.  ``bench/workloads.py`` is
+only read.
+
+Needs no pytest, so it also runs on its own under any supported Python,
+with or without asserts:
+
+    PYTHONPATH=src python3 tests/test_work_counts.py
+"""
+
+import sys
+from collections import Counter
+
+from miqpcert import find_certificate, h_to_v, linalg, parse_instance, polyhedra, qp
+
+from test_certificate_digest import _generated
+
+EXPECTED = {
+    "boxed_cli": {"h_to_v misses": 772, "back-substitutions": 5187, "face hulls": 397},
+    "unbounded_budget": {"h_to_v misses": 330, "back-substitutions": 1820, "face hulls": 475},
+}
+# the module attributes counted, under the counter each adds to
+COUNTED = (
+    (polyhedra, "_affine_hull", "back-substitutions"),
+    (qp, "_affine_hull", "back-substitutions"),
+    (qp, "_hull_stationary_point", "face hulls"),
+    (linalg, "_solve_integer", "integer solves"),
+)
+
+
+def corpus_counts(name: str) -> Counter:
+    counts: Counter = Counter()
+
+    def counting(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return counted
+
+    originals = [(module, attr, getattr(module, attr)) for module, attr, _ in COUNTED]
+    for module, attr, key in COUNTED:
+        setattr(module, attr, counting(key, getattr(module, attr)))
+    try:
+        for case in _generated(name):
+            h_to_v.cache_clear()
+            find_certificate(parse_instance(case.text))
+            counts["h_to_v misses"] += h_to_v.cache_info().misses
+    finally:
+        for module, attr, fn in originals:
+            setattr(module, attr, fn)
+    return counts
+
+
+def _mismatches(name: str) -> list[str]:
+    counts = corpus_counts(name)
+    wrong = [f"{key} {counts[key]}, expected {value}" for key, value in EXPECTED[name].items() if counts[key] != value]
+    if counts["integer solves"]:
+        wrong.append(f"integer solves {counts['integer solves']}, expected 0")
+    return wrong
+
+
+def test_boxed_cli_work():
+    assert _mismatches("boxed_cli") == []
+
+
+def test_unbounded_budget_work():
+    assert _mismatches("unbounded_budget") == []
+
+
+if __name__ == "__main__":
+    failed = 0
+    for name in EXPECTED:
+        wrong = _mismatches(name)
+        failed += bool(wrong)
+        print(f"{name} {'; '.join(wrong) if wrong else 'ok'}")
+    sys.exit(1 if failed else 0)
