@@ -29,7 +29,7 @@ import re
 from fractions import Fraction
 
 from .certifier import Certificate, MiqpInstance, SearchTrace
-from .linalg import EncodingSize, QMatrix, QVector, as_rational
+from .linalg import EncodingSize, QMatrix, QVector, _integer_fraction, as_rational
 from .qp import QuadraticForm
 from .polyhedra import HPolyhedron
 
@@ -58,6 +58,10 @@ def _parse_rationals(line_no: int, tokens: list[str], count: int, what: str) -> 
         raise InstanceFormatError(line_no, f"expected {count} rationals for {what}, got {len(tokens)}")
     values = []
     for tok in tokens:
+        # an ASCII integer, most tokens, goes straight to its shared Fraction
+        if tok.isascii() and (tok.isdigit() or (tok[0] == "-" and tok[1:].isdigit())):
+            values.append(_integer_fraction(int(tok)))
+            continue
         try:
             values.append(as_rational(tok))
         except (ValueError, ZeroDivisionError):
@@ -125,8 +129,9 @@ def parse_instance(text: str) -> MiqpInstance:
     if cursor < len(lines):
         raise InstanceFormatError(lines[cursor][0], "trailing content after instance data")
 
-    quad = QuadraticForm(QMatrix.from_rows(h_rows, n), QVector.of(c), d)
-    poly = HPolyhedron(QMatrix.from_rows(a_rows, n), QVector.of(b))
+    # the parsed values are Fractions already: no second coercion pass
+    quad = QuadraticForm(QMatrix(tuple(map(tuple, h_rows)), n), QVector(tuple(c)), d)
+    poly = HPolyhedron(QMatrix(tuple(map(tuple, a_rows)), n), QVector(tuple(b)))
     return MiqpInstance(quad, poly, p)
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .linalg import QVector, _integer_row
+from .linalg import QVector, _dot, _integer_fraction, _integer_row
 from .polyhedra import (
     HPolyhedron,
     SimpleCone,
@@ -120,14 +120,18 @@ def _window_polytope(
 
 def _fibers(poly: HPolyhedron, box: list[tuple[Fraction, Fraction]], p: int, family_index: int) -> Iterator[Fiber]:
     """The nonempty fibers of poly over the integer prefixes y in the first p
-    ranges of box, in product order: the completions of y inside poly."""
+    ranges of box, in product order: the completions of y inside poly.  With
+    no continuous coordinates, y is tested against ``poly.integer_rows`` as
+    it is, and only a kept one becomes Fractions."""
     ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box[:p]]
+    rows = poly.integer_rows
     for combo in product(*ranges):
-        y = QVector.of(combo)
         if poly.dim == p:
-            if poly.contains(y):
+            if all(_dot(row, combo) <= row[-1] for row in rows):
+                y = QVector(tuple(map(_integer_fraction, combo)))
                 yield Fiber(poly, y, family_index, (y,), None)
             continue
+        y = QVector(tuple(map(_integer_fraction, combo)))
         reduced = restrict_prefix(poly, y)
         verts = h_to_v(reduced).vertices
         if verts:

@@ -16,6 +16,7 @@ tuples.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -27,11 +28,15 @@ from .linalg import (
     QMatrix,
     QVector,
     _dot,
+    _integer_fraction,
     _integer_row,
     nullspace_basis,
     rank,
     solve_linear_system,
 )
+
+
+_denominator = operator.attrgetter("denominator")
 
 
 class NotPointed(ValueError):
@@ -113,6 +118,8 @@ class VPolyhedron:
     rays: tuple[QVector, ...]
     # h_to_v's lines in the polyhedron, (subset, w0, d, scale, lo, hi), for the QP pool
     _lines: tuple = field(default=(), compare=False, repr=False)
+    # h_to_v's vertices as integer points (u, den), v = u / den in lowest terms, den > 0
+    _ends: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:
@@ -282,9 +289,10 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
     n - 1 of its n independent tight rows.  Where it has no end, d (every
     rate <= 0) or -d (every rate >= 0) is an extreme ray, and each extreme
     ray is found so, as the direction of an unbounded edge, whose line meets
-    p.  Those lines are kept for the QP pool, and vertices sort on integer
-    numerators over one shared denominator.  An empty polyhedron yields empty
-    lists; rank(A) < n raises :class:`NotPointed`: no line has a nonzero rate."""
+    p.  Those lines are kept for the QP pool, with the vertices as integer
+    points (u, den), and vertices sort on integer numerators over one shared
+    denominator.  An empty polyhedron yields empty lists; rank(A) < n raises
+    :class:`NotPointed`: no line has a nonzero rate."""
     n = p.dim
     rows = p.integer_rows
     pointed, ends, rays, lines = False, set(), set(), []
@@ -317,17 +325,10 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
         return VPolyhedron((), ())
     common = math.lcm(*(den for _, den in ends))
     ordered = sorted(ends, key=lambda end: [x * (common // end[1]) for x in end[0]])
+    assert all(_dot(row, u) <= row[-1] * den for u, den in ordered for row in rows)  # in p
+    assert all(_dot(row, r) <= 0 for r in rays for row in rows)  # recession directions
     vertices = tuple(QVector(tuple(Fraction(x, den) for x in u)) for u, den in ordered)
-    result = VPolyhedron(vertices, tuple(QVector.of(r) for r in sorted(rays)), tuple(lines))
-    assert all(p.contains(v) for v in result.vertices)
-    assert all(_is_recession_direction(p, r) for r in result.rays)
-    return result
-
-
-def _is_recession_direction(p: HPolyhedron, r: QVector) -> bool:
-    """A r <= 0, tested in integers on r scaled by a positive factor."""
-    u = _integer_row(r.entries)
-    return all(_dot(row, u) <= 0 for row in p.integer_rows)
+    return VPolyhedron(vertices, tuple(QVector.of(r) for r in sorted(rays)), tuple(lines), tuple(ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +447,33 @@ def restrict_prefix(p: HPolyhedron, y: QVector) -> HPolyhedron:
     """The polyhedron of trailing coordinates once the first len(y) are fixed
     to y.  Requires at least one trailing coordinate.  A row whose trailing
     part is zero is dropped when it holds at y, as it no longer constrains
-    anything, and kept when it fails, so the result stays empty."""
+    anything, and kept when it fails, so the result stays empty.
+
+    Computed from ``p.integer_rows`` with y = u / D: integer row (a, b),
+    L times the rational row with L the lcm of its denominators, keeps its
+    coefficients and gets the right-hand side (b D - a_y . u) / (L D).  The
+    integer row of the result, (a D, b D - a_y . u) divided by its gcd with
+    L D, is the one :func:`_integer_row` gives, so it is handed over, and
+    hashing agrees with equality."""
     k = y.dim
     q = p.dim - k
     if q < 1:
         raise ValueError("no trailing coordinates left")
-    rows, rhs = [], []
-    for row, bound in zip(p.a.entries, p.b):
-        value = bound - sum(a * v for a, v in zip(row, y))
-        if any(row[k:]) or value < 0:
-            rows.append(row[k:])
-            rhs.append(value)
-    return HPolyhedron(QMatrix.from_rows(rows, q), QVector.of(rhs))
+    *u, den = _integer_row((*y.entries, 1))
+    rows, rhs, int_rows = [], [], []
+    for row, bound, int_row in zip(p.a.entries, p.b, p.integer_rows):
+        trailing = int_row[k:-1]
+        value = int_row[-1] * den - _dot(int_row, u)  # the right-hand side times L D
+        if not any(trailing) and value >= 0:
+            continue
+        scale = math.lcm(bound.denominator, *map(_denominator, row)) * den
+        reduced = (*(v * den for v in trailing), value)
+        g = math.gcd(scale, *reduced)
+        if g > 1:
+            reduced = tuple(v // g for v in reduced)
+        rows.append(row[k:])
+        rhs.append(Fraction(value, scale) if scale > 1 else _integer_fraction(value))
+        int_rows.append(reduced)
+    result = HPolyhedron(QMatrix(tuple(rows), q), QVector(tuple(rhs)))
+    vars(result)["integer_rows"] = tuple(int_rows)  # the cached property's value, computed here
+    return result

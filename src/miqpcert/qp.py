@@ -20,8 +20,13 @@ KKT pool, and no KKT matrix is built.  The lines (k = 1) are the ones
 polytope's lines are derived once for every form minimized over it.
 
 The arithmetic is on integers: a form keeps H and c as integer numerators
-over one denominator each, candidates are tested as integer points u / den,
-and only a kept one becomes Fractions, as in :func:`eval_quadratic`.
+over one denominator each, and :func:`restrict_quadratic` hands the form it
+builds the integer form it computed.  The pool is a list of integer points
+u / den, the vertices as ``h_to_v`` found them and the tested stationary
+points; each is valued by the numerator of :func:`eval_quadratic`'s one
+fraction, the values and then the points are compared by
+cross-multiplication, and only the least point and its value become
+Fractions.
 
 Everything here is a pure function of immutable inputs; candidate active
 sets are independent, so callers may fan the enumeration out and min-reduce.
@@ -29,6 +34,7 @@ sets are independent, so callers may fan the enumeration out and min-reduce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -91,25 +97,49 @@ def eval_quadratic(q: QuadraticForm, x: QVector) -> Fraction:
     and c = ĉ / cs it is (u^T Ĥ u cs + ĉ . u hs D) / (hs cs D^2) + d."""
     if x.dim != q.dim:
         raise DimensionMismatch(f"point dim {x.dim} vs form dim {q.dim}")
-    h, hs, c, cs = q._integer_form
     *u, den = _integer_row((*x.entries, 1))
-    quadratic = sum(ui * _dot(row, u) for ui, row in zip(u, h) if ui)
-    return Fraction(quadratic * cs + _dot(c, u) * hs * den, hs * cs * den * den) + q.d
+    form = q._integer_form
+    return Fraction(_quadratic_numerator(form, u, den), form[1] * form[3] * den * den) + q.d
+
+
+def _quadratic_numerator(form: tuple, u: Sequence[int], den: int) -> int:
+    """u^T Ĥ u cs + ĉ . u hs D: x^T H x + c . x at x = u / D times
+    hs cs D^2, for a form's ``_integer_form`` (Ĥ, hs, ĉ, cs)."""
+    h, hs, c, cs = form
+    return sum(ui * _dot(row, u) for ui, row in zip(u, h) if ui) * cs + _dot(c, u) * hs * den
 
 
 def restrict_quadratic(q: QuadraticForm, y: QVector, offset: QVector | None = None) -> QuadraticForm:
     """The quadratic z -> q(y, z + offset), offset zero when not given, in
     the trailing coordinates once the first len(y), possibly none, are fixed
-    to y: its value and gradient at the base point (y, offset) give the
-    constant and linear term, and H's trailing block stays."""
+    to y: its value and gradient at the base point x = (y, offset) give the
+    constant and linear term, and H's trailing block stays.
+
+    Computed from ``q._integer_form`` with x = u / D: the gradient 2Hx + c is
+    (2 cs Ĥu + hs D ĉ) / (hs cs D) and the value is :func:`eval_quadratic`'s
+    sum.  The result's integer form, the trailing block of Ĥ over hs and the
+    gradient's numerators over hs cs D, each divided by its gcd, is the one
+    ``_integer_form`` gives, so it is handed over."""
     k = y.dim
     n = q.dim
     if not 0 <= k < n:
         raise ValueError("prefix must leave at least one trailing coordinate")
-    x = y.concat(QVector.zero(n - k) if offset is None else offset)
-    gradient = q.h.matvec(x).scale(2) + q.c
-    hzz = QMatrix.from_rows([row[k:] for row in q.h.entries[k:]], n - k)
-    return QuadraticForm(hzz, gradient.drop(k), eval_quadratic(q, x))
+    form = q._integer_form
+    h, hs, c, cs = form
+    x = y.entries if offset is None else y.entries + offset.entries
+    *u, den = _integer_row((*x, 1))  # Ĥu and ĉ . u below run over x's entries
+    grad, grad_den = [2 * cs * _dot(row, u) + hs * den * w for row, w in zip(h[k:], c[k:])], hs * cs * den
+    g = math.gcd(grad_den, *grad)
+    grad, grad_den = tuple(v // g for v in grad), grad_den // g
+    block = [row[k:] for row in h[k:]]
+    g = math.gcd(hs, *(v for row in block for v in row))
+    result = QuadraticForm(
+        QMatrix(tuple(row[k:] for row in q.h.entries[k:]), n - k),
+        QVector(tuple(Fraction(v, grad_den) for v in grad)),
+        Fraction(_quadratic_numerator(form, u, den), hs * cs * den * den) + q.d,
+    )
+    vars(result)["_integer_form"] = (tuple(tuple(v // g for v in row) for row in block), hs // g, grad, grad_den)
+    return result
 
 
 def _hull_stationary_point(
@@ -137,9 +167,10 @@ def _hull_stationary_point(
     return [t * w - sum(vj * d[i] for vj, d in zip(v, dirs)) for i, w in enumerate(w0)], t * scale
 
 
-def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
+def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[tuple[list[int], int]]:
     """Unique stationary points of q on the affine hulls of p's faces of
-    dimension at least one that lie in p.  The lines come from ``h_to_v(p)``
+    dimension at least one that lie in p, as integer points (u, den), x =
+    u / den with den > 0.  The lines come from ``h_to_v(p)``
     with their interval in p, which tests the 1 x 1 system's solution; one
     walk over the row subsets of size at most n - 2 gives the other hulls.
     Subsets of size n are not walked: their feasible points are the vertices."""
@@ -149,7 +180,7 @@ def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
     # H and c times hs cs: cs Ĥ and hs ĉ, with the same stationary points
     h_scaled = [[cs * v for v in row] for row in h]
     c_scaled = [hs * v for v in c]
-    candidates: list[QVector] = []
+    candidates: list[tuple[list[int], int]] = []
     for idx, w0, d, scale, lo, hi in h_to_v(p)._lines:
         h_d = [_dot(row, d) for row in h_scaled]
         # 2 d^T h d t = -(2 d^T h w0 + scale d . c), as t_num / t_den, t_den > 0
@@ -160,7 +191,7 @@ def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
             continue
         u, den = [w * t_den + t_num * x for w, x in zip(w0, d)], scale * t_den
         assert all(_dot(int_rows[i], u) == int_rows[i][-1] * den for i in idx)  # on the hull
-        candidates.append(QVector(tuple(Fraction(x, den) for x in u)))
+        candidates.append((u, den))
     for idx, basis in _independent_extensions(int_rows, n - 2, n, 0, [], [], every_depth=True) if n > 1 else ():
         point = _hull_stationary_point(basis, n, h_scaled, c_scaled)
         if point is None:
@@ -168,13 +199,14 @@ def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
         u, den = point
         assert all(_dot(int_rows[i], u) == int_rows[i][-1] * den for i in idx)  # on the hull
         if all(_dot(row, u) <= row[-1] * den for row in int_rows):
-            candidates.append(QVector(tuple(Fraction(x, den) for x in u)))
+            candidates.append(point)
     return candidates
 
 
-def _pool(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
+def _pool(q: QuadraticForm, p: HPolyhedron) -> list[tuple[Sequence[int], int]]:
     """The vertices of the polytope p and the face-hull candidates of q on
-    it; raises as :func:`qp_global_min` does."""
+    it, as integer points (u, den), x = u / den with den > 0; raises as
+    :func:`qp_global_min` does."""
     if q.dim != p.dim:
         raise DimensionMismatch("form and polytope dimensions differ")
     vrep = h_to_v(p)
@@ -182,7 +214,7 @@ def _pool(q: QuadraticForm, p: HPolyhedron) -> list[QVector]:
         raise Unbounded("feasible set is unbounded")
     if not vrep.vertices:
         raise EmptyFeasibleSet("feasible set is empty")
-    return [*vrep.vertices, *_stationary_candidates(q, p)]
+    return [*vrep._ends, *_stationary_candidates(q, p)]
 
 
 def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
@@ -209,11 +241,26 @@ def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
     through m* either fixes x, and then m* is not a vertex of the preimage,
     or moves x along a line of optimal points as above.
 
+    The pool's points are integer points u / den, each valued as
+    :func:`eval_quadratic` sums it, over hs cs den^2, and compared by
+    cross-multiplication, values first and then x; only the least one
+    becomes Fractions.
+
     Raises :class:`Unbounded` when p has recession directions and
     :class:`EmptyFeasibleSet` when p is empty.
     """
-    value, x = min((eval_quadratic(q, x), x) for x in _pool(q, p))
-    return QpResult(x, value)
+    form = q._integer_form
+    best_u, best_den, best_value = None, 1, 0
+    for u, den in _pool(q, p):
+        value = _quadratic_numerator(form, u, den)  # the value less d, times hs cs den^2
+        if best_u is not None:
+            left, right = value * best_den * best_den, best_value * den * den
+            if left > right or (left == right and [x * best_den for x in u] >= [x * den for x in best_u]):
+                continue
+        best_u, best_den, best_value = u, den, value
+    _, hs, _, cs = form
+    minimizer = QVector(tuple(Fraction(x, best_den) for x in best_u))
+    return QpResult(minimizer, Fraction(best_value, hs * cs * best_den * best_den) + q.d)
 
 
 def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector) -> QpResult:

@@ -30,7 +30,6 @@ from miqpcert.linalg import _integer_row, _solve_integer, encoding_size, isqrt_c
 from miqpcert.milp import Fiber, ray_families
 from miqpcert.polyhedra import (
     NotPointed,
-    _is_recession_direction,
     independent_row_subsets,
     polytope_hull,
     primitivize,
@@ -112,6 +111,11 @@ def random_bounded_polytope(rng: random.Random, n: int) -> HPolyhedron:
         poly = hpoly(rows, rhs)
         if not h_to_v(poly).is_empty:
             return poly
+
+
+def _is_recession_direction(p: HPolyhedron, r: QVector) -> bool:
+    """A r <= 0, on Fractions."""
+    return all(r.dot(QVector(row)) <= 0 for row in p.a.entries)
 
 
 def reference_h_to_v(p: HPolyhedron) -> VPolyhedron:

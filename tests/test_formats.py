@@ -54,7 +54,12 @@ def test_instance_errors_carry_line_numbers():
     assert "p=2" in str(err.value)
 
 
-NON_GRAMMAR_SPELLINGS = ("1_000", "1e3", "1.5", "+3", "٣", "3/-4", "1/2/3", "0x10", "inf", "nan")
+NON_GRAMMAR_SPELLINGS = (
+    "1_000", "1e3", "1.5", "+3", "٣", "3/-4", "1/2/3", "0x10", "inf", "nan",
+    # non-ASCII digits that str.isdigit or int() accept, and signs without digits:
+    # the ASCII-integer shortcut must leave each to the grammar
+    "²", "３", "-٣", "-", "--3", "-+3",
+)
 
 
 def test_rational_tokens_follow_one_grammar():
@@ -64,6 +69,11 @@ def test_rational_tokens_follow_one_grammar():
     text = "2 0\n−1 0\n0 -12/8\n0 0\n0\n1\n1 1\n9\n"
     assert parse_instance(text).quad.h.entries[0][0] == -1
     assert parse_instance(text).quad.h.entries[1][1] == Fraction(-3, 2)
+    # integer spellings the ASCII-integer shortcut reads, and ones it leaves
+    # to the grammar: each keeps its value
+    inst = parse_instance("3 0\n0 0 0\n0 0 0\n0 0 0\n−3 -0 007\n-300\n1\n1 2 3\n−12/4\n")
+    assert inst.quad.c.entries == (-3, 0, 7) and inst.quad.d == -300 and inst.polyhedron.b[0] == -3
+    assert all(type(v) is Fraction for v in (*inst.quad.c, inst.quad.d, *inst.polyhedron.a.entries[0]))
     for bad in NON_GRAMMAR_SPELLINGS + ("1/0",):
         with pytest.raises(InstanceFormatError) as err:
             parse_instance(f"# c holds the token\n1 0\n0\n{bad}\n0\n0\n")

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from miqpcert import milp
 from miqpcert.cones import normalizing_hyperplane
-from miqpcert.linalg import QMatrix, QVector, rank
+from miqpcert.linalg import QMatrix, QVector, _integer_row, rank
 from miqpcert.milp import (
     FiberLimit,
     MixedIntegerSet,
@@ -360,3 +361,71 @@ def test_restrict_prefix_drops_only_zero_rows_that_hold():
                     continue
                 assert qp_global_min(quad, reduced) == qp_global_min(quad, full)
     assert dropped >= 1000 and failing >= 200
+
+
+def _fraction_restriction(p, y) -> tuple[HPolyhedron, int]:
+    """restrict_prefix's polytope built in Fractions: p's rows with y
+    substituted, less the zero rows that hold.  Also returns how many kept
+    rows have a smaller lcm of denominators than their row of p."""
+    k = y.dim
+    rows, rhs, falls = [], [], 0
+    for row, b in zip(p.a.entries, p.b):
+        value = b - sum(a * v for a, v in zip(row, y))
+        if any(row[k:]) or value < 0:
+            rows.append(row[k:])
+            rhs.append(value)
+            scale = math.lcm(*(v.denominator for v in (*row, b)))
+            falls += math.lcm(*(v.denominator for v in (*row[k:], value))) < scale
+    return HPolyhedron(QMatrix.from_rows(rows, p.dim - k), QVector.of(rhs)), falls
+
+
+def _vertices_or_error(p):
+    try:
+        return h_to_v.__wrapped__(p)  # uncached: equal polytopes would share a cache entry
+    except NotPointed:
+        return NotPointed
+
+
+def test_restrict_prefix_integer_rows_match_fractions():
+    # restrict_prefix computes its rows from p.integer_rows and hands the
+    # result its integer rows.  They must be _integer_row of its own Fraction
+    # rows, or hashing (on integer rows) and == (on Fractions) disagree, and
+    # with them h_to_v's cache.  Rational coefficients and right-hand sides,
+    # integer and rational prefixes, and windows with Fraction box bounds
+    rng = random.Random(1919)
+    # the row (1/3, 1 | 1/3) at y = 1 reduces to (1 | 0): its scale falls from 3 to 1
+    cases = [(hpoly([[Fraction(1, 3), 1], [0, -1]], [Fraction(1, 3), 2]), vec(1))]
+    for _ in range(300):
+        n = rng.randint(2, 3)
+        k = rng.randint(1, n - 1)
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            row = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+            if rng.random() < 0.2:
+                row[k:] = [0] * (n - k)
+            rows.append(row)
+        rhs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in rows]
+        y = [rng.randint(-2, 2) if rng.random() < 0.5 else Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
+        cases.append((hpoly(rows, rhs), vec(*y)))
+    windows = 0
+    for part, vrep in _seeded_parts(rng, 20):
+        if part.dim < 2:
+            continue
+        p = rng.randint(1, part.dim - 1)
+        for family in ray_families(vrep):
+            window = _window_polytope(part, family, _box(vrep, family.rays))
+            windows += any(b.denominator > 1 for b in window.b)
+            cases.extend((window, vec(*combo)) for combo in enumerate_integer_box(2, p))
+    falls = rational_prefixes = 0
+    for p, y in cases:
+        reduced = restrict_prefix(p, y)
+        assert reduced.integer_rows == tuple(
+            tuple(_integer_row((*row, b))) for row, b in zip(reduced.a.entries, reduced.b)
+        )
+        expected, fell = _fraction_restriction(p, y)
+        assert reduced == expected and hash(reduced) == hash(expected)
+        assert _vertices_or_error(reduced) == _vertices_or_error(expected)
+        falls += fell
+        rational_prefixes += not y.is_integral()
+    assert restrict_prefix(*cases[0]).integer_rows[0] == (1, 0)
+    assert len(cases) >= 2000 and falls >= 100 and rational_prefixes >= 50 and windows >= 20

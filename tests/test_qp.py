@@ -31,6 +31,7 @@ from helpers import (
     random_symmetric,
     reference_cone_slice_min,
     reference_eval_quadratic,
+    reference_h_to_v,
     reference_kkt_candidates,
     reference_stationary_candidates,
     sample_in_polytope,
@@ -40,6 +41,12 @@ from helpers import (
 
 def form(h, c, d):
     return QuadraticForm(QMatrix.from_rows(h), QVector.of(c), Fraction(d))
+
+
+def _points(pool) -> list[QVector]:
+    """A pool's integer points (u, den) as the points u / den."""
+    assert all(den > 0 for _, den in pool)
+    return [QVector(tuple(Fraction(x, den) for x in u)) for u, den in pool]
 
 
 def test_eval_examples():
@@ -255,7 +262,7 @@ def test_kkt_pool_matches_two_stage_reference():
                         q = form(h, c, 0)
                         expected, flat = reference_stationary_candidates(q, moved)
                         kkt, singular_dims = reference_kkt_candidates(q, moved)
-                        got = _stationary_candidates(q, moved)
+                        got = _points(_stationary_candidates(q, moved))
                         assert sorted(got) == sorted(expected) == sorted(kkt)
                         cases += 1
                         lines = independent_row_subsets([row[:n] for row in moved.integer_rows], n - 1, n)
@@ -268,6 +275,57 @@ def test_kkt_pool_matches_two_stage_reference():
         assert flats >= 30
         assert singular >= 600
         assert misses >= 250  # the pool's lines come from h_to_v, which keeps only those that meet p
+
+
+def _across_segment(rng: random.Random, vertices) -> tuple[QVector, QVector]:
+    """(v, u) for two random vertices v and w and a u orthogonal to w - v:
+    w - v turned a quarter in R^2, (w - v) x r for a random r in R^3 (which
+    may be zero)."""
+    v, w = rng.sample(vertices, 2)
+    e = w - v
+    if e.dim == 2:
+        return v, vec(-e[1], e[0])
+    r = vec(*[rng.randint(-2, 2) for _ in range(3)])
+    return v, vec(e[1] * r[2] - e[2] * r[1], e[2] * r[0] - e[0] * r[2], e[0] * r[1] - e[1] * r[0])
+
+
+def test_qp_global_min_matches_fraction_pool_reference():
+    # the integer pool, valued and compared by cross-multiplication, against
+    # min((value, x)) over the pool in Fractions: reference_h_to_v's vertices
+    # and reference_stationary_candidates' points, valued by
+    # reference_eval_quadratic.  Zero forms, linear forms orthogonal to an
+    # edge and squares that vanish on a segment between two vertices tie at
+    # several pool points, so the tie-break on x decides there
+    rng = random.Random(7272)
+    cases = ties = 0
+    for rational in (False, True):
+        for kind in ("definite", "indefinite", "rank-one", "zero", "edge-linear", "segment-flat"):
+            for _ in range(25):
+                n = rng.randint(1 if kind in ("definite", "rank-one", "zero") else 2, 3)
+                poly = random_bounded_polytope(rng, n)
+                h = _random_hessian(rng, n, "zero" if kind.startswith(("edge", "segment")) else kind)
+                c = [rng.randint(-4, 4) for _ in range(n)] if kind in ("definite", "indefinite", "rank-one") else [0] * n
+                if rational:
+                    h, c, poly = _rational_data(rng, h, c, poly)
+                vertices = list(h_to_v(poly).vertices)
+                if len(vertices) < 2:
+                    continue
+                q = form(h, c, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                if kind in ("edge-linear", "segment-flat"):
+                    v, u = _across_segment(rng, vertices)
+                    if u.is_zero():
+                        continue
+                    if kind == "edge-linear":  # u . x, constant along the segment
+                        q = QuadraticForm(q.h, u, q.d)
+                    else:  # (u . x - u . v)^2, zero on the segment and nowhere negative
+                        t = u.dot(v)
+                        q = QuadraticForm(mat([[a * b for b in u] for a in u]), u.scale(-2 * t), t * t)
+                pool = [*reference_h_to_v(poly).vertices, *reference_stationary_candidates(q, poly)[0]]
+                value, x = min((reference_eval_quadratic(q, x), x) for x in pool)
+                assert qp_global_min(q, poly) == qp.QpResult(x, value)
+                ties += len({y for y in pool if reference_eval_quadratic(q, y) == value}) > 1
+                cases += 1
+    assert cases >= 280 and ties >= 100
 
 
 def test_qp_minimizer_deterministic_lex():
@@ -387,7 +445,7 @@ def test_simplex_slice_matches_h_form_reference():
             got = min_quadratic_on_cone_slice(h, rays, f)
             assert (got.value, got.minimizer) == (expected.value, expected.minimizer)
             q = QuadraticForm.pure(h)
-            optimal = {x for x in _pool(q, slab) if eval_quadratic(q, x) == expected.value}
+            optimal = {x for x in _points(_pool(q, slab)) if eval_quadratic(q, x) == expected.value}
             ties += len(optimal) > 1
             cases += 1
     assert cases >= 400 and ties >= 100 and non_simple >= 40
@@ -438,26 +496,39 @@ def test_cone_slice_rejects_bad_hyperplane():
 
 def test_restrict_quadratic_matches_eval():
     # q(y, z + offset) for prefixes of every length k < n, the empty one
-    # included, with and without an offset; k = n leaves nothing to restrict
+    # included, with and without an offset; k = n leaves nothing to restrict.
+    # Integer and rational H, c and d: the restricted form's integer form,
+    # computed from q's, must be the one its own Fractions give
     rng = random.Random(53)
-    checked = {"empty": 0, "offset": 0}
-    for _ in range(80):
+    checked = {"empty": 0, "offset": 0, "rational": 0, "h scale falls": 0}
+    for trial in range(160):
         n = rng.randint(1, 4)
         p = rng.randint(0, n - 1)
-        q = form(random_symmetric(rng, n), [rng.randint(-4, 4) for _ in range(n)], rng.randint(-4, 4))
+        h, c, d = random_symmetric(rng, n), [rng.randint(-4, 4) for _ in range(n)], rng.randint(-4, 4)
+        if trial % 2:
+            dens = [[rng.randint(1, 4) for _ in range(n)] for _ in range(n)]
+            h = [[Fraction(h[i][j], dens[min(i, j)][max(i, j)]) for j in range(n)] for i in range(n)]
+            c = [Fraction(v, rng.randint(1, 6)) for v in c]
+            d = Fraction(d, rng.randint(1, 6))
+        q = form(h, c, d)
         y = vec(*[rng.randint(-3, 3) for _ in range(p)])
         offset = vec(*[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n - p)])
         reduced = restrict_quadratic(q, y)
         moved = restrict_quadratic(q, y, offset)
+        for r in (reduced, moved):
+            assert r._integer_form == QuadraticForm(r.h, r.c, r.d)._integer_form
         for _ in range(3):
             z = vec(*[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n - p)])
-            assert eval_quadratic(reduced, z) == eval_quadratic(q, y.concat(z))
-            assert eval_quadratic(moved, z) == eval_quadratic(q, y.concat(z + offset))
+            assert eval_quadratic(reduced, z) == reference_eval_quadratic(q, y.concat(z))
+            assert eval_quadratic(moved, z) == reference_eval_quadratic(q, y.concat(z + offset))
         checked["empty"] += p == 0
         checked["offset"] += not offset.is_zero()
+        checked["rational"] += not (q.c.is_integral() and q.d.denominator == 1)
+        checked["h scale falls"] += reduced._integer_form[1] < q._integer_form[1]
         with pytest.raises(ValueError):
             restrict_quadratic(q, q.c)
-    assert checked["empty"] >= 20 and checked["offset"] >= 60
+    assert checked["empty"] >= 40 and checked["offset"] >= 120
+    assert checked["rational"] >= 60 and checked["h scale falls"] >= 20
 
 
 def test_qp_makes_no_solve_integer_calls(monkeypatch):

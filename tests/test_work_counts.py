@@ -1,8 +1,8 @@
-"""Work counts of the benchmark's two cold corpora, pinned like certificates.
+"""Work counts of the benchmark's three corpora, pinned like certificates.
 
-Each instance of ``boxed_cli`` and ``unbounded_budget`` is solved in
-generator order with the ``h_to_v`` cache cleared first, as in
-``tests/test_certificate_digest.py``, and three per-corpus totals are
+Each instance of ``boxed_cli``, ``unbounded_budget`` and ``maxcut5_sweep``
+is solved in generator order with the ``h_to_v`` cache cleared first, as in
+``tests/test_certificate_digest.py``, and four per-corpus totals are
 compared with committed constants:
 - ``h_to_v misses``: polyhedra enumerated, read from the cache's own
   statistics;
@@ -11,7 +11,11 @@ compared with committed constants:
   system when that is nonsingular, and one per cone-multiplier solve;
 - ``face hulls``: calls of ``qp._hull_stationary_point``, one per QP face
   hull of dimension at least two and per cone-slice support.  A line's
-  1 x 1 system is solved in closed form on a line ``h_to_v`` already has.
+  1 x 1 system is solved in closed form on a line ``h_to_v`` already has;
+- ``integer rows``: calls of ``linalg._integer_row``, through every module
+  that imports it, one per rational row, point or form scaled to integers
+  (the hot path scales the instance's rows and forms, and the points it is
+  handed, and derives the rest in integers).
 ``linalg._solve_integer`` must not run at all.
 
 Timed pairs on a shared machine swing by up to a factor of two; counts do
@@ -28,13 +32,14 @@ with or without asserts:
 import sys
 from collections import Counter
 
-from miqpcert import find_certificate, h_to_v, linalg, parse_instance, polyhedra, qp
+from miqpcert import find_certificate, h_to_v, linalg, milp, parse_instance, polyhedra, qp
 
 from test_certificate_digest import _generated
 
 EXPECTED = {
-    "boxed_cli": {"h_to_v misses": 772, "back-substitutions": 5187, "face hulls": 397},
-    "unbounded_budget": {"h_to_v misses": 330, "back-substitutions": 1820, "face hulls": 475},
+    "boxed_cli": {"h_to_v misses": 772, "back-substitutions": 5187, "face hulls": 397, "integer rows": 5821},
+    "unbounded_budget": {"h_to_v misses": 330, "back-substitutions": 1820, "face hulls": 475, "integer rows": 2641},
+    "maxcut5_sweep": {"h_to_v misses": 605, "back-substitutions": 48400, "face hulls": 0, "integer rows": 19185},
 }
 # the module attributes counted, under the counter each adds to
 COUNTED = (
@@ -42,6 +47,7 @@ COUNTED = (
     (qp, "_affine_hull", "back-substitutions"),
     (qp, "_hull_stationary_point", "face hulls"),
     (linalg, "_solve_integer", "integer solves"),
+    *((module, "_integer_row", "integer rows") for module in (linalg, polyhedra, qp, milp)),
 )
 
 
@@ -83,6 +89,10 @@ def test_boxed_cli_work():
 
 def test_unbounded_budget_work():
     assert _mismatches("unbounded_budget") == []
+
+
+def test_maxcut5_sweep_work():
+    assert _mismatches("maxcut5_sweep") == []
 
 
 if __name__ == "__main__":
