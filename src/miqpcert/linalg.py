@@ -4,13 +4,15 @@
 value equality) is the API type: every scalar, vector and matrix this
 package takes or returns is made of them.  Inside, elimination and row tests
 run on integers: a rational row is scaled, with its right-hand side, to
-integers by the positive lcm of its denominators (:func:`_integer_row`),
-eliminated fraction-free, and turned back into Fractions only for the
-returned entries.  :func:`solve_linear_system` is that scaling followed by
-the integer core :func:`_solve_integer`.  No solve of the search calls it: its
-vertices, rays, QP pools and cone multipliers are back-substituted from a
-subset walk's own elimination (``polyhedra._affine_hull``).  No floating
-point anywhere.
+integers by the positive lcm of its denominators (:func:`_integer_row`).
+There is one elimination, fraction-free: a walk over the independent row
+subsets (:func:`_independent_extensions`), each subset's affine hull
+back-substituted in integers from the walk's reduced rows
+(:func:`_affine_hull`).  The search's vertices, rays and QP pools walk every
+independent subset of the sizes they need; :func:`solve_linear_system`,
+:func:`rank` and the cone multipliers take the walk's first descent, a
+greedy basis (:func:`_greedy_basis`).  Only the returned entries become
+Fractions.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -292,97 +294,114 @@ def _dot(row: Sequence[int], u: Sequence[int]) -> int:
     return sum(map(operator.mul, row, u))
 
 
-def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
-    """Fraction-free reduced row echelon form of integer rows; pivots chosen
-    as the first nonzero entry in column order (deterministic).
-
-    A row r with a pivot p in column c is eliminated as r <- p*r - r[c]*pivot
-    row and divided by its content (the gcd of its entries), so every row
-    stays a nonzero multiple of the matching row of the rational reduced
-    echelon form: entry j of that form is row[j] / row[pivot column].  Only
-    the list is rearranged; the row lists passed in are never modified.
-    Returns (rows, pivot columns)."""
-    rows = list(rows)
-    pivot_cols: list[int] = []
-    pivot_row = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        target = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                target = r
-                break
-        if target is None:
-            continue
-        rows[pivot_row], rows[target] = rows[target], rows[pivot_row]
-        prow = rows[pivot_row]
-        p = prow[col]
-        for r in range(len(rows)):
-            e = rows[r][col]
-            if r != pivot_row and e != 0:
+def _independent_extensions(
+    rows: Sequence[Sequence[int]], size: int, cols: int,
+    start: int, chosen: list[int], basis: list[tuple[Sequence[int], int]],
+    every_depth: bool = False,
+) -> Iterator[tuple[tuple[int, ...], list[tuple[Sequence[int], int]]]]:
+    """The subsets that extend ``chosen`` by rows from ``start`` on, given
+    the chosen rows' reduced rows and pivot columns in ``basis``.  Pivots lie
+    in the first ``cols`` columns: a right-hand side kept last is eliminated
+    along but makes no row independent.  Each subset comes with its basis:
+    reduced row k is zero in the pivot columns of rows 0..k-1, and rows 0..k
+    span the subset's first k+1 rows.  The list is the walk's own, valid
+    until the walk moves on.  With ``every_depth``, one walk yields every
+    subset of at most ``size`` rows, ``chosen`` first, each before its
+    extensions, so each prefix is reduced once for all sizes.  A module
+    function, not a recursive closure: a closure that calls itself is a
+    reference cycle, which keeps every finished walk in memory until the
+    cyclic collector runs."""
+    if every_depth or len(chosen) == size:
+        yield tuple(chosen), basis
+        if len(chosen) == size:
+            return
+    stop = len(rows) if every_depth else len(rows) - (size - len(chosen)) + 1
+    for i in range(start, stop):
+        v = rows[i]
+        for prow, pcol in basis:  # fraction-free: v <- p*v - v[pcol]*prow keeps v[pcol] = 0
+            e = v[pcol]
+            if e != 0:
+                p = prow[pcol]
                 g = math.gcd(p, e)
-                pg, eg = p // g, e // g
-                new = [pg * a - eg * b for a, b in zip(rows[r], prow)]
-                g = math.gcd(*new)
-                rows[r] = [v // g for v in new] if g > 1 else new
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return rows, pivot_cols
+                v = [(p // g) * a - (e // g) * b for a, b in zip(v, prow)]
+        pivot = next((j for j in range(cols) if v[j] != 0), None)
+        if pivot is None:
+            continue
+        basis.append((v, pivot))
+        chosen.append(i)
+        yield from _independent_extensions(rows, size, cols, i + 1, chosen, basis, every_depth)
+        basis.pop()
+        chosen.pop()
+
+
+def _affine_hull(basis: Sequence[tuple[Sequence[int], int]], n: int) -> tuple[list[int], list[list[int]], int]:
+    """The affine hull {a . x = b} of a walk's basis of integer rows (a, b),
+    pivots in the n coefficient columns, as x = (w0 + N z) / scale with
+    A_S w0 = b_S scale, A_S N = 0 (one column per free coefficient column)
+    and scale > 0, so that no inequality flips; with n rows, w0 / scale is
+    their unique solution.  Integer back-substitution with no gcd: a column
+    starts as a free column's unit vector, and each row, last to first,
+    scales it by its pivot and sets its pivot entry to minus the row's dot
+    product with it; a later row is zero in an earlier one's pivot column,
+    so done rows stay zero."""
+    pivots = {pcol for _, pcol in basis}
+    columns = []
+    for j in range(n + 1):  # the free coefficient columns' unit vectors, then the right-hand side's
+        if j not in pivots:
+            g = [0] * (n + 1)
+            g[j] = 1
+            for prow, pcol in reversed(basis):
+                t = _dot(prow, g)
+                g = [prow[pcol] * x for x in g]
+                g[pcol] = -t
+            columns.append(g)
+    *dirs, w0 = columns
+    sign = -1 if w0[n] > 0 else 1  # a . w0[:n] + b w0[n] = 0 on every row
+    return [sign * x for x in w0[:n]], [d[:n] for d in dirs], -sign * w0[n]
+
+
+def _greedy_basis(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[Sequence[int], int]]:
+    """The walk's first descent: each row in turn kept when it is independent
+    of the rows kept before it in the first ``cols`` columns, with the kept
+    rows' reduced rows and pivot columns.  Its size is the rank of those
+    columns, and its pivot columns are those of the reduced echelon form."""
+    descent: list[tuple[Sequence[int], int]] = []
+    walk = _independent_extensions(rows, cols, cols, 0, [], [], every_depth=True)
+    for depth, (chosen, basis) in enumerate(walk):
+        if len(chosen) < depth:
+            break  # the walk backtracked: the descent ended one yield earlier
+        descent = basis[:]
+    return descent
 
 
 def solve_linear_system(m: QMatrix, rhs: QVector) -> LinearSolution | None:
     """Exact solution set of M x = rhs, or None when inconsistent.
 
     The particular solution sets all free variables to zero; the nullspace
-    basis has one vector per free variable (that variable set to one).
-    Every returned vector is verified by substitution.
+    basis has one vector per free variable (that variable set to one).  Both
+    are back-substituted (:func:`_affine_hull`) from a greedy basis of the
+    integer rows, and the particular solution is checked against every row
+    by substitution, in integers: that is the consistency test.
     """
     if m.rows != rhs.dim:
         raise DimensionMismatch(f"matrix rows {m.rows} vs rhs dim {rhs.dim}")
-    return _solve_integer([_integer_row((*row, rhs[i])) for i, row in enumerate(m.entries)], m.cols)
-
-
-def _solve_integer(aug: Sequence[Sequence[int]], n: int) -> LinearSolution | None:
-    """:func:`solve_linear_system` on integer rows in n unknowns, each with
-    its right-hand side last.  Scaling a row by a nonzero factor changes
-    neither the solution set nor the result, which is built from ratios of
-    the reduced rows' entries, so integer rows go in as they are."""
-    if not aug:
-        return LinearSolution(QVector.zero(n), tuple(QVector.unit(j, n) for j in range(n)))
-    reduced, pivot_cols = _echelon(aug)
-    pivot_set = set(pivot_cols)
-    if n in pivot_set:
-        return None  # pivot in the rhs column: inconsistent
-    for row in reduced:
-        if all(v == 0 for v in row[:n]) and row[n] != 0:
-            return None
-    particular = [Fraction(0)] * n
-    for row, col in zip(reduced, pivot_cols):
-        particular[col] = Fraction(row[n], row[col])
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for row, col in zip(reduced, pivot_cols):
-            vec[col] = Fraction(-row[free], row[col])
-        basis.append(QVector(tuple(vec)))
-    solution = LinearSolution(QVector(tuple(particular)), tuple(basis))
-    # substitution, in integers: x = u / D solves row . x = b iff row . u = b * D
-    *u, den = _integer_row((*particular, 1))
-    assert all(_dot(row, u) == row[n] * den for row in aug)
-    assert all(all(_dot(row, _integer_row(v)) == 0 for row in aug) for v in basis)
-    return solution
+    n = m.cols
+    rows = [_integer_row((*row, rhs[i])) for i, row in enumerate(m.entries)]
+    basis = _greedy_basis(rows, n)
+    w0, dirs, scale = _affine_hull(basis, n)
+    if any(_dot(row, w0) != row[-1] * scale for row in rows):
+        return None
+    pivots = {pcol for _, pcol in basis}
+    free = [j for j in range(n) if j not in pivots]  # one direction each, in order
+    return LinearSolution(
+        QVector(tuple(Fraction(x, scale) for x in w0)),
+        tuple(QVector(tuple(Fraction(x, d[j]) for x in d)) for j, d in zip(free, dirs)),
+    )
 
 
 def rank(m: QMatrix) -> int:
-    """Exact rank via elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivot_cols = _echelon([_integer_row(row) for row in m.entries])
-    return len(pivot_cols)
+    """Exact rank: the size of a greedy basis of the integer rows."""
+    return len(_greedy_basis([_integer_row(row) for row in m.entries], m.cols))
 
 
 def nullspace_basis(m: QMatrix) -> tuple[QVector, ...]:

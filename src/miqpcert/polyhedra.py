@@ -3,7 +3,7 @@
 All enumeration here is desk scale and exact.  Vertices and extreme rays
 both come from one walk over the independent (n-1)-row subsets: each gives
 a line, back-substituted in integers from the walk's own elimination
-(:func:`_affine_hull`), whose rates against every row give its interval
+(``linalg._affine_hull``), whose rates against every row give its interval
 inside the polyhedron.  The intervals' finite endpoints are the vertices,
 and a line's direction is an extreme ray where its interval has no end.  The
 lines that meet the polyhedron stay with its V-description for the QP pool.
@@ -27,7 +27,10 @@ from .linalg import (
     DimensionMismatch,
     QMatrix,
     QVector,
+    _affine_hull,
     _dot,
+    _greedy_basis,
+    _independent_extensions,
     _integer_fraction,
     _integer_row,
     nullspace_basis,
@@ -155,7 +158,7 @@ class SimpleCone:
     def multipliers(self, x: QVector) -> QVector | None:
         """The unique mu >= 0 with sum(mu_j rays_j) = x, or None.  For x = u / D,
         D mu solves the rows (r_1[t], ..., r_k[t], u[t]) over the coordinates t,
-        back-substituted from a walk of k of them (:func:`_affine_hull`)."""
+        back-substituted from a greedy basis of k of them (:func:`_affine_hull`)."""
         if not self.rays:
             return QVector.of([]) if x.is_zero() else None
         k = len(self.rays)
@@ -163,7 +166,7 @@ class SimpleCone:
             raise DimensionMismatch(f"point dim {x.dim} vs ray dim {self.rays[0].dim}")
         *u, den = _integer_row((*x.entries, 1))
         rows = [(*(r[t].numerator for r in self.rays), u[t]) for t in range(x.dim)]
-        w, _, t = _affine_hull(next(_independent_extensions(rows, k, k, 0, [], []))[1], k)  # D mu = w / t
+        w, _, t = _affine_hull(_greedy_basis(rows, k), k)  # D mu = w / t
         if min(w) < 0 or any(_dot(row, w) != row[-1] * t for row in rows):
             return None  # a negative multiplier, or x is not in the rays' span
         return QVector(tuple(Fraction(v, t * den) for v in w))
@@ -208,72 +211,6 @@ def independent_row_subsets(rows: Sequence[Sequence[int]], size: int, cols: int)
     independent in their first ``cols`` columns, in lexicographic order,
     pruning dependent prefixes with an incremental elimination basis."""
     return (idx for idx, _ in _independent_extensions(rows, size, cols, 0, [], []))
-
-
-def _independent_extensions(
-    rows: Sequence[Sequence[int]], size: int, cols: int,
-    start: int, chosen: list[int], basis: list[tuple[Sequence[int], int]],
-    every_depth: bool = False,
-) -> Iterator[tuple[tuple[int, ...], list[tuple[Sequence[int], int]]]]:
-    """The subsets that extend ``chosen`` by rows from ``start`` on, given
-    the chosen rows' reduced rows and pivot columns in ``basis``.  Pivots lie
-    in the first ``cols`` columns: a right-hand side kept last is eliminated
-    along but makes no row independent.  Each subset comes with its basis:
-    reduced row k is zero in the pivot columns of rows 0..k-1, and rows 0..k
-    span the subset's first k+1 rows.  The list is the walk's own, valid
-    until the walk moves on.  With ``every_depth``, one walk yields every
-    subset of at most ``size`` rows, ``chosen`` first, each before its
-    extensions, so each prefix is reduced once for all sizes.  A module
-    function, not a recursive closure: a closure that calls itself is a
-    reference cycle, which keeps every finished walk in memory until the
-    cyclic collector runs."""
-    if every_depth or len(chosen) == size:
-        yield tuple(chosen), basis
-        if len(chosen) == size:
-            return
-    stop = len(rows) if every_depth else len(rows) - (size - len(chosen)) + 1
-    for i in range(start, stop):
-        v = rows[i]
-        for prow, pcol in basis:  # fraction-free: v <- p*v - v[pcol]*prow keeps v[pcol] = 0
-            e = v[pcol]
-            if e != 0:
-                p = prow[pcol]
-                g = math.gcd(p, e)
-                v = [(p // g) * a - (e // g) * b for a, b in zip(v, prow)]
-        pivot = next((j for j in range(cols) if v[j] != 0), None)
-        if pivot is None:
-            continue
-        basis.append((v, pivot))
-        chosen.append(i)
-        yield from _independent_extensions(rows, size, cols, i + 1, chosen, basis, every_depth)
-        basis.pop()
-        chosen.pop()
-
-
-def _affine_hull(basis: Sequence[tuple[Sequence[int], int]], n: int) -> tuple[list[int], list[list[int]], int]:
-    """The affine hull {a . x = b} of a walk's basis of integer rows (a, b),
-    pivots in the n coefficient columns, as x = (w0 + N z) / scale with
-    A_S w0 = b_S scale, A_S N = 0 (one column per free coefficient column)
-    and scale > 0, so that no inequality flips; with n rows, w0 / scale is
-    their unique solution.  Integer back-substitution with no gcd: a column
-    starts as a free column's unit vector, and each row, last to first,
-    scales it by its pivot and sets its pivot entry to minus the row's dot
-    product with it; a later row is zero in an earlier one's pivot column,
-    so done rows stay zero."""
-    pivots = {pcol for _, pcol in basis}
-    columns = []
-    for j in range(n + 1):  # the free coefficient columns' unit vectors, then the right-hand side's
-        if j not in pivots:
-            g = [0] * (n + 1)
-            g[j] = 1
-            for prow, pcol in reversed(basis):
-                t = _dot(prow, g)
-                g = [prow[pcol] * x for x in g]
-                g[pcol] = -t
-            columns.append(g)
-    *dirs, w0 = columns
-    sign = -1 if w0[n] > 0 else 1  # a . w0[:n] + b w0[n] = 0 on every row
-    return [sign * x for x in w0[:n]], [d[:n] for d in dirs], -sign * w0[n]
 
 
 @lru_cache(maxsize=4096)

@@ -10,7 +10,7 @@ is that point: the least (value, x) over the pool.  A cone's slice is
 minimized the same way in its ray multipliers.
 
 Each stationary point is solved in its hull's own coordinates, read from a
-subset walk (``polyhedra._affine_hull``): x = (w0 + N z) / P with
+subset walk (``linalg._affine_hull``): x = (w0 + N z) / P with
 A_S w0 = b_S P and A_S N = 0, and z solves the k x k system
 N^T H N z = -N^T (H w0 + P c / 2), k = n - |S|.  A_S has full row rank, so
 the point is unique exactly when the KKT system
@@ -40,8 +40,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .linalg import DimensionMismatch, QMatrix, QVector, _dot, _integer_row
-from .polyhedra import HPolyhedron, _affine_hull, _independent_extensions, h_to_v
+from .linalg import DimensionMismatch, QMatrix, QVector, _affine_hull, _dot, _independent_extensions, _integer_row
+from .polyhedra import HPolyhedron, h_to_v
 
 
 class Unbounded(ValueError):

@@ -26,7 +26,7 @@ from miqpcert import (
     h_to_v,
 )
 from miqpcert.certifier import Certificate, SearchTrace, _ceil_root
-from miqpcert.linalg import _integer_row, _solve_integer, encoding_size, isqrt_ceil, solve_linear_system
+from miqpcert.linalg import _integer_row, encoding_size, isqrt_ceil
 from miqpcert.milp import Fiber, ray_families
 from miqpcert.polyhedra import (
     NotPointed,
@@ -120,7 +120,7 @@ def _is_recession_direction(p: HPolyhedron, r: QVector) -> bool:
 
 def reference_h_to_v(p: HPolyhedron) -> VPolyhedron:
     """Vertex and extreme-ray enumeration with a separate elimination per
-    candidate: one ``_solve_integer`` per independent n-subset for its
+    candidate: one ``reference_solve_rows`` per independent n-subset for its
     unique solution, tested with ``contains``, and one per
     independent (n-1)-subset for its nullspace, ``primitivize``, and both
     signs tested on Fractions with ``_is_recession_direction``.  The
@@ -129,16 +129,16 @@ def reference_h_to_v(p: HPolyhedron) -> VPolyhedron:
     n = p.dim
     int_rows = p.integer_rows
     rows = [row[:n] for row in int_rows]
-    bases = [_solve_integer([int_rows[i] for i in idx], n) for idx in independent_row_subsets(rows, n, n)]
+    bases = [reference_solve_rows([int_rows[i] for i in idx], n) for idx in independent_row_subsets(rows, n, n)]
     if not bases:
         raise NotPointed("polyhedron has a nontrivial lineality space")
-    assert all(sol is not None and sol.is_unique for sol in bases)
-    vertices = {sol.particular for sol in bases if p.contains(sol.particular)}
+    assert all(sol is not None and not sol[1] for sol in bases)
+    vertices = {x for x, _ in bases if p.contains(x)}
     if not vertices:
         return VPolyhedron((), ())
     rays = set()
     for idx in independent_row_subsets(rows, n - 1, n):
-        null = _solve_integer([(*rows[i], 0) for i in idx], n).nullspace
+        null = reference_solve_rows([(*rows[i], 0) for i in idx], n)[1]
         if len(null) != 1:
             continue
         g = primitivize(null[0])
@@ -206,6 +206,12 @@ def reference_solve(m: QMatrix, rhs: QVector) -> tuple[QVector, tuple[QVector, .
             v[col] = -reduced[r][free]
         basis.append(QVector(tuple(v)))
     return QVector(tuple(particular)), tuple(basis)
+
+
+def reference_solve_rows(rows, n: int) -> tuple[QVector, tuple[QVector, ...]] | None:
+    """``reference_solve`` on rows in n unknowns, each with its right-hand
+    side last."""
+    return reference_solve(QMatrix.from_rows([row[:n] for row in rows], n), QVector.of(row[n] for row in rows))
 
 
 def line_key(direction: QVector, ends, unbounded) -> tuple[frozenset, frozenset, frozenset]:
@@ -525,7 +531,7 @@ def reference_stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[l
     """The QP pool's face-hull candidates in two stages on Fractions, a
     reference for ``qp._stationary_candidates``: each hull of an independent
     row subset of size below n as a particular point plus nullspace
-    directions from ``solve_linear_system``, then the stationarity system of
+    directions from ``reference_solve``, then the stationarity system of
     q reduced to those directions.  Also returns how many hulls carry a flat stationary set
     (consistent but not unique), which the pool skips."""
     n = p.dim
@@ -535,9 +541,9 @@ def reference_stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[l
     for size in range(n):
         for idx in independent_row_subsets(rows, size, n):
             sub = QMatrix.from_rows([p.a.entries[i] for i in idx], n)
-            hull = solve_linear_system(sub, QVector.of(p.b[i] for i in idx))
+            hull = reference_solve(sub, QVector.of(p.b[i] for i in idx))
             assert hull is not None  # independent rows are always consistent
-            x0, directions = hull.particular, hull.nullspace
+            x0, directions = hull
             k = len(directions)
             h_dirs = [q.h.matvec(d) for d in directions]
             reduced_h = QMatrix.from_rows(
@@ -545,23 +551,23 @@ def reference_stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[l
             )
             grad0 = q.h.matvec(x0).scale(2) + q.c
             rhs = QVector.of(-directions[i].dot(grad0) for i in range(k))
-            stat = solve_linear_system(reduced_h, rhs)
+            stat = reference_solve(reduced_h, rhs)
             if stat is None:
                 continue
-            if not stat.is_unique:
+            if stat[1]:
                 flats += 1
                 continue
             x_s = x0
             for j in range(k):
-                x_s = x_s + directions[j].scale(stat.particular[j])
+                x_s = x_s + directions[j].scale(stat[0][j])
             if p.contains(x_s):
                 candidates.append(x_s)
     return candidates, flats
 
 
 def reference_kkt_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[list[QVector], list[int]]:
-    """The QP pool's face-hull candidates with one ``_solve_integer`` per
-    hull on the full KKT rows [2H A_S^T; A_S 0] (x, y) = (-c, b_S), a walk
+    """The QP pool's face-hull candidates with one ``reference_solve_rows``
+    per hull on the full KKT rows [2H A_S^T; A_S 0] (x, y) = (-c, b_S), a walk
     per size, the reference for ``qp._stationary_candidates``, which solves
     each hull's reduced system from the walk's own elimination.  Also
     returns the hull dimension n - |S| of every subset whose KKT system has
@@ -579,11 +585,11 @@ def reference_kkt_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[list[QVe
         for idx in independent_row_subsets(int_rows, size, n):
             kkt = [stationary[i] + [int_rows[j][i] for j in idx] + [minus_c[i]] for i in range(n)]
             kkt += [[*int_rows[j][:n], *[0] * size, int_rows[j][n]] for j in idx]
-            solution = _solve_integer(kkt, n + size)
-            if solution is None or not solution.is_unique:
+            solution = reference_solve_rows(kkt, n + size)
+            if solution is None or solution[1]:
                 singular.append(n - size)
                 continue
-            x = solution.particular.take(n)
+            x = solution[0].take(n)
             if p.contains(x):
                 candidates.append(x)
     return candidates, singular
@@ -591,7 +597,7 @@ def reference_kkt_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[list[QVe
 
 def reference_cone_slice_min(h: QMatrix, rays, f: QVector) -> tuple[QpResult, int]:
     """The minimum of x^T H x over {x in cone(rays) : f . x = 1} with one
-    ``_solve_integer`` per support T of independent rays on the KKT rows
+    ``reference_solve_rows`` per support T of independent rays on the KKT rows
     [2 G_TT f_T; f_T^T 0] (m_T, lam) = (0, 1), G = R^T H R, a walk per
     support size: the reference for ``qp.min_quadratic_on_cone_slice``,
     which solves each support's reduced system on the hull f_T . m_T = 1.
@@ -611,11 +617,11 @@ def reference_cone_slice_min(h: QMatrix, rays, f: QVector) -> tuple[QpResult, in
         for t in independent_row_subsets(ray_rows, size, n):
             g = [[gram[i][j] for j in t] for i in t]
             kkt = [[2 * v for v in row] + [rates[i], 0] for row, i in zip(g, t)] + [[rates[j] for j in t] + [0, fs]]
-            solution = _solve_integer(kkt, size + 1)
-            if solution is None or not solution.is_unique:
+            solution = reference_solve_rows(kkt, size + 1)
+            if solution is None or solution[1]:
                 singular += 1
                 continue
-            m = solution.particular.take(size)
+            m = solution[0].take(size)
             if min(m) >= 0:
                 x = QVector(tuple(Fraction(sum(mj * ray_rows[i][c] for mj, i in zip(m, t))) for c in range(n)))
                 value = sum(a * sum(v * b for v, b in zip(row, m)) for a, row in zip(m, g)) / hs

@@ -1,5 +1,9 @@
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +11,6 @@ from miqpcert.linalg import (
     DimensionMismatch,
     QMatrix,
     QVector,
-    _integer_row,
-    _solve_integer,
     as_rational,
     encoding_size,
     isqrt_ceil,
@@ -18,6 +20,8 @@ from miqpcert.linalg import (
 )
 
 from helpers import mat, reference_rank, reference_solve, vec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_encoding_size_zero():
@@ -134,8 +138,14 @@ def test_matrix_symmetry_and_shape():
 
 def _random_system(rng: random.Random) -> tuple[QMatrix, QVector]:
     """Rational entries with denominators 1..6, up to 5x5, tall and wide,
-    with zero rows, dependent rows and inconsistent right-hand sides."""
+    with zero rows, dependent rows and inconsistent right-hand sides, and
+    now and then no rows or no columns."""
     rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+    shape = rng.random()
+    if shape < 0.04:
+        rows = 0
+    elif shape < 0.08:
+        cols = 0
 
     def entry():
         return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
@@ -157,7 +167,7 @@ def _random_system(rng: random.Random) -> tuple[QMatrix, QVector]:
     if rng.random() < 0.6:
         x = [entry() for _ in range(cols)]  # consistent by construction
         rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in m]
-        if rng.random() < 0.3:
+        if rows and rng.random() < 0.3:
             rhs[rng.randrange(rows)] += Fraction(1, rng.randint(1, 6))  # often inconsistent
     else:
         rhs = [entry() for _ in range(rows)]
@@ -166,7 +176,7 @@ def _random_system(rng: random.Random) -> tuple[QMatrix, QVector]:
 
 def test_elimination_matches_rational_reference():
     rng = random.Random(20240501)
-    inconsistent = deficient = rational = 0
+    inconsistent = deficient = rational = empty = 0
     for _ in range(600):
         m, rhs = _random_system(rng)
         expected = reference_solve(m, rhs)
@@ -177,28 +187,67 @@ def test_elimination_matches_rational_reference():
         assert nullspace_basis(m) == null
         rational += any(v.denominator != 1 for row in m.entries for v in row)
         deficient += reference_rank(m) < min(m.shape)
+        empty += not min(m.shape)
         if expected is None:
             inconsistent += 1
             continue
         assert (got.particular, got.nullspace) == expected
     # the corpus reaches every case the elimination distinguishes
-    assert inconsistent >= 100 and deficient >= 100 and rational >= 400
+    assert inconsistent >= 100 and deficient >= 100 and rational >= 400 and empty >= 30
 
 
 def test_integer_core_ignores_row_scaling():
-    # the rows callers hand the integer core (a polyhedron's integer rows, a
-    # KKT system with rescaled multiplier columns) are multiples of the rows
-    # solve_linear_system would build; every nonzero multiple gives the same
+    # solve_linear_system scales each row, with its right-hand side, to
+    # integers, so every nonzero rational multiple of a row gives the same
     # solution set, particular point and nullspace basis
     rng = random.Random(77)
     for _ in range(300):
         m, rhs = _random_system(rng)
         expected = solve_linear_system(m, rhs)
-        rows = []
-        for i, row in enumerate(m.entries):
-            factor = rng.choice((1, -1)) * rng.randint(1, 9)
-            rows.append([factor * v for v in _integer_row((*row, rhs[i]))])
-        got = _solve_integer(rows, m.cols)
+        factors = [Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m.rows)]
+        scaled = QMatrix(tuple(tuple(f * v for v in row) for f, row in zip(factors, m.entries)), m.cols)
+        got = solve_linear_system(scaled, QVector(tuple(f * v for f, v in zip(factors, rhs))))
         assert (got is None) == (expected is None)
         if got is not None:
             assert (got.particular, got.nullspace) == (expected.particular, expected.nullspace)
+
+
+# solves an inconsistent, a rank-deficient and two empty systems with asserts
+# stripped and prints each result's particular point and nullspace basis, or
+# None, as strings
+NO_ASSERTS_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from miqpcert.linalg import QMatrix, QVector, solve_linear_system
+assert False, "asserts are not stripped"
+results = []
+for rows, cols, rhs in json.loads(sys.argv[2]):
+    got = solve_linear_system(QMatrix.from_rows(rows, cols), QVector.of(rhs))
+    results.append(got and [str(got.particular), [str(v) for v in got.nullspace]])
+print(json.dumps(results))
+"""
+
+
+def test_solve_with_asserts_stripped():
+    # the consistency test is the substitution check, so it must hold under
+    # python -O as well
+    systems = [
+        ([[1, 2], [2, 4]], 2, [1, 3]),  # inconsistent
+        ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], 3, [1, 2, 0]),  # rank-deficient
+        ([[2, 4, 6], [1, 2, 3]], 3, ["1/2", 1]),  # rank-deficient, inconsistent
+        ([], 2, []),  # no rows
+        ([[], []], 0, [0, 1]),  # no columns, inconsistent
+    ]
+    done = subprocess.run(
+        [sys.executable, "-O", "-B", "-I", "-c", NO_ASSERTS_PROBE, str(SRC), json.dumps(systems)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    expected = []
+    for rows, cols, rhs in systems:
+        solution = reference_solve(QMatrix.from_rows(rows, cols), QVector.of(rhs))
+        expected.append(solution and [str(solution[0]), [str(v) for v in solution[1]]])
+    assert [e is None for e in expected] == [True, False, True, False, True]
+    assert json.loads(done.stdout) == expected

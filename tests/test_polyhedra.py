@@ -7,15 +7,22 @@ import pytest
 
 from miqpcert import polyhedra
 from miqpcert.cones import normalizing_hyperplane
-from miqpcert.linalg import QMatrix, QVector, _dot, _integer_row, _solve_integer, rank, solve_linear_system
+from miqpcert.linalg import (
+    QMatrix,
+    QVector,
+    _affine_hull,
+    _dot,
+    _independent_extensions,
+    _integer_row,
+    rank,
+    solve_linear_system,
+)
 from miqpcert.polyhedra import (
     HPolyhedron,
     NotInCone,
     NotPointed,
     SimpleCone,
     VPolyhedron,
-    _affine_hull,
-    _independent_extensions,
     caratheodory_simple_cone,
     faces_of_simple_cone,
     h_to_v,
@@ -35,6 +42,7 @@ from helpers import (
     mat,
     reference_h_to_v,
     reference_lines,
+    reference_solve_rows,
     sample_in_cone,
     sample_in_polytope,
     vec,
@@ -554,15 +562,15 @@ def test_affine_hull_back_substitution():
                 w0, (d,), scale = _affine_hull(basis, n)
                 assert scale > 0 and any(d)
                 assert all(_dot(rows[i], w0) == rows[i][n] * scale and _dot(rows[i], d) == 0 for i in idx)
-                null = _solve_integer([(*coefficients[i], 0) for i in idx], n).nullspace
+                null = reference_solve_rows([(*coefficients[i], 0) for i in idx], n)[1]
                 assert len(null) == 1
                 assert primitivize(QVector.of(d)) in (primitivize(null[0]), -primitivize(null[0]))
                 rays += 1
             for idx, basis in _independent_extensions(rows, n, n, 0, [], []):
                 w0, dirs, scale = _affine_hull(basis, n)
                 assert not dirs and scale > 0
-                solution = _solve_integer([rows[i] for i in idx], n)
-                assert solution.is_unique
-                assert QVector(tuple(Fraction(x, scale) for x in w0)) == solution.particular
+                solution = reference_solve_rows([rows[i] for i in idx], n)
+                assert not solution[1]
+                assert QVector(tuple(Fraction(x, scale) for x in w0)) == solution[0]
                 vertices += 1
     assert rays >= 500 and vertices >= 400

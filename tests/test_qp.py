@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from miqpcert import linalg, qp
+from miqpcert import linalg, polyhedra, qp
 from miqpcert.certifier import find_certificate, verify_certificate
 from miqpcert.cones import normalizing_hyperplane
 from miqpcert.linalg import QMatrix, QVector, rank
@@ -227,9 +227,8 @@ def _moved_rhs(rng: random.Random, poly, shape: str, rational: bool) -> list:
 
 
 def test_kkt_pool_matches_two_stage_reference():
-    # the hull-coordinate pool against two references: one KKT solve per
-    # face hull with _solve_integer, and hull-then-reduced-system in
-    # Fractions.  The same candidates, on polytopes and on cone-slice slabs,
+    # the hull-coordinate pool against two references, both in Fractions:
+    # one KKT solve per face hull, and hull-then-reduced-system.  The same candidates, on polytopes and on cone-slice slabs,
     # with integer data and with rational H, c and rows (which the pool
     # rescales to integers), 20 (c, b) pairs per (H, A).  Rank-one and zero
     # forms leave the reduced system of hulls of dimension >= 2 singular
@@ -453,7 +452,7 @@ def test_simplex_slice_matches_h_form_reference():
 
 def test_cone_slice_matches_support_kkt_reference():
     # the hull-coordinate support pool against one KKT solve per support
-    # with _solve_integer: the same value and minimizer.  Rays are random
+    # in Fractions: the same value and minimizer.  Rays are random
     # integer vectors with f . r > 0, often more of them than n and often
     # dependent, and f is rational half the time; supports whose KKT system
     # is singular, which zero and rank-one forms give on larger supports,
@@ -533,13 +532,15 @@ def test_restrict_quadratic_matches_eval():
 
 def test_qp_makes_no_solve_integer_calls(monkeypatch):
     # both pools solve in the hulls' own coordinates from the subset walk,
-    # so the general solver never runs: not in the QP kernel, and not in a
-    # boxed instance solved end to end from a cold h_to_v cache
+    # so the general solver never runs, through any module that binds it:
+    # not in the QP kernel, and not in a boxed instance solved end to end
+    # from a cold h_to_v cache
     def refuse(*_args):
-        raise AssertionError("_solve_integer called")
+        raise AssertionError("solve_linear_system called")
 
-    monkeypatch.setattr(linalg, "_solve_integer", refuse)
-    assert not hasattr(qp, "_solve_integer")
+    for module in (linalg, polyhedra):
+        monkeypatch.setattr(module, "solve_linear_system", refuse)
+    assert not hasattr(qp, "solve_linear_system")
     rng = random.Random(6262)
     for _ in range(40):
         n = rng.randint(1, 3)

@@ -6,9 +6,10 @@ is solved in generator order with the ``h_to_v`` cache cleared first, as in
 compared with committed constants:
 - ``h_to_v misses``: polyhedra enumerated, read from the cache's own
   statistics;
-- ``back-substitutions``: calls of ``polyhedra._affine_hull``, one per line
-  of each enumeration, one per face hull below and one more for its reduced
-  system when that is nonsingular, and one per cone-multiplier solve;
+- ``back-substitutions``: calls of ``linalg._affine_hull``, through every
+  module that imports it, one per line of each enumeration, one per face
+  hull below and one more for its reduced system when that is nonsingular,
+  and one per cone-multiplier solve;
 - ``face hulls``: calls of ``qp._hull_stationary_point``, one per QP face
   hull of dimension at least two and per cone-slice support.  A line's
   1 x 1 system is solved in closed form on a line ``h_to_v`` already has;
@@ -16,7 +17,8 @@ compared with committed constants:
   that imports it, one per rational row, point or form scaled to integers
   (the hot path scales the instance's rows and forms, and the points it is
   handed, and derives the rest in integers).
-``linalg._solve_integer`` must not run at all.
+``linalg.solve_linear_system``, the general solver, must not run at all,
+through any module that binds it.
 
 Timed pairs on a shared machine swing by up to a factor of two; counts do
 not.  A change that changes the work updates the constants and says which
@@ -43,10 +45,9 @@ EXPECTED = {
 }
 # the module attributes counted, under the counter each adds to
 COUNTED = (
-    (polyhedra, "_affine_hull", "back-substitutions"),
-    (qp, "_affine_hull", "back-substitutions"),
+    *((module, "_affine_hull", "back-substitutions") for module in (linalg, polyhedra, qp)),
     (qp, "_hull_stationary_point", "face hulls"),
-    (linalg, "_solve_integer", "integer solves"),
+    *((module, "solve_linear_system", "integer solves") for module in (linalg, polyhedra)),
     *((module, "_integer_row", "integer rows") for module in (linalg, polyhedra, qp, milp)),
 )
 
