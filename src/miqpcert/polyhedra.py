@@ -388,29 +388,18 @@ def restrict_prefix(p: HPolyhedron, y: QVector) -> HPolyhedron:
 
     Computed from ``p.integer_rows`` with y = u / D: integer row (a, b),
     L times the rational row with L the lcm of its denominators, keeps its
-    coefficients and gets the right-hand side (b D - a_y . u) / (L D).  The
-    integer row of the result, (a D, b D - a_y . u) divided by its gcd with
-    L D, is the one :func:`_integer_row` gives, so it is handed over, and
-    hashing agrees with equality."""
+    coefficients and gets the right-hand side (b D - a_y . u) / (L D)."""
     k = y.dim
     q = p.dim - k
     if q < 1:
         raise ValueError("no trailing coordinates left")
     *u, den = _integer_row((*y.entries, 1))
-    rows, rhs, int_rows = [], [], []
+    rows, rhs = [], []
     for row, bound, int_row in zip(p.a.entries, p.b, p.integer_rows):
-        trailing = int_row[k:-1]
         value = int_row[-1] * den - _dot(int_row, u)  # the right-hand side times L D
-        if not any(trailing) and value >= 0:
+        if not any(int_row[k:-1]) and value >= 0:
             continue
         scale = math.lcm(bound.denominator, *map(_denominator, row)) * den
-        reduced = (*(v * den for v in trailing), value)
-        g = math.gcd(scale, *reduced)
-        if g > 1:
-            reduced = tuple(v // g for v in reduced)
         rows.append(row[k:])
         rhs.append(Fraction(value, scale) if scale > 1 else _integer_fraction(value))
-        int_rows.append(reduced)
-    result = HPolyhedron(QMatrix(tuple(rows), q), QVector(tuple(rhs)))
-    vars(result)["integer_rows"] = tuple(int_rows)  # the cached property's value, computed here
-    return result
+    return HPolyhedron(QMatrix(tuple(rows), q), QVector(tuple(rhs)))

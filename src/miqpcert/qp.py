@@ -20,13 +20,11 @@ KKT pool, and no KKT matrix is built.  The lines (k = 1) are the ones
 polytope's lines are derived once for every form minimized over it.
 
 The arithmetic is on integers: a form keeps H and c as integer numerators
-over one denominator each, and :func:`restrict_quadratic` hands the form it
-builds the integer form it computed.  The pool is a list of integer points
-u / den, the vertices as ``h_to_v`` found them and the tested stationary
-points; each is valued by the numerator of :func:`eval_quadratic`'s one
-fraction, the values and then the points are compared by
-cross-multiplication, and only the least point and its value become
-Fractions.
+over one denominator each.  The pool is a list of integer points u / den,
+the vertices as ``h_to_v`` found them and the tested stationary points;
+each is valued by the numerator of :func:`eval_quadratic`'s one fraction,
+the values and then the points are compared by cross-multiplication, and
+only the least point and its value become Fractions.
 
 Everything here is a pure function of immutable inputs; candidate active
 sets are independent, so callers may fan the enumeration out and min-reduce.
@@ -34,7 +32,6 @@ sets are independent, so callers may fan the enumeration out and min-reduce.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -117,9 +114,7 @@ def restrict_quadratic(q: QuadraticForm, y: QVector, offset: QVector | None = No
 
     Computed from ``q._integer_form`` with x = u / D: the gradient 2Hx + c is
     (2 cs Ĥu + hs D ĉ) / (hs cs D) and the value is :func:`eval_quadratic`'s
-    sum.  The result's integer form, the trailing block of Ĥ over hs and the
-    gradient's numerators over hs cs D, each divided by its gcd, is the one
-    ``_integer_form`` gives, so it is handed over."""
+    sum."""
     k = y.dim
     n = q.dim
     if not 0 <= k < n:
@@ -128,18 +123,12 @@ def restrict_quadratic(q: QuadraticForm, y: QVector, offset: QVector | None = No
     h, hs, c, cs = form
     x = y.entries if offset is None else y.entries + offset.entries
     *u, den = _integer_row((*x, 1))  # Ĥu and ĉ . u below run over x's entries
-    grad, grad_den = [2 * cs * _dot(row, u) + hs * den * w for row, w in zip(h[k:], c[k:])], hs * cs * den
-    g = math.gcd(grad_den, *grad)
-    grad, grad_den = tuple(v // g for v in grad), grad_den // g
-    block = [row[k:] for row in h[k:]]
-    g = math.gcd(hs, *(v for row in block for v in row))
-    result = QuadraticForm(
+    grad_den = hs * cs * den
+    return QuadraticForm(
         QMatrix(tuple(row[k:] for row in q.h.entries[k:]), n - k),
-        QVector(tuple(Fraction(v, grad_den) for v in grad)),
+        QVector(tuple(Fraction(2 * cs * _dot(row, u) + hs * den * w, grad_den) for row, w in zip(h[k:], c[k:]))),
         Fraction(_quadratic_numerator(form, u, den), hs * cs * den * den) + q.d,
     )
-    vars(result)["_integer_form"] = (tuple(tuple(v // g for v in row) for row in block), hs // g, grad, grad_den)
-    return result
 
 
 def _hull_stationary_point(

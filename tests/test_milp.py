@@ -387,11 +387,12 @@ def _vertices_or_error(p):
 
 
 def test_restrict_prefix_integer_rows_match_fractions():
-    # restrict_prefix computes its rows from p.integer_rows and hands the
-    # result its integer rows.  They must be _integer_row of its own Fraction
-    # rows, or hashing (on integer rows) and == (on Fractions) disagree, and
-    # with them h_to_v's cache.  Rational coefficients and right-hand sides,
-    # integer and rational prefixes, and windows with Fraction box bounds
+    # restrict_prefix computes its right-hand sides from p.integer_rows.  The
+    # result must equal, and hash as, the restriction done in Fractions, and
+    # its integer rows, which h_to_v's cache and walk read, must be
+    # _integer_row of its own Fraction rows.  Rational coefficients and
+    # right-hand sides, integer and rational prefixes, and windows with
+    # Fraction box bounds
     rng = random.Random(1919)
     # the row (1/3, 1 | 1/3) at y = 1 reduces to (1 | 0): its scale falls from 3 to 1
     cases = [(hpoly([[Fraction(1, 3), 1], [0, -1]], [Fraction(1, 3), 2]), vec(1))]

@@ -496,8 +496,9 @@ def test_cone_slice_rejects_bad_hyperplane():
 def test_restrict_quadratic_matches_eval():
     # q(y, z + offset) for prefixes of every length k < n, the empty one
     # included, with and without an offset; k = n leaves nothing to restrict.
-    # Integer and rational H, c and d: the restricted form's integer form,
-    # computed from q's, must be the one its own Fractions give
+    # Integer and rational H, c and d: the restricted form's values and
+    # gradient are computed from q's integer form, and its own integer form
+    # must be the one its Fractions give
     rng = random.Random(53)
     checked = {"empty": 0, "offset": 0, "rational": 0, "h scale falls": 0}
     for trial in range(160):

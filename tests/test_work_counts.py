@@ -1,8 +1,12 @@
-"""Work counts of the benchmark's three corpora, pinned like certificates.
+"""Work counts of the benchmark's three corpora and of the long tail,
+pinned like certificates.
 
 Each instance of ``boxed_cli``, ``unbounded_budget`` and ``maxcut5_sweep``
 is solved in generator order with the ``h_to_v`` cache cleared first, as in
-``tests/test_certificate_digest.py``, and four per-corpus totals are
+``tests/test_certificate_digest.py``, and so are the three ``tail``
+instances of the unbounded generator (seed / index 2 / 154, 7 / 227 and
+12 / 274), where the residual window search does its work; no benchmark
+corpus reaches ``certifier._relaxed_bound``.  Seven per-entry totals are
 compared with committed constants:
 - ``h_to_v misses``: polyhedra enumerated, read from the cache's own
   statistics;
@@ -14,9 +18,14 @@ compared with committed constants:
   hull of dimension at least two and per cone-slice support.  A line's
   1 x 1 system is solved in closed form on a line ``h_to_v`` already has;
 - ``integer rows``: calls of ``linalg._integer_row``, through every module
-  that imports it, one per rational row, point or form scaled to integers
-  (the hot path scales the instance's rows and forms, and the points it is
-  handed, and derives the rest in integers).
+  that imports it, one per rational row, point or form scaled to integers:
+  the instance's rows and form, the points the hot path is handed, and each
+  restricted fiber's rows and form, each scaled once by its own cached
+  property;
+- ``box bounds``, ``relaxed bounds`` and ``fiber minima``: calls of
+  ``certifier._box_bound``, ``_relaxed_bound`` and ``_fiber_min``, the
+  residual window search's closed-form bound, its QP relaxation and its
+  fiber QPs.
 ``linalg.solve_linear_system``, the general solver, must not run at all,
 through any module that binds it.
 
@@ -31,17 +40,52 @@ with or without asserts:
     PYTHONPATH=src python3 tests/test_work_counts.py
 """
 
+import random
 import sys
 from collections import Counter
 
-from miqpcert import find_certificate, h_to_v, linalg, milp, parse_instance, polyhedra, qp
+from miqpcert import certifier, find_certificate, h_to_v, linalg, milp, parse_instance, polyhedra, qp
 
-from test_certificate_digest import _generated
+from test_certificate_digest import _generated, _workloads
 
+TAIL = ((2, 154), (7, 227), (12, 274))  # (seed, index) of the unbounded generator
 EXPECTED = {
-    "boxed_cli": {"h_to_v misses": 772, "back-substitutions": 5187, "face hulls": 397, "integer rows": 5821},
-    "unbounded_budget": {"h_to_v misses": 330, "back-substitutions": 1820, "face hulls": 475, "integer rows": 2641},
-    "maxcut5_sweep": {"h_to_v misses": 605, "back-substitutions": 48400, "face hulls": 0, "integer rows": 19185},
+    "boxed_cli": {
+        "h_to_v misses": 772,
+        "back-substitutions": 5187,
+        "face hulls": 397,
+        "integer rows": 8357,
+        "box bounds": 0,
+        "relaxed bounds": 0,
+        "fiber minima": 1078,
+    },
+    "unbounded_budget": {
+        "h_to_v misses": 330,
+        "back-substitutions": 1820,
+        "face hulls": 475,
+        "integer rows": 3076,
+        "box bounds": 161,
+        "relaxed bounds": 0,
+        "fiber minima": 139,
+    },
+    "maxcut5_sweep": {
+        "h_to_v misses": 605,
+        "back-substitutions": 48400,
+        "face hulls": 0,
+        "integer rows": 19185,
+        "box bounds": 0,
+        "relaxed bounds": 0,
+        "fiber minima": 11367,
+    },
+    "tail": {
+        "h_to_v misses": 1038,
+        "back-substitutions": 33096,
+        "face hulls": 14914,
+        "integer rows": 19567,
+        "box bounds": 2391,
+        "relaxed bounds": 148,
+        "fiber minima": 1384,
+    },
 }
 # the module attributes counted, under the counter each adds to
 COUNTED = (
@@ -49,7 +93,17 @@ COUNTED = (
     (qp, "_hull_stationary_point", "face hulls"),
     *((module, "solve_linear_system", "integer solves") for module in (linalg, polyhedra)),
     *((module, "_integer_row", "integer rows") for module in (linalg, polyhedra, qp, milp)),
+    (certifier, "_box_bound", "box bounds"),
+    (certifier, "_relaxed_bound", "relaxed bounds"),
+    (certifier, "_fiber_min", "fiber minima"),
 )
+
+
+def _cases(name: str) -> list:
+    if name != "tail":
+        return _generated(name)
+    generator = _workloads()["unbounded_budget"].generator
+    return [generator(random.Random(seed), index + 1)[index] for seed, index in TAIL]
 
 
 def corpus_counts(name: str) -> Counter:
@@ -66,7 +120,7 @@ def corpus_counts(name: str) -> Counter:
     for module, attr, key in COUNTED:
         setattr(module, attr, counting(key, getattr(module, attr)))
     try:
-        for case in _generated(name):
+        for case in _cases(name):
             h_to_v.cache_clear()
             find_certificate(parse_instance(case.text))
             counts["h_to_v misses"] += h_to_v.cache_info().misses
@@ -94,6 +148,10 @@ def test_unbounded_budget_work():
 
 def test_maxcut5_sweep_work():
     assert _mismatches("maxcut5_sweep") == []
+
+
+def test_tail_work():
+    assert _mismatches("tail") == []
 
 
 if __name__ == "__main__":
