@@ -206,23 +206,16 @@ def verify_certificate(inst: MiqpInstance, x: QVector) -> VerificationReport:
 
 
 def _ceil_root(e: Fraction, disc: Fraction, g: Fraction) -> int:
-    """ceil((e + sqrt(disc)) / g) computed exactly for disc >= 0, g > 0."""
-    assert disc >= 0 and g > 0
-    hi = math.ceil((e + isqrt_ceil(disc)) / g)
-    lo = math.floor(e / g) - 1  # below (e + 0)/g <= true root
-
-    def reaches(k: int) -> bool:
-        lhs = g * k - e
-        return lhs >= 0 and lhs * lhs >= disc
-
-    assert reaches(hi)
-    while hi - lo > 1:
-        mid = (hi + lo) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    """The least integer k >= 0 with g k - e >= sqrt(disc), for g > 0: so
+    max(0, ceil((e + sqrt(disc)) / g)), and 0 when disc < 0, where no real
+    root exists.  With L the lcm of the denominators of e and g, the
+    condition reads gL k - eL >= sqrt(disc L^2), whose left side is an
+    integer, so it holds exactly when gL k - eL >= ceil(sqrt(disc L^2)):
+    k = ceil((eL + isqrt_ceil(disc L^2)) / gL), one integer square root."""
+    if disc < 0:
+        return 0
+    lcm = math.lcm(e.denominator, g.denominator)
+    return max(0, math.ceil((e * lcm + isqrt_ceil(disc * lcm * lcm)) / (g * lcm)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +286,7 @@ def negative_ray_certificate(
         raise CertifierError("descent direction lost its negative curvature")
     slope = 2 * base.dot(hr) + inst.quad.c.dot(r)
     const = eval_quadratic(inst.quad, base)
-    disc = slope * slope - 4 * lead * const
-    if disc < 0:
-        step = 0  # parabola opens downward with no real roots: negative everywhere
-    else:
-        step = max(0, _ceil_root(slope, disc, 2 * (-lead)))
+    step = _ceil_root(slope, slope * slope - 4 * lead * const, 2 * (-lead))
     point = base + r.scale(step)
     trace = SearchTrace(orthant=signs, branch="negative-ray", step=step)
     return Certificate(point, encoding_size(point), trace)
@@ -332,11 +321,10 @@ def nonnegative_recession_search(
         for fiber_index, fiber in enumerate(fibers):
             for piece_index, piece in enumerate(pieces):
                 for ray_index in piece.flat:
-                    found = linear_descent_step(inst.quad, fiber, piece.rays, ray_index)
+                    found = linear_descent_step(inst.quad, fiber, piece.rays[ray_index])
                     if found is None:
                         continue
                     start, rate = found
-                    assert rate < 0
                     mu = max(0, math.ceil(eval_quadratic(inst.quad, start) / (-rate)))
                     point = start + piece.rays[ray_index].scale(mu)
                     trace = SearchTrace(
@@ -388,28 +376,23 @@ def _window_piece(quad: QuadraticForm, piece: SimpleCone, f: QVector | None) -> 
     return WindowPiece(piece.rays, flat, curving, f_values, ray_terms, gram, v1, slice_norm)
 
 
-def linear_descent_step(
-    quad: QuadraticForm, fiber: Fiber, rays: tuple[QVector, ...], ray_index: int
-) -> tuple[QVector, Fraction] | None:
-    """Along a flat ray the quadratic changes at the linear rate
-    2 x^T H r + c^T r.  Find a point of the fiber plus the other rays'
-    integer cone where that rate is negative, or None if its minimum there
-    is non-negative."""
-    r = rays[ray_index]
+def linear_descent_step(quad: QuadraticForm, fiber: Fiber, r: QVector) -> tuple[QVector, Fraction] | None:
+    """Along a flat ray r the quadratic changes at the linear rate
+    a(x) = 2 x^T H r + c^T r.  The least fiber vertex where that rate is
+    negative, with the rate, or None when it is non-negative at every vertex.
+
+    The piece's other rays cannot make it negative.  The part's slice
+    minimum is >= 0, so q(y) = y^T H y >= 0 on its recession cone, which
+    holds the piece.  For a ray s of the piece and t > 0,
+    q(r + t s) = 2t s^T H r + t^2 s^T H s >= 0 as r^T H r = 0; dividing by t
+    and letting t -> 0 gives s^T H r >= 0.  So a(x + s) = a(x) + 2 s^T H r
+    >= a(x), and over the fiber plus the integer cone of the piece's rays the
+    rate is least at a fiber vertex, as a is affine."""
     hr = quad.h.matvec(r)
     const = quad.c.dot(r)
     best = min(fiber.vertices, key=lambda v: (2 * v.dot(hr) + const, v))
     value = 2 * best.dot(hr) + const
-    if value < 0:
-        return best, value
-    for j, other in enumerate(rays):
-        if j == ray_index:
-            continue
-        slope = 2 * other.dot(hr)
-        if slope < 0:
-            eta = max(0, math.ceil(Fraction(value + 1) / (-slope)))
-            return best + other.scale(eta), value + eta * slope
-    return None
+    return (best, value) if value < 0 else None
 
 
 def _fiber_min(quad: QuadraticForm, fiber: Fiber, shift: QVector | None = None) -> tuple[Fraction, QVector]:
@@ -498,8 +481,7 @@ def bounded_window_search(
     rates = [QVector.of(2 * v.dot(hr) + cr for hr, cr in piece.ray_terms) for v in fiber.vertices]
     v2 = min(a / fv for rate in rates for a, fv in zip(rate, piece.f_values))
     v4 = max(math.ceil(abs(coord)) for vert in fiber.vertices for coord in vert.entries)
-    disc = v2 * v2 - 4 * piece.v1 * v3
-    lam_max = 0 if disc < 0 else max(0, _ceil_root(-v2, disc, 2 * piece.v1))
+    lam_max = _ceil_root(-v2, v2 * v2 - 4 * piece.v1 * v3, 2 * piece.v1)
     norm_bound = isqrt_ceil(Fraction(n)) * v4 + lam_max * piece.slice_norm
     caps = tuple(math.floor(Fraction(lam_max) / fv) for fv in piece.f_values)
     boxes = [(tuple(0 for _ in caps), caps)]

@@ -415,13 +415,10 @@ def nullspace_basis(m: QMatrix) -> tuple[QVector, ...]:
 
 
 def isqrt_ceil(q: Fraction) -> int:
-    """Smallest non-negative integer s with s*s >= q."""
+    """Smallest non-negative integer s with s*s >= q.  An integer square is
+    at least q exactly when it is at least m = ceil(q), and the least s with
+    s*s >= m > 0 is isqrt(m - 1) + 1."""
     if q < 0:
         raise ValueError("negative radicand")
-    num, den = q.numerator, q.denominator
-    s = math.isqrt((num + den - 1) // den)
-    while s * s * den < num:
-        s += 1
-    while s > 0 and (s - 1) * (s - 1) * den >= num:
-        s -= 1
-    return s
+    m = math.ceil(q)
+    return math.isqrt(m - 1) + 1 if m else 0

@@ -25,7 +25,7 @@ from miqpcert import (
     VPolyhedron,
     h_to_v,
 )
-from miqpcert.certifier import Certificate, SearchTrace, _ceil_root
+from miqpcert.certifier import Certificate, SearchTrace
 from miqpcert.linalg import _integer_row, encoding_size, isqrt_ceil
 from miqpcert.milp import Fiber, ray_families
 from miqpcert.polyhedra import (
@@ -471,6 +471,28 @@ def reference_fiber_min(quad: QuadraticForm, fiber, shift: QVector) -> tuple[Fra
     return eval_quadratic(quad, point), point
 
 
+def reference_ceil_root(e: Fraction, disc: Fraction, g: Fraction) -> int:
+    """ceil((e + sqrt(disc)) / g) computed exactly for disc >= 0, g > 0, by
+    bisection on the condition g k - e >= sqrt(disc) itself.  The reference
+    for the certifier's closed-form ``_ceil_root``."""
+    assert disc >= 0 and g > 0
+    hi = math.ceil((e + isqrt_ceil(disc)) / g)
+    lo = math.floor(e / g) - 1  # below (e + 0)/g <= true root
+
+    def reaches(k: int) -> bool:
+        lhs = g * k - e
+        return lhs >= 0 and lhs * lhs >= disc
+
+    assert reaches(hi)
+    while hi - lo > 1:
+        mid = (hi + lo) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def reference_window_bounds(inst: MiqpInstance, fiber, piece, f: QVector):
     """(v3, lam_max, norm_bound, caps) of a curving residual window, with v2
     and the slice norm read off the vertices of the curving slice
@@ -484,7 +506,7 @@ def reference_window_bounds(inst: MiqpInstance, fiber, piece, f: QVector):
     v3, _ = reference_fiber_min(quad, fiber, QVector.zero(n))
     v4 = max(math.ceil(abs(coord)) for vert in fiber.vertices for coord in vert.entries)
     disc = v2 * v2 - 4 * v1 * v3
-    lam_max = 0 if disc < 0 else max(0, _ceil_root(-v2, disc, 2 * v1))
+    lam_max = 0 if disc < 0 else max(0, reference_ceil_root(-v2, disc, 2 * v1))
     norm_bound = isqrt_ceil(Fraction(n)) * v4 + lam_max * isqrt_ceil(max(u.dot(u) for u in slice_v.vertices))
     caps = [math.floor(Fraction(lam_max) / f.dot(r)) for r in piece.curving]
     return v3, lam_max, norm_bound, caps

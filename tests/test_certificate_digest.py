@@ -1,4 +1,4 @@
-"""Every certificate of the benchmark's three corpora, and of two fuzz
+"""Every certificate of the benchmark's three corpora, and of three fuzz
 corpora the benchmark never reaches, pinned by one sha256 per corpus.
 
 Each generated instance is solved in generator order with the ``h_to_v``
@@ -10,8 +10,10 @@ unbounded generator:
   corpora send at most one;
 - seed 12: it holds the long-tail instance 12 / 274, and its residual
   windows send 313 such fibers to the QP at a nonzero shift, 305 of them
-  from 12 / 274.
-A kernel change that claims byte-identical certificates must leave all five
+  from 12 / 274;
+- seed 13: it holds 13 / 33 and 13 / 261, the slowest instances of seeds
+  1 to 13, which spend nearly all their time in the residual window search.
+A kernel change that claims byte-identical certificates must leave all six
 digests as they are; a change that alters certificates on purpose updates
 them and says which ones changed and why.
 ``bench/workloads.py`` is only read.
@@ -37,10 +39,12 @@ EXPECTED = {
     "unbounded_budget": "b261ea704cd39b0a21cf967e0a3b744a404f5dd988148a41483c598b2dd589d7",
     "unbounded_seed4": "a2ea0a72d5645f4895b485128565e5095753c52049335897047d3b59d412a1a0",
     "unbounded_seed12": "d33f8b8e68062702178338127dec49ed7c1aa9aa45fb4b29ea340cd94f7b27f6",
+    "unbounded_seed13": "a1335f1805246139cb145191073bbc9e9f344ddbcdafec8b8413d10417358dd2",
 }
 FUZZ = {  # name: (generator's workload, seed, size)
     "unbounded_seed4": ("unbounded_budget", 4, 300),
     "unbounded_seed12": ("unbounded_budget", 12, 300),
+    "unbounded_seed13": ("unbounded_budget", 13, 300),
 }
 
 
@@ -89,6 +93,10 @@ def test_unbounded_seed4_certificates():
 
 def test_unbounded_seed12_certificates():
     assert corpus_digest("unbounded_seed12") == EXPECTED["unbounded_seed12"]
+
+
+def test_unbounded_seed13_certificates():
+    assert corpus_digest("unbounded_seed13") == EXPECTED["unbounded_seed13"]
 
 
 if __name__ == "__main__":

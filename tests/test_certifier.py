@@ -9,17 +9,19 @@ from miqpcert.certifier import (
     MiqpInstance,
     SearchTrace,
     _box_bound,
+    _ceil_root,
     _fiber_min,
     _relaxed_bound,
     _window_piece,
     bounded_window_search,
     find_certificate,
+    linear_descent_step,
     verify_certificate,
 )
 from miqpcert.cones import normalizing_hyperplane, simple_cone_decomposition
 from miqpcert.formats import parse_instance
 from miqpcert.linalg import DimensionMismatch, QMatrix, QVector, encoding_size, rank
-from miqpcert.milp import MixedIntegerSet, ray_families, window_fibers
+from miqpcert.milp import Fiber, MixedIntegerSet, ray_families, window_fibers
 from miqpcert.oracle import brute_force_feasibility
 from miqpcert.polyhedra import HPolyhedron, h_to_v, is_pointed, iter_orthant_parts, recession_cone
 from miqpcert.qp import eval_quadratic, min_quadratic_on_cone_slice
@@ -28,6 +30,7 @@ from helpers import (
     instance,
     random_boxed_instance,
     random_symmetric,
+    reference_ceil_root,
     reference_fiber_min,
     reference_window_bounds,
     reference_window_search,
@@ -86,6 +89,91 @@ def test_negative_ray_step_minimality():
         assert eval_quadratic(inst.quad, base) > 0
         assert eval_quadratic(inst.quad, base + r.scale(step - 1)) > 0
         assert eval_quadratic(inst.quad, cert.point) <= 0
+
+
+def test_ceil_root_matches_bisection():
+    # the closed form is the least k >= 0 with g k - e >= sqrt(disc), which
+    # the bisection finds by search: large numerators, exact squares
+    # disc = (g k - e)^2, disc = 0, disc < 0 (no root: 0) and negative e
+    rng = random.Random(2202)
+
+    def rational(top):
+        return Fraction(rng.randint(-top, top), rng.randint(1, rng.choice((1, 6, 10**6, 10**15))))
+
+    kinds = {"square": 0, "zero": 0, "negative": 0, "other": 0, "negative e": 0, "positive k": 0}
+    for trial in range(20000):
+        top = 10 ** rng.choice((1, 3, 9, 30))
+        e, g = rational(top), abs(rational(top)) or Fraction(1)
+        kind = ("square", "zero", "negative", "other")[trial % 4]
+        disc = {
+            "square": (g * rng.randint(-50, 10**6) - e) ** 2,
+            "zero": Fraction(0),
+            "negative": -(abs(rational(top)) or Fraction(1)),
+            "other": abs(rational(top)),
+        }[kind]
+        expected = 0 if disc < 0 else max(0, reference_ceil_root(e, disc, g))
+        assert _ceil_root(e, disc, g) == expected, (e, disc, g)
+        kinds[kind] += 1
+        kinds["negative e"] += e < 0
+        kinds["positive k"] += expected > 0
+    assert min(kinds.values()) >= 4000
+
+
+def test_linear_descent_step_least_negative_vertex():
+    # along r = e1 the rate of x^T H x + c^T x is 2 x^T H r + c^T r = 2 x2 - 1:
+    # the least (rate, vertex), when that rate is negative
+    inst = instance([[0, 1], [1, 0]], [-1, 0], 0, [], [], 0)
+    vertices = (vec(0, 1), vec(1, 0), vec(2, -1), vec(3, -1), vec(5, 3))
+    fiber = Fiber(inst.polyhedron, QVector.zero(0), 0, vertices, None)
+    assert linear_descent_step(inst.quad, fiber, vec(1, 0)) == (vec(2, -1), Fraction(-3))
+    # along e2 the rate is 2 x1, negative at no vertex of these
+    assert linear_descent_step(inst.quad, fiber, vec(0, 1)) is None
+    fiber = Fiber(inst.polyhedron, QVector.zero(0), 0, (vec(0, 1), vec(4, 1)), None)
+    assert linear_descent_step(inst.quad, fiber, vec(1, 0)) is None
+
+
+def test_linear_descent_step_none_beside_other_rays():
+    # 2 x1 x2 + x1 + x2 + 1 <= 0 over the orthant x >= 0: both rays are flat
+    # and the family of both is one piece, so each flat ray has another ray
+    # beside it, along which the rate only grows (2 s^T H r = 2 > 0).  No
+    # fiber vertex has a negative rate, so no step descends, and the system
+    # is infeasible
+    inst = instance([[0, 1], [1, 0]], [1, 1], 1, [[-1, 0], [0, -1]], [0, 0], 0)
+    vrep = h_to_v(inst.polyhedron)
+    families = ray_families(vrep)
+    paired = 0
+    for fiber in window_fibers(MixedIntegerSet(inst.polyhedron, 0), vrep, families):
+        for piece in simple_cone_decomposition(inst.quad.h, families[fiber.family_index]).pieces:
+            for r in piece.rays:
+                assert linear_descent_step(inst.quad, fiber, r) is None
+                paired += len(piece.rays) - 1
+    assert paired >= 2
+    assert find_certificate(inst) is None
+
+
+def test_flat_rays_see_no_descent_from_other_rays():
+    # the fact linear_descent_step rests on: where the part's slice minimum
+    # is >= 0, s^T H r >= 0 for every flat ray r and every other ray s of a
+    # piece, as (r + t s)^T H (r + t s) = 2t s^T H r + t^2 s^T H s >= 0
+    rng = random.Random(2203)
+    products = []
+    for _ in range(300):
+        inst = _unbounded_style_system(rng, 3)
+        h = inst.quad.h
+        for part in _pointed_parts(inst.polyhedron):
+            vrep = h_to_v(part)
+            if vrep.is_empty or not vrep.rays:
+                continue
+            f = normalizing_hyperplane(vrep.rays).f
+            if min_quadratic_on_cone_slice(h, vrep.rays, f).value < 0:
+                continue
+            for family in ray_families(vrep):
+                for piece in simple_cone_decomposition(h, family).pieces:
+                    for i, r in enumerate(piece.rays):
+                        if r.dot(h.matvec(r)) == 0:
+                            products += [s.dot(h.matvec(r)) for j, s in enumerate(piece.rays) if j != i]
+    assert min(products) >= 0
+    assert len(products) >= 20 and products.count(0) >= 1
 
 
 def test_linear_ray_descent():

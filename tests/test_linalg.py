@@ -123,10 +123,16 @@ def test_isqrt_ceil():
     assert isqrt_ceil(Fraction(5)) == 3
     assert isqrt_ceil(Fraction(1, 4)) == 1
     assert isqrt_ceil(Fraction(17, 4)) == 3
-    for k in range(200):
-        q = Fraction(k, 7)
+    rng = random.Random(119)
+    large = [Fraction(rng.randint(0, 10**30), rng.randint(1, 10**12)) for _ in range(2000)]
+    for q in [Fraction(k, 7) for k in range(200)] + large:
         s = isqrt_ceil(q)
         assert s * s >= q and (s == 0 or (s - 1) * (s - 1) < q)
+    for _ in range(2000):  # exact squares s^2 / d^2, whose root s / d is rational
+        root, den = rng.randint(0, 10**15), rng.randint(1, rng.choice((1, 10**6)))
+        assert isqrt_ceil(Fraction(root * root, den * den)) == -(-root // den)
+    with pytest.raises(ValueError):
+        isqrt_ceil(Fraction(-1, 10**20))
 
 
 def test_matrix_symmetry_and_shape():
