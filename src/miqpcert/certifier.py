@@ -19,6 +19,11 @@ normalized slice of the recession cone:
   to the exact QP kernel only the shifts no box bound rules out.  The search
   stops at the first certificate.
 
+The window's two box bounds run in integers scaled once per window by one
+S > 0, which keeps each comparison with 0 exact, and over the fiber-vertex
+rates no other rate dominates.  The relaxed bound shares one QP pool across
+those rates: its walk and face hulls are built once per box.
+
 Every certificate is re-verified exactly before being returned.  Orthant
 parts and (family, fiber, piece) branches are mutually independent; a
 parallel driver may race them as long as wins resolve in the same
@@ -28,6 +33,7 @@ lexicographic order, which is why the sequential search is the reference.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -38,6 +44,7 @@ from .linalg import (
     EncodingSize,
     QMatrix,
     QVector,
+    _dot,
     encoding_size,
     isqrt_ceil,
 )
@@ -51,7 +58,14 @@ from .polyhedra import (
     iter_orthant_parts,
     primitivize,
 )
-from .qp import QuadraticForm, eval_quadratic, min_quadratic_on_cone_slice, qp_global_min, restrict_quadratic
+from .qp import (
+    QuadraticForm,
+    _pool_min,
+    eval_quadratic,
+    min_quadratic_on_cone_slice,
+    qp_global_min,
+    restrict_quadratic,
+)
 
 
 class CertifierError(RuntimeError):
@@ -341,14 +355,18 @@ def nonnegative_recession_search(
 
 @dataclass(frozen=True)
 class WindowPiece:
-    """The fiber-independent data of one simple piece of a family's cone."""
+    """The fiber-independent data of one simple piece of a family's cone.
+    The rays are integral, so the curving rays' data is integers over the
+    form's ``_integer_form`` (Ĥ, hs, ĉ, cs), H = Ĥ / hs and c = ĉ / cs, and
+    over f_den for the hyperplane."""
 
     rays: tuple[QVector, ...]
     flat: tuple[int, ...]  # indices of the rays with r^T H r = 0
     curving: tuple[QVector, ...]  # the other rays, in order
-    f_values: tuple[Fraction, ...]  # f . r over the curving rays, all > 0
-    ray_terms: tuple[tuple[QVector, Fraction], ...]  # (H r, c . r) per curving ray r
-    gram: QMatrix | None  # G = R^T H R over the curving rays R
+    f_values: tuple[int, ...]  # f . r times f_den over the curving rays, all > 0
+    f_den: int  # the lcm of the denominators of the f . r
+    ray_terms: tuple[tuple[tuple[int, ...], int], ...]  # (Ĥ r, ĉ . r) per curving ray r
+    gram: tuple[tuple[int, ...], ...]  # Ĝ = R^T Ĥ R over the curving rays R, so G = Ĝ / hs
     v1: Fraction | None  # min x^T H x over the curving slice, > 0
     slice_norm: int | None  # ceil of the largest slice-vertex norm
 
@@ -358,22 +376,29 @@ def _window_piece(quad: QuadraticForm, piece: SimpleCone, f: QVector | None) -> 
     bound the quadratic's growth along them over the slice f . x = 1 of their
     cone: the simplex with vertices r / (f . r), as f . r > 0 on these
     linearly independent rays."""
-    flat = tuple(i for i, ray in enumerate(piece.rays) if ray.dot(quad.h.matvec(ray)) == 0)
-    curving = tuple(ray for i, ray in enumerate(piece.rays) if i not in flat)
+    h, _, c, _ = quad._integer_form
+    ints = [[x.numerator for x in ray] for ray in piece.rays]  # a simple cone's rays are integral
+    terms = [(tuple(_dot(row, r) for row in h), _dot(c, r)) for r in ints]
+    flat = tuple(i for i, (r, (hr, _)) in enumerate(zip(ints, terms)) if _dot(r, hr) == 0)
+    kept = [i for i in range(len(ints)) if i not in flat]
+    curving = tuple(piece.rays[i] for i in kept)
     if not curving:
-        return WindowPiece(piece.rays, flat, (), (), (), None, None, None)
+        return WindowPiece(piece.rays, flat, (), (), 1, (), (), None, None)
     if f is None:
         raise CertifierError("curving rays exist but no normalizing hyperplane was built")
-    f_values = tuple(f.dot(r) for r in curving)
-    if any(fv <= 0 for fv in f_values):
+    f_dots = [f.dot(r) for r in curving]
+    if any(fv <= 0 for fv in f_dots):
         raise CertifierError("hyperplane is not strictly positive on the residual rays")
     v1 = min_quadratic_on_cone_slice(quad.h, curving, f).value
     if v1 <= 0:
         raise CertifierError("curvature minimum on the residual cone must be positive")
-    ray_terms = tuple((quad.h.matvec(r), quad.c.dot(r)) for r in curving)
-    gram = QMatrix.from_rows([[r.dot(hr) for hr, _ in ray_terms] for r in curving])
-    slice_norm = isqrt_ceil(max(r.dot(r) / (fv * fv) for r, fv in zip(curving, f_values)))
-    return WindowPiece(piece.rays, flat, curving, f_values, ray_terms, gram, v1, slice_norm)
+    f_den = math.lcm(*(fv.denominator for fv in f_dots))
+    f_values = tuple(fv.numerator * (f_den // fv.denominator) for fv in f_dots)
+    ray_terms = tuple(terms[i] for i in kept)
+    gram = tuple(tuple(_dot(ints[i], hr) for hr, _ in ray_terms) for i in kept)
+    # |r / (f . r)|^2 = (r . r) f_den^2 / (f_den f . r)^2
+    slice_norm = isqrt_ceil(max(Fraction(_dot(ints[i], ints[i]) * f_den**2, fv * fv) for i, fv in zip(kept, f_values)))
+    return WindowPiece(piece.rays, flat, curving, f_values, f_den, ray_terms, gram, v1, slice_norm)
 
 
 def linear_descent_step(quad: QuadraticForm, fiber: Fiber, r: QVector) -> tuple[QVector, Fraction] | None:
@@ -415,35 +440,100 @@ def _fiber_min(quad: QuadraticForm, fiber: Fiber, shift: QVector | None = None) 
     return best.value, prefix.concat(best.minimizer if offset is None else best.minimizer + offset)
 
 
-def _box_bound(
-    piece: WindowPiece, rates: list[QVector], lam_max: int, lo: tuple[int, ...], hi: tuple[int, ...]
-) -> Fraction | None:
-    """A lower bound on q(x + R m) - v3 over the fiber's points x and the
-    tuples m in [lo, hi] with f . m <= lam_max (None when there are none),
-    v3 being the fiber's minimum.  The change is a(x) . m + m^T G m with
-    a(x)_i = 2 x^T H r_i + c^T r_i, and a(x) . m is least at a vertex (``rates``).
-    As m >= 0, a_i m_i is least at lo_i or hi_i, G_ij m_i m_j at lo_i lo_j or,
-    if G_ij < 0, at hi_i hi_j; and m^T G m >= v1 (f . lo)^2 by the slice."""
-    f_lo = sum(m * fv for m, fv in zip(lo, piece.f_values))
-    if f_lo > lam_max:
+@dataclass(frozen=True)
+class _Window:
+    """A curving window's bounds on one fiber: lam_max and the multiplier
+    caps, and the data of both box bounds as integers, each the value times
+    one scale S > 0 per window: the lcm of v3's denominator, the rates' one
+    denominator hs cs D (a multiple of G's hs) and v1 / f_den^2's.  Scaling
+    by S > 0 keeps every comparison with 0, so the bounds decide exactly as
+    their Fraction values would."""
+
+    lam_max: int
+    caps: tuple[int, ...]  # floor(lam_max / (f . r)) per curving ray r
+    scale: int  # S
+    v3: int  # S v3
+    rates: tuple[tuple[int, ...], ...]  # S a(v) over the fiber vertices v, dominated ones dropped
+    gram: tuple[tuple[int, ...], ...]  # S G
+    v1: int  # S v1 / f_den^2
+    f_values: tuple[int, ...]  # the piece's f . r times f_den
+    f_cap: int  # lam_max f_den
+
+
+def _window(quad: QuadraticForm, fiber: Fiber, piece: WindowPiece, v3: Fraction) -> _Window:
+    """The window of a piece with curving rays on a fiber whose minimum is v3.
+
+    The rates a(v)_i = 2 v^T H r_i + c^T r_i at the fiber vertices v come
+    over one denominator: with v = u / D for the lcm D of the vertices'
+    denominators, a(v)_i = (2 cs u . Ĥ r_i + hs D ĉ . r_i) / (hs cs D).
+    Every multiplier tuple m of the window is >= 0, so a rate that is
+    componentwise >= another has a . m no less at every m and never
+    attains either bound's minimum, nor v2's: such rates are dropped, and
+    equal ones kept once.  v2 is the least a(v)_i / (f . r_i), and
+    lam_max the least lambda >= 0 beyond which v1 lambda^2 + v2 lambda + v3
+    stays positive."""
+    _, hs, _, cs = quad._integer_form
+    den = math.lcm(*(x.denominator for v in fiber.vertices for x in v))
+    rate_den = hs * cs * den
+    rates: dict[tuple[int, ...], None] = {}  # each rate once, in vertex order
+    for v in fiber.vertices:
+        u = [x.numerator * (den // x.denominator) for x in v]
+        rates[tuple(2 * cs * _dot(u, hr) + hs * den * cr for hr, cr in piece.ray_terms)] = None
+    kept = [a for a in rates if not any(b != a and all(map(operator.le, b, a)) for b in rates)]
+    lows = [min(column) for column in zip(*kept)]  # a dropped rate lowers no column
+    v2 = min(Fraction(low * piece.f_den, rate_den * fv) for low, fv in zip(lows, piece.f_values))
+    lam_max = _ceil_root(-v2, v2 * v2 - 4 * piece.v1 * v3, 2 * piece.v1)
+    v1 = piece.v1 / (piece.f_den * piece.f_den)
+    scale = math.lcm(v3.denominator, rate_den, v1.denominator)  # hs divides rate_den: G = Ĝ / hs
+    return _Window(
+        lam_max,
+        tuple(lam_max * piece.f_den // fv for fv in piece.f_values),
+        scale,
+        v3.numerator * (scale // v3.denominator),
+        tuple(tuple(a * (scale // rate_den) for a in rate) for rate in kept),
+        tuple(tuple(g * (scale // hs) for g in row) for row in piece.gram),
+        v1.numerator * (scale // v1.denominator),
+        piece.f_values,
+        lam_max * piece.f_den,
+    )
+
+
+def _norm_bound(fiber: Fiber, piece: WindowPiece, lam_max: int) -> int:
+    """sqrt(n) v4 + lam_max slice_norm, rounded up, with v4 the largest
+    fiber-vertex coordinate in absolute value: a bound on the norm of a
+    window certificate's point."""
+    v4 = max(math.ceil(abs(coord)) for vert in fiber.vertices for coord in vert.entries)
+    return isqrt_ceil(Fraction(fiber.vertices[0].dim)) * v4 + lam_max * piece.slice_norm
+
+
+def _box_bound(window: _Window, lo: tuple[int, ...], hi: tuple[int, ...]) -> int | None:
+    """S times a lower bound on q(x + R m) - v3 over the fiber's points x
+    and the tuples m in [lo, hi] with f . m <= lam_max (None when there are
+    none), v3 being the fiber's minimum.  The change is a(x) . m + m^T G m
+    with a(x)_i = 2 x^T H r_i + c^T r_i, and a(x) . m is least at a vertex
+    (the window's rates).  As m >= 0, a_i m_i is least at lo_i or hi_i,
+    G_ij m_i m_j at lo_i lo_j or, if G_ij < 0, at hi_i hi_j; and
+    m^T G m >= v1 (f . lo)^2 by the slice."""
+    f_lo = _dot(window.f_values, lo)  # f . lo times f_den
+    if f_lo > window.f_cap:
         return None
-    quadratic = Fraction(0)
-    for i, row in enumerate(piece.gram.entries):
+    quadratic = 0
+    for i, row in enumerate(window.gram):
         quadratic += sum(g * (lo[i] * lo[j] if g >= 0 else hi[i] * hi[j]) for j, g in enumerate(row))
-    linear = min(sum(min(a * low, a * high) for a, low, high in zip(rate, lo, hi)) for rate in rates)
-    return linear + max(quadratic, piece.v1 * f_lo * f_lo)
+    linear = min(sum(min(a * low, a * high) for a, low, high in zip(rate, lo, hi)) for rate in window.rates)
+    return linear + max(quadratic, window.v1 * f_lo * f_lo)
 
 
-def _relaxed_bound(
-    piece: WindowPiece, rates: list[QVector], lam_max: int, lo: tuple[int, ...], hi: tuple[int, ...]
-) -> Fraction:
-    """The exact minimum of a . m + m^T G m over ``rates`` and the real m of
-    {lo <= m <= hi, f . m <= lam_max}, a polytope that holds lo when _box_bound is not None."""
+def _relaxed_bound(window: _Window, lo: tuple[int, ...], hi: tuple[int, ...]) -> Fraction:
+    """S times the exact minimum of a . m + m^T G m over the window's rates
+    and the real m of {lo <= m <= hi, f . m <= lam_max}, a polytope that
+    holds lo when _box_bound is not None: one pool for every rate."""
     k = len(lo)
     rows = [[sign if j == i else 0 for j in range(k)] for i in range(k) for sign in (1, -1)]
     rhs = [end for low, high in zip(lo, hi) for end in (high, -low)]
-    poly = HPolyhedron(QMatrix.from_rows(rows + [piece.f_values], k), QVector.of(rhs + [lam_max]))
-    return min(qp_global_min(QuadraticForm(piece.gram, rate, Fraction(0)), poly).value for rate in rates)
+    poly = HPolyhedron(QMatrix.from_rows(rows + [window.f_values], k), QVector.of(rhs + [window.f_cap]))
+    value, _, den = _pool_min(poly, window.gram, window.rates)
+    return Fraction(value, den * den)
 
 
 def bounded_window_search(
@@ -463,13 +553,14 @@ def bounded_window_search(
     n = inst.dim
     v3, v3_point = _fiber_min(inst.quad, fiber)
 
-    def window_certificate(counts: tuple[int, ...], bound: int | None) -> Certificate | None:
+    def window_certificate(counts: tuple[int, ...], lam_max: int | None) -> Certificate | None:
         value, point = v3, v3_point  # the zero tuple: the fiber itself
         if any(counts):
             shift = sum((ray.scale(m) for m, ray in zip(counts, piece.curving)), QVector.zero(n))
             value, point = _fiber_min(inst.quad, fiber, shift)
         if value > 0:
             return None
+        bound = None if lam_max is None else _norm_bound(fiber, piece, lam_max)
         trace = SearchTrace(
             signs, "window-qp", fiber_index, family_index, piece_index, shift=counts, norm_bound=bound
         )
@@ -478,24 +569,19 @@ def bounded_window_search(
     if not piece.curving:
         return window_certificate((), None)
 
-    rates = [QVector.of(2 * v.dot(hr) + cr for hr, cr in piece.ray_terms) for v in fiber.vertices]
-    v2 = min(a / fv for rate in rates for a, fv in zip(rate, piece.f_values))
-    v4 = max(math.ceil(abs(coord)) for vert in fiber.vertices for coord in vert.entries)
-    lam_max = _ceil_root(-v2, v2 * v2 - 4 * piece.v1 * v3, 2 * piece.v1)
-    norm_bound = isqrt_ceil(Fraction(n)) * v4 + lam_max * piece.slice_norm
-    caps = tuple(math.floor(Fraction(lam_max) / fv) for fv in piece.f_values)
-    boxes = [(tuple(0 for _ in caps), caps)]
+    window = _window(inst.quad, fiber, piece, v3)
+    boxes = [(tuple(0 for _ in window.caps), window.caps)]
     while boxes:
         lo, hi = boxes.pop()
-        bound = _box_bound(piece, rates, lam_max, lo, hi)
-        if bound is None or v3 + bound > 0:
+        bound = _box_bound(window, lo, hi)
+        if bound is None or window.v3 + bound > 0:
             continue
         varying = [i for i in range(len(lo)) if lo[i] < hi[i]]
         if not varying:
-            cert = window_certificate(lo, norm_bound)
+            cert = window_certificate(lo, window.lam_max)
             if cert is not None:
                 return cert
-        elif len(varying) == 1 or v3 + _relaxed_bound(piece, rates, lam_max, lo, hi) <= 0:
+        elif len(varying) == 1 or window.v3 + _relaxed_bound(window, lo, hi) <= 0:
             i = varying[0]
             mid = (lo[i] + hi[i]) // 2
             boxes.append((lo[:i] + (mid + 1,) + lo[i + 1 :], hi))  # the upper half, searched second

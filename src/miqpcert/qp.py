@@ -18,6 +18,9 @@ the point is unique exactly when the KKT system
 KKT pool, and no KKT matrix is built.  The lines (k = 1) are the ones
 ``h_to_v`` already walked, with their interval in the polytope, so each
 polytope's lines are derived once for every form minimized over it.
+Forms that differ only in c share more: :func:`_pool_min` minimizes several
+of them over one polytope with one walk, each hull and its k x k matrix
+derived once, and only each c's right-hand side solved on its own.
 
 The arithmetic is on integers: a form keeps H and c as integer numerators
 over one denominator each.  The pool is a list of integer points u / den,
@@ -132,78 +135,106 @@ def restrict_quadratic(q: QuadraticForm, y: QVector, offset: QVector | None = No
 
 
 def _hull_stationary_point(
-    basis: Sequence[tuple[Sequence[int], int]], n: int, h: Sequence[Sequence[int]], c: Sequence[int]
-) -> tuple[list[int], int] | None:
-    """The stationary point u / den, den > 0, of x^T h x + c . x on the
-    affine hull {a . x = b} of a walk's basis of integer rows (a, b), with
-    pivots in the n coefficient columns, or None when it is not unique.
+    basis: Sequence[tuple[Sequence[int], int]], n: int, h: Sequence[Sequence[int]], terms: Sequence[Sequence[int]]
+) -> list[tuple[list[int], int] | None]:
+    """For each linear term c in ``terms``, the stationary point u / den,
+    den > 0, of x^T h x + c . x on the affine hull {a . x = b} of a walk's
+    basis of integer rows (a, b), with pivots in the n coefficient columns,
+    or None when it is not unique.
 
     On the hull x = (w0 + N z) / P, stationarity is the k x k integer system
     2 N^T h N z = -(2 N^T h w0 + P N^T c); a walk of its rows yields one
     subset exactly when it is nonsingular, and back-substitution then gives
-    z = -v / t with t > 0."""
+    z = -v / t with t > 0.  The hull and the matrix do not depend on c, so
+    they are derived once: the walk carries one right-hand side column per
+    term, and only the back-substitution runs once per term."""
     w0, dirs, scale = _affine_hull(basis, n)
     h_dirs = [[_dot(row, d) for row in h] for d in dirs]
     h_w0 = [_dot(row, w0) for row in h]
-    # rows (2 N^T h N, 2 N^T h w0 + P N^T c): M z = -rhs
-    system = [[2 * _dot(d, e) for e in h_dirs] + [2 * _dot(d, h_w0) + scale * _dot(d, c)] for d in dirs]
+    # rows (2 N^T h N, then 2 N^T h w0 + P N^T c for each c): M z = -rhs
+    system = [
+        [2 * _dot(d, e) for e in h_dirs] + [2 * _dot(d, h_w0) + scale * _dot(d, c) for c in terms]
+        for d in dirs
+    ]
     k = len(dirs)
     walk = next(_independent_extensions(system, k, k, 0, [], []), None)
     if walk is None:
-        return None
-    v, _, t = _affine_hull(walk[1], k)
-    assert all(_dot(row, v) == row[-1] * t for row in system)  # a zero residual of the reduced system
-    return [t * w - sum(vj * d[i] for vj, d in zip(v, dirs)) for i, w in enumerate(w0)], t * scale
+        return [None] * len(terms)
+    points: list[tuple[list[int], int] | None] = []
+    for j in range(k, k + len(terms)):
+        # _affine_hull reads a row's first k + 1 entries: term j's column must sit at k
+        v, _, t = _affine_hull(walk[1] if j == k else [(row[:k] + [row[j]], pcol) for row, pcol in walk[1]], k)
+        assert all(_dot(row, v) == row[j] * t for row in system)  # a zero residual of the reduced system
+        points.append(([t * w - sum(vj * d[i] for vj, d in zip(v, dirs)) for i, w in enumerate(w0)], t * scale))
+    return points
 
 
-def _stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> list[tuple[list[int], int]]:
-    """Unique stationary points of q on the affine hulls of p's faces of
-    dimension at least one that lie in p, as integer points (u, den), x =
-    u / den with den > 0.  The lines come from ``h_to_v(p)``
-    with their interval in p, which tests the 1 x 1 system's solution; one
-    walk over the row subsets of size at most n - 2 gives the other hulls.
+def _stationary_candidates(
+    p: HPolyhedron, h: Sequence[Sequence[int]], terms: Sequence[Sequence[int]]
+) -> list[list[tuple[list[int], int]]]:
+    """For each integer linear term c, the unique stationary points of
+    x^T h x + c . x on the affine hulls of p's faces of dimension at least
+    one that lie in p, as integer points (u, den), x = u / den with den > 0.
+    The lines come from ``h_to_v(p)`` with their interval in p, which tests
+    the 1 x 1 system's solution; one walk over the row subsets of size at
+    most n - 2 gives the other hulls, each derived once for every term.
     Subsets of size n are not walked: their feasible points are the vertices."""
     n = p.dim
     int_rows = p.integer_rows
-    h, hs, c, cs = q._integer_form
-    # H and c times hs cs: cs Ĥ and hs ĉ, with the same stationary points
-    h_scaled = [[cs * v for v in row] for row in h]
-    c_scaled = [hs * v for v in c]
-    candidates: list[tuple[list[int], int]] = []
+    candidates: list[list[tuple[list[int], int]]] = [[] for _ in terms]
     for idx, w0, d, scale, lo, hi in h_to_v(p)._lines:
-        h_d = [_dot(row, d) for row in h_scaled]
+        h_d = [_dot(row, d) for row in h]
         # 2 d^T h d t = -(2 d^T h w0 + scale d . c), as t_num / t_den, t_den > 0
-        t_num, t_den = -(2 * _dot(h_d, w0) + scale * _dot(d, c_scaled)), 2 * _dot(h_d, d)
-        if t_den < 0:
-            t_num, t_den = -t_num, -t_den
-        if t_den == 0 or (lo and t_num * lo[1] < lo[0] * t_den) or (hi and t_num * hi[1] > hi[0] * t_den):
+        curvature = 2 * _dot(h_d, d)
+        if curvature == 0:
             continue
-        u, den = [w * t_den + t_num * x for w, x in zip(w0, d)], scale * t_den
-        assert all(_dot(int_rows[i], u) == int_rows[i][-1] * den for i in idx)  # on the hull
-        candidates.append((u, den))
+        slope = 2 * _dot(h_d, w0)
+        for c, found in zip(terms, candidates):
+            t_num, t_den = -(slope + scale * _dot(d, c)), curvature
+            if t_den < 0:
+                t_num, t_den = -t_num, -t_den
+            if (lo and t_num * lo[1] < lo[0] * t_den) or (hi and t_num * hi[1] > hi[0] * t_den):
+                continue
+            u, den = [w * t_den + t_num * x for w, x in zip(w0, d)], scale * t_den
+            assert all(_dot(int_rows[i], u) == int_rows[i][-1] * den for i in idx)  # on the hull
+            found.append((u, den))
     for idx, basis in _independent_extensions(int_rows, n - 2, n, 0, [], [], every_depth=True) if n > 1 else ():
-        point = _hull_stationary_point(basis, n, h_scaled, c_scaled)
-        if point is None:
-            continue
-        u, den = point
-        assert all(_dot(int_rows[i], u) == int_rows[i][-1] * den for i in idx)  # on the hull
-        if all(_dot(row, u) <= row[-1] * den for row in int_rows):
-            candidates.append(point)
+        for point, found in zip(_hull_stationary_point(basis, n, h, terms), candidates):
+            if point is None:
+                continue
+            u, den = point
+            assert all(_dot(int_rows[i], u) == int_rows[i][-1] * den for i in idx)  # on the hull
+            if all(_dot(row, u) <= row[-1] * den for row in int_rows):
+                found.append(point)
     return candidates
 
 
-def _pool(q: QuadraticForm, p: HPolyhedron) -> list[tuple[Sequence[int], int]]:
-    """The vertices of the polytope p and the face-hull candidates of q on
-    it, as integer points (u, den), x = u / den with den > 0; raises as
-    :func:`qp_global_min` does."""
-    if q.dim != p.dim:
-        raise DimensionMismatch("form and polytope dimensions differ")
+def _pool_min(p: HPolyhedron, h: Sequence[Sequence[int]], terms: Sequence[Sequence[int]]) -> tuple[int, list[int], int]:
+    """The least (value, x) over the pools of the forms x^T h x + c . x on
+    the polytope p, one form per integer linear term c, as (value, u, den):
+    x = u / den with den > 0, and value / den^2 the form's value there.  So
+    it is the least (value, minimizer) of the terms' :func:`qp_global_min`.
+    Each pool is p's vertices plus the term's face-hull candidates; the
+    terms share the vertices, the subset walk, each hull's (w0, N, P) and
+    the reduced matrix 2 N^T h N.  A point is valued as
+    :func:`eval_quadratic` sums it, and the values and then the points are
+    compared by cross-multiplication.  Raises as :func:`qp_global_min` does."""
     vrep = h_to_v(p)
     if vrep.rays:
         raise Unbounded("feasible set is unbounded")
     if not vrep.vertices:
         raise EmptyFeasibleSet("feasible set is empty")
-    return [*vrep._ends, *_stationary_candidates(q, p)]
+    best_u, best_den, best_value = None, 1, 0
+    for c, stationary in zip(terms, _stationary_candidates(p, h, terms)):
+        form = (h, 1, c, 1)
+        for u, den in (*vrep._ends, *stationary):
+            value = _quadratic_numerator(form, u, den)
+            if best_u is not None:
+                left, right = value * best_den * best_den, best_value * den * den
+                if left > right or (left == right and [x * best_den for x in u] >= [x * den for x in best_u]):
+                    continue
+            best_u, best_den, best_value = u, den, value
+    return best_value, best_u, best_den
 
 
 def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
@@ -230,26 +261,20 @@ def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
     through m* either fixes x, and then m* is not a vertex of the preimage,
     or moves x along a line of optimal points as above.
 
-    The pool's points are integer points u / den, each valued as
-    :func:`eval_quadratic` sums it, over hs cs den^2, and compared by
-    cross-multiplication, values first and then x; only the least one
-    becomes Fractions.
+    The pool's points are integer points u / den, valued and compared in
+    integers by :func:`_pool_min`; only the least one becomes Fractions.
 
     Raises :class:`Unbounded` when p has recession directions and
     :class:`EmptyFeasibleSet` when p is empty.
     """
-    form = q._integer_form
-    best_u, best_den, best_value = None, 1, 0
-    for u, den in _pool(q, p):
-        value = _quadratic_numerator(form, u, den)  # the value less d, times hs cs den^2
-        if best_u is not None:
-            left, right = value * best_den * best_den, best_value * den * den
-            if left > right or (left == right and [x * best_den for x in u] >= [x * den for x in best_u]):
-                continue
-        best_u, best_den, best_value = u, den, value
-    _, hs, _, cs = form
-    minimizer = QVector(tuple(Fraction(x, best_den) for x in best_u))
-    return QpResult(minimizer, Fraction(best_value, hs * cs * best_den * best_den) + q.d)
+    if q.dim != p.dim:
+        raise DimensionMismatch("form and polytope dimensions differ")
+    h, hs, c, cs = q._integer_form
+    # H and c times hs cs: cs Ĥ and hs ĉ, with the same minimizers
+    h_scaled = h if cs == 1 else [[cs * v for v in row] for row in h]
+    value, u, den = _pool_min(p, h_scaled, [c if hs == 1 else [hs * v for v in c]])
+    minimizer = QVector(tuple(Fraction(x, den) for x in u))
+    return QpResult(minimizer, Fraction(value, hs * cs * den * den) + q.d)
 
 
 def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector) -> QpResult:
@@ -292,7 +317,7 @@ def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector)
         # are positive, so it is its own walk basis with pivot column 0
         hull = [rates[i] for i in t] + [fs]
         g = [[gram[i][j] for j in t] for i in t]
-        point = _hull_stationary_point([(hull, 0)], len(t), g, [0] * len(t))
+        (point,) = _hull_stationary_point([(hull, 0)], len(t), g, [[0] * len(t)])
         if point is None:
             continue
         u, den = point  # m_T = u / den

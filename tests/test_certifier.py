@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby, islice, product
 
@@ -11,7 +12,9 @@ from miqpcert.certifier import (
     _box_bound,
     _ceil_root,
     _fiber_min,
+    _norm_bound,
     _relaxed_bound,
+    _window,
     _window_piece,
     bounded_window_search,
     find_certificate,
@@ -399,16 +402,17 @@ def test_box_bound_is_a_relaxation():
     checked = {"single": 0, "point": 0, "box": 0, "empty": 0}
     for inst, fiber, piece, f, _, _, bounds in _small_windows(7171, 60, 4):
         v3, lam_max, _, caps = bounds
-        rates = [QVector.of(2 * v.dot(hr) + cr for hr, cr in piece.ray_terms) for v in fiber.vertices]
+        window = _window(inst.quad, fiber, piece, v3)
         for _ in range(4):
             lo = tuple(rng.randint(0, cap + 1) for cap in caps)
             hi = tuple(low + rng.randint(0, 2) for low in lo)
-            closed = _box_bound(piece, rates, lam_max, lo, hi)
+            closed = _box_bound(window, lo, hi)
             if sum(m * f.dot(r) for m, r in zip(lo, piece.curving)) > lam_max:
                 assert closed is None
                 checked["empty"] += 1
                 continue
-            relaxed = _relaxed_bound(piece, rates, lam_max, lo, hi)
+            closed = Fraction(closed, window.scale)
+            relaxed = _relaxed_bound(window, lo, hi) / window.scale
             for counts in product(*(range(low, high + 1) for low, high in zip(lo, hi))):
                 shift = QVector.zero(inst.dim)
                 for m, ray in zip(counts, piece.curving):
@@ -417,7 +421,7 @@ def test_box_bound_is_a_relaxation():
                     continue
                 exact, _ = _fiber_min(inst.quad, fiber, shift)
                 assert closed <= relaxed and v3 + relaxed <= exact
-                single = _box_bound(piece, rates, lam_max, counts, counts)
+                single = Fraction(_box_bound(window, counts, counts), window.scale)
                 assert v3 + single == shift_lower_bound(inst.quad, fiber, v3, shift)
                 if len(fiber.vertices) == 1:
                     assert v3 + single == exact
@@ -426,6 +430,43 @@ def test_box_bound_is_a_relaxation():
             checked["box"] += lo != hi
     assert checked["single"] >= 300 and checked["point"] >= 150
     assert checked["box"] >= 150 and checked["empty"] >= 150
+
+
+def test_integer_window_setup_matches_reference():
+    # the window set-up in integers, scaled once per window, gives the
+    # reference's v3, lam_max, norm_bound and caps; its rates are the
+    # fiber-vertex rates times the scale, less the dominated ones, and
+    # neither bound moves when every rate is put back, on any box
+    rng = random.Random(4141)
+    checked = {"windows": 0, "dropped": 0, "boxes": 0, "relaxed": 0}
+    for inst, fiber, piece, _, _, _, bounds in _small_windows(7171, 60, 4):
+        v3, _ = _fiber_min(inst.quad, fiber)
+        window = _window(inst.quad, fiber, piece, v3)
+        setup = (v3, window.lam_max, _norm_bound(fiber, piece, window.lam_max), list(window.caps))
+        assert setup == bounds
+        assert window.v3 == v3 * window.scale
+        rates = []
+        for v in fiber.vertices:
+            rate = [window.scale * (2 * v.dot(inst.quad.h.matvec(r)) + inst.quad.c.dot(r)) for r in piece.curving]
+            assert all(a.denominator == 1 for a in rate)
+            rates.append(tuple(int(a) for a in rate))
+        assert set(window.rates) <= set(rates)
+        every = replace(window, rates=tuple(rates))
+        boxes = [(tuple(0 for _ in window.caps), window.caps)]
+        for _ in range(6):
+            lo = tuple(rng.randint(0, cap + 1) for cap in window.caps)
+            boxes.append((lo, tuple(low + rng.randint(0, 2) for low in lo)))
+        for lo, hi in boxes:
+            bound = _box_bound(window, lo, hi)
+            assert bound == _box_bound(every, lo, hi)
+            if bound is not None and lo != hi:
+                assert _relaxed_bound(window, lo, hi) == _relaxed_bound(every, lo, hi)
+                checked["relaxed"] += 1
+            checked["boxes"] += 1
+        checked["dropped"] += len(window.rates) < len(set(rates))
+        checked["windows"] += 1
+    assert checked["windows"] >= 150 and checked["dropped"] >= 50
+    assert checked["boxes"] >= 1000 and checked["relaxed"] >= 350
 
 
 def test_fiber_min_moves_the_quadratic_not_the_polytope():

@@ -13,7 +13,6 @@ from miqpcert.qp import (
     EmptyFeasibleSet,
     QuadraticForm,
     Unbounded,
-    _pool,
     _stationary_candidates,
     eval_quadratic,
     min_quadratic_on_cone_slice,
@@ -41,6 +40,13 @@ from helpers import (
 
 def form(h, c, d):
     return QuadraticForm(QMatrix.from_rows(h), QVector.of(c), Fraction(d))
+
+
+def _candidates(q: QuadraticForm, p: HPolyhedron) -> list:
+    """The face-hull candidates of q on p, with q's integer form scaled as
+    ``qp_global_min`` scales it: cs Ĥ and hs ĉ, the same stationary points."""
+    h, hs, c, cs = q._integer_form
+    return _stationary_candidates(p, [[cs * v for v in row] for row in h], [[hs * v for v in c]])[0]
 
 
 def _points(pool) -> list[QVector]:
@@ -261,7 +267,7 @@ def test_kkt_pool_matches_two_stage_reference():
                         q = form(h, c, 0)
                         expected, flat = reference_stationary_candidates(q, moved)
                         kkt, singular_dims = reference_kkt_candidates(q, moved)
-                        got = _points(_stationary_candidates(q, moved))
+                        got = _points(_candidates(q, moved))
                         assert sorted(got) == sorted(expected) == sorted(kkt)
                         cases += 1
                         lines = independent_row_subsets([row[:n] for row in moved.integer_rows], n - 1, n)
@@ -325,6 +331,46 @@ def test_qp_global_min_matches_fraction_pool_reference():
                 ties += len({y for y in pool if reference_eval_quadratic(q, y) == value}) > 1
                 cases += 1
     assert cases >= 280 and ties >= 100
+
+
+def test_pool_min_matches_one_qp_per_linear_term():
+    # one shared pool for several linear terms against one qp_global_min per
+    # term: the least (value, minimizer) over the terms, value and point, on
+    # random polytopes and on boxes cut by one positive row, the shape of the
+    # window relaxation.  A term comes twice, and one comes reversed: on a
+    # window symmetric in its coordinates, with a symmetric form, its least
+    # point is the mirror of the original's at the same value, so the tie
+    # across terms goes to the lexicographically least point
+    rng = random.Random(6262)
+    cases = ties = 0
+    for kind in ("definite", "indefinite", "rank-one", "zero"):
+        for shape in ("polytope", "window"):
+            for _ in range(30):
+                n = rng.randint(2 if kind == "indefinite" else 1, 3)
+                width = 1 if shape == "window" and rng.random() < 0.5 else n  # 1: symmetric in the coordinates
+                if shape == "polytope":
+                    poly = random_bounded_polytope(rng, n)
+                else:
+                    lo = [rng.randint(0, 3) for _ in range(width)] * (n // width)
+                    hi = [low + rng.randint(0, 3) for low in lo[:width]] * (n // width)
+                    f = [rng.randint(1, 4) for _ in range(width)] * (n // width)
+                    cap = sum(a * low for a, low in zip(f, lo)) + rng.randint(0, 8)
+                    rows = [[sign * (i == j) for j in range(n)] for i in range(n) for sign in (1, -1)]
+                    rhs = [end for low, high in zip(lo, hi) for end in (high, -low)]
+                    poly = hpoly(rows + [f], rhs + [cap])
+                h = _random_hessian(rng, n, kind)
+                if width == 1 and kind != "zero":  # a on the diagonal, b off it
+                    a, b = (rng.randint(-2, 3) for _ in range(2))
+                    h = [[a if i == j else b for j in range(n)] for i in range(n)]
+                terms = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+                terms += [rng.choice(terms), terms[0][::-1]]
+                value, u, den = qp._pool_min(poly, h, terms)
+                results = [qp_global_min(form(h, c, 0), poly) for c in terms]
+                expected = min((r.value, r.minimizer) for r in results)
+                assert (Fraction(value, den * den), QVector(tuple(Fraction(x, den) for x in u))) == expected
+                ties += len({r.minimizer for r in results if r.value == expected[0]}) > 1
+                cases += 1
+    assert cases == 240 and ties >= 15
 
 
 def test_qp_minimizer_deterministic_lex():
@@ -444,7 +490,8 @@ def test_simplex_slice_matches_h_form_reference():
             got = min_quadratic_on_cone_slice(h, rays, f)
             assert (got.value, got.minimizer) == (expected.value, expected.minimizer)
             q = QuadraticForm.pure(h)
-            optimal = {x for x in _points(_pool(q, slab)) if eval_quadratic(q, x) == expected.value}
+            pool = [*h_to_v(slab)._ends, *_candidates(q, slab)]
+            optimal = {x for x in _points(pool) if eval_quadratic(q, x) == expected.value}
             ties += len(optimal) > 1
             cases += 1
     assert cases >= 400 and ties >= 100 and non_simple >= 40

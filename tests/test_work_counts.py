@@ -12,11 +12,12 @@ compared with committed constants:
   statistics;
 - ``back-substitutions``: calls of ``linalg._affine_hull``, through every
   module that imports it, one per line of each enumeration, one per face
-  hull below and one more for its reduced system when that is nonsingular,
-  and one per cone-multiplier solve;
+  hull below and, when its reduced system is nonsingular, one more per
+  linear term minimized on it, and one per cone-multiplier solve;
 - ``face hulls``: calls of ``qp._hull_stationary_point``, one per QP face
-  hull of dimension at least two and per cone-slice support.  A line's
-  1 x 1 system is solved in closed form on a line ``h_to_v`` already has;
+  hull of dimension at least two, shared by every linear term minimized on
+  it, and per cone-slice support.  A line's 1 x 1 system is solved in
+  closed form on a line ``h_to_v`` already has;
 - ``integer rows``: calls of ``linalg._integer_row``, through every module
   that imports it, one per rational row, point or form scaled to integers:
   the instance's rows and form, the points the hot path is handed, and each
@@ -79,9 +80,9 @@ EXPECTED = {
     },
     "tail": {
         "h_to_v misses": 1038,
-        "back-substitutions": 33096,
-        "face hulls": 14914,
-        "integer rows": 19567,
+        "back-substitutions": 20056,
+        "face hulls": 6474,
+        "integer rows": 16629,
         "box bounds": 2391,
         "relaxed bounds": 148,
         "fiber minima": 1384,
