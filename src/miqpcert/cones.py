@@ -1,19 +1,21 @@
 """Normalizing hyperplanes and curvature-guided simple-cone splitting.
 
 A pointed cone admits a hyperplane {x : f^T x = 1} meeting it in a bounded
-slice with f^T r >= 1 on every generator.  When a quadratic x^T H x is
-non-negative on a simple cone, the cone can be split into simple subcones so
-that every face whose slice minimum is zero exposes a generator r with
-r^T H r = 0; the splitting is driven by exact slice minimizers.
+slice with f^T r >= 1 on every generator.  The rays are completed to a
+spanning set by the unit vectors one subset walk finds independent of them,
+and f is a vertex of the one polyhedron {w : w^T g >= 1} they give.  When a
+quadratic x^T H x is non-negative on a simple cone, the cone can be split
+into simple subcones so that every face whose slice minimum is zero exposes
+a generator r with r^T H r = 0; the splitting is driven by exact slice
+minimizers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .linalg import QMatrix, QVector
-from .polyhedra import HPolyhedron, NotPointed, SimpleCone, h_to_v, primitivize
+from .linalg import DimensionMismatch, QMatrix, QVector, _independent_extensions, _integer_row
+from .polyhedra import HPolyhedron, SimpleCone, h_to_v, primitivize
 from .qp import min_quadratic_on_cone_slice
 
 
@@ -44,9 +46,27 @@ def normalizing_hyperplane(rays: list[QVector] | tuple[QVector, ...]) -> Normali
     """Construct a normalizing hyperplane for the pointed cone spanned by
     the given nonzero rays.
 
-    The ray set is augmented with a minimal subset of standard basis vectors
-    until it spans R^n while staying pointed; f is then the lexicographically
-    smallest extreme point of {w : w^T r >= 1 for every generator}.
+    The rays are augmented with the standard basis vectors of their greedy
+    complement: the units in the first subset of the walk over the rays'
+    integer rows followed by e_0, ..., e_{n-1}, the lexicographically least
+    independent n-subset, so each unit independent of the rays and of the
+    units taken before it.  f is then the lexicographically smallest vertex
+    of {w : w^T g >= 1 for every generator g}, built once.
+
+    This is the least set of unit vectors, in size and then in
+    ``combinations`` order, whose generators span R^n and give that
+    polyhedron a vertex.  Let r be the rank of the rays.  With fewer than
+    n - r units the generators do not span R^n, so the polyhedron holds a
+    line.  With n - r units U that span, span(U) + span(rays) = R^n is a
+    direct sum, so cone(rays + U) is pointed exactly when cone(rays) is: a
+    non-negative combination summing to 0 splits along the sum.  A pointed
+    cone spanning R^n has a dual cone with an interior, so the polyhedron is
+    nonempty and, as the generators span, has a vertex.  The first spanning
+    U in ``combinations`` order is the greedy one: the first index where an
+    earlier spanning U' differs was skipped by the walk as dependent on the
+    rays and the units taken before it, all of which U' holds.  When the
+    rays' cone is not pointed, every spanning U leaves the polyhedron empty,
+    and :class:`ConeNotPointed` is raised.
     """
     rays = tuple(rays)
     if not rays:
@@ -54,24 +74,19 @@ def normalizing_hyperplane(rays: list[QVector] | tuple[QVector, ...]) -> Normali
     n = rays[0].dim
     if any(r.is_zero() for r in rays):
         raise ValueError("zero vector is not a ray")
-    for count in range(0, n + 1):
-        for aug_idx in combinations(range(n), count):
-            augmented = tuple(QVector.unit(i, n) for i in aug_idx)
-            generators = rays + augmented
-            feasible = HPolyhedron(
-                QMatrix.from_rows([(-g).entries for g in generators], n),
-                QVector.of([-1] * len(generators)),
-            )
-            try:
-                vertices = h_to_v(feasible).vertices
-            except NotPointed:
-                continue  # the generators do not span R^n
-            if not vertices:
-                continue  # this augmentation broke pointedness
-            f = vertices[0]
-            assert all(f.dot(g) >= 1 for g in generators)
-            return NormalizingHyperplane(f, augmented)
-    raise ConeNotPointed("cone has no strictly separating functional")
+    if any(r.dim != n for r in rays):
+        raise DimensionMismatch(f"ray dimensions {[r.dim for r in rays]} differ")
+    rows = [_integer_row(r.entries) for r in rays] + [[int(i == j) for j in range(n)] for i in range(n)]
+    chosen, _ = next(_independent_extensions(rows, n, n, 0, [], []))
+    augmented = tuple(QVector.unit(i - len(rays), n) for i in chosen if i >= len(rays))
+    generators = rays + augmented
+    a = QMatrix.from_rows([(-g).entries for g in generators], n)
+    vertices = h_to_v(HPolyhedron(a, QVector.of([-1] * len(generators)))).vertices
+    if not vertices:
+        raise ConeNotPointed("cone has no strictly separating functional")
+    f = vertices[0]
+    assert all(f.dot(g) >= 1 for g in generators)
+    return NormalizingHyperplane(f, augmented)
 
 
 def simple_cone_decomposition(h: QMatrix, cone: SimpleCone) -> ConeDecomposition:

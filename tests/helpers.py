@@ -26,6 +26,7 @@ from miqpcert import (
     h_to_v,
 )
 from miqpcert.certifier import Certificate, SearchTrace
+from miqpcert.cones import ConeNotPointed, NormalizingHyperplane
 from miqpcert.linalg import _integer_row, encoding_size, isqrt_ceil
 from miqpcert.milp import Fiber, ray_families
 from miqpcert.polyhedra import (
@@ -491,6 +492,38 @@ def reference_ceil_root(e: Fraction, disc: Fraction, g: Fraction) -> int:
         else:
             lo = mid
     return hi
+
+
+def reference_normalizing_hyperplane(rays) -> NormalizingHyperplane:
+    """A normalizing hyperplane by search: every set of unit vectors,
+    smallest first and in ``combinations`` order, with one ``h_to_v`` each,
+    until the generators span R^n (no ``NotPointed``) and leave
+    {w : w^T g >= 1} nonempty; f is its least vertex.  The reference for
+    ``normalizing_hyperplane``, which reads the set off one subset walk."""
+    rays = tuple(rays)
+    if not rays:
+        raise ValueError("at least one ray is required")
+    n = rays[0].dim
+    if any(r.is_zero() for r in rays):
+        raise ValueError("zero vector is not a ray")
+    for count in range(0, n + 1):
+        for aug_idx in combinations(range(n), count):
+            augmented = tuple(QVector.unit(i, n) for i in aug_idx)
+            generators = rays + augmented
+            feasible = HPolyhedron(
+                QMatrix.from_rows([(-g).entries for g in generators], n),
+                QVector.of([-1] * len(generators)),
+            )
+            try:
+                vertices = h_to_v(feasible).vertices
+            except NotPointed:
+                continue  # the generators do not span R^n
+            if not vertices:
+                continue  # this augmentation broke pointedness
+            f = vertices[0]
+            assert all(f.dot(g) >= 1 for g in generators)
+            return NormalizingHyperplane(f, augmented)
+    raise ConeNotPointed("cone has no strictly separating functional")
 
 
 def reference_window_bounds(inst: MiqpInstance, fiber, piece, f: QVector):

@@ -13,6 +13,8 @@ unbounded generator:
   from 12 / 274;
 - seed 13: it holds 13 / 33 and 13 / 261, the slowest instances of seeds
   1 to 13, which spend nearly all their time in the residual window search.
+A window certificate that claims ``bound=`` must have ||x|| <= bound; a
+certificate above its bound fails its corpus, under ``python -O`` too.
 A kernel change that claims byte-identical certificates must leave all six
 digests as they are; a change that alters certificates on purpose updates
 them and says which ones changed and why.
@@ -68,9 +70,12 @@ def _generated(name: str) -> list:
 
 def corpus_digest(name: str) -> str:
     digest = hashlib.sha256()
-    for case in _generated(name):
+    for index, case in enumerate(_generated(name)):
         h_to_v.cache_clear()
         cert = find_certificate(parse_instance(case.text))
+        bound = None if cert is None else cert.trace.norm_bound
+        if bound is not None and cert.point.dot(cert.point) > bound * bound:  # not an assert: it runs under -O too
+            raise AssertionError(f"{name} instance {index}: certificate norm above its claimed bound {bound}")
         digest.update((serialize_certificate(cert) if cert is not None else "infeasible\n").encode())
     return digest.hexdigest()
 

@@ -1,5 +1,6 @@
 import gc
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,11 +10,11 @@ from miqpcert.cones import (
     normalizing_hyperplane,
     simple_cone_decomposition,
 )
-from miqpcert.linalg import QMatrix
+from miqpcert.linalg import DimensionMismatch, QMatrix
 from miqpcert.polyhedra import SimpleCone, faces_of_simple_cone
 from miqpcert.qp import min_quadratic_on_cone_slice
 
-from helpers import mat, sample_in_cone, vec
+from helpers import mat, reference_normalizing_hyperplane, reference_rank, sample_in_cone, vec
 
 
 def test_hyperplane_axis_cone():
@@ -65,6 +66,66 @@ def test_hyperplane_properties_random():
             fx = nh.f.dot(x)
             assert fx > 0
             assert r_sq * fx * fx >= x.dot(x)
+
+
+def _random_ray_set(rng: random.Random) -> list:
+    """1 to n + 2 nonzero rays in R^1..R^4, each a combination of 1..n random
+    rows; one set in ten gains a negated ray, which makes a line, and one in
+    four has its entries over denominators 1..4."""
+    n = rng.randint(1, 4)
+    base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+    base[0][rng.randrange(n)] = rng.choice((-1, 1))  # some combination is nonzero
+    count = rng.randint(1, n + 2)
+    rays = []
+    while len(rays) < count:
+        entries = [sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(n)]
+        if any(entries):
+            rays.append(entries)
+    if rng.random() < 0.1:
+        rays.append([-v for v in rng.choice(rays)])
+    if rng.random() < 0.25:
+        rays = [[Fraction(v, rng.randint(1, 4)) for v in r] for r in rays]
+    return [vec(*r) for r in rays]
+
+
+def test_hyperplane_matches_search_reference():
+    # the greedy unit complement and its one polyhedron give what trying
+    # every set of unit vectors, smallest first, gives: the same f and
+    # augmentation, or ConeNotPointed for both
+    rng = random.Random(2014)
+    seen = {"deficient": 0, "many": 0, "not pointed": 0, "fractional": 0}
+    for _ in range(2000):
+        rays = _random_ray_set(rng)
+        n = rays[0].dim
+        try:
+            expected = reference_normalizing_hyperplane(rays)
+        except ConeNotPointed:
+            expected = None
+            seen["not pointed"] += 1
+        if expected is None:
+            with pytest.raises(ConeNotPointed):
+                normalizing_hyperplane(rays)
+        else:
+            got = normalizing_hyperplane(rays)
+            assert (got.f, got.augmented) == (expected.f, expected.augmented)
+        seen["deficient"] += reference_rank(QMatrix.from_rows([r.entries for r in rays])) < n
+        seen["many"] += len(rays) > n
+        seen["fractional"] += not all(r.is_integral() for r in rays)
+    assert seen["deficient"] >= 300 and seen["many"] >= 300
+    assert seen["not pointed"] >= 100 and seen["fractional"] >= 100
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [
+        [vec(1, 0), vec(1, 1, 0)],  # a longer second ray
+        [vec(1, 0, 0), vec(1, 1)],  # a shorter second ray
+        [vec(1, 0), vec(1, 1, 0), vec(0, 0, 1)],  # a shorter first ray
+    ],
+)
+def test_hyperplane_rejects_mixed_dimensions(rays):
+    with pytest.raises(DimensionMismatch):
+        normalizing_hyperplane(rays)
 
 
 def decompose(h_rows, rays):

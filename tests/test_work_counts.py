@@ -20,15 +20,16 @@ compared with committed constants:
   closed form on a line ``h_to_v`` already has;
 - ``integer rows``: calls of ``linalg._integer_row``, through every module
   that imports it, one per rational row, point or form scaled to integers:
-  the instance's rows and form, the points the hot path is handed, and each
+  the instance's rows and form, the points the hot path is handed, each
   restricted fiber's rows and form, each scaled once by its own cached
-  property;
+  property, and the rays of each normalizing hyperplane;
 - ``box bounds``, ``relaxed bounds`` and ``fiber minima``: calls of
   ``certifier._box_bound``, ``_relaxed_bound`` and ``_fiber_min``, the
   residual window search's closed-form bound, its QP relaxation and its
   fiber QPs.
 ``linalg.solve_linear_system``, the general solver, must not run at all,
-through any module that binds it.
+through any module that binds it.  Every ``miqpcert.<module>`` that binds a
+counted function must be in ``COUNTED``, so no call goes past the counters.
 
 Timed pairs on a shared machine swing by up to a factor of two; counts do
 not.  A change that changes the work updates the constants and says which
@@ -41,11 +42,14 @@ with or without asserts:
     PYTHONPATH=src python3 tests/test_work_counts.py
 """
 
+import importlib
+import pkgutil
 import random
 import sys
 from collections import Counter
 
-from miqpcert import certifier, find_certificate, h_to_v, linalg, milp, parse_instance, polyhedra, qp
+import miqpcert
+from miqpcert import certifier, cones, find_certificate, h_to_v, linalg, milp, parse_instance, polyhedra, qp
 
 from test_certificate_digest import _generated, _workloads
 
@@ -61,10 +65,10 @@ EXPECTED = {
         "fiber minima": 1078,
     },
     "unbounded_budget": {
-        "h_to_v misses": 330,
-        "back-substitutions": 1820,
+        "h_to_v misses": 322,
+        "back-substitutions": 1811,
         "face hulls": 475,
-        "integer rows": 3076,
+        "integer rows": 3281,
         "box bounds": 161,
         "relaxed bounds": 0,
         "fiber minima": 139,
@@ -79,10 +83,10 @@ EXPECTED = {
         "fiber minima": 11367,
     },
     "tail": {
-        "h_to_v misses": 1038,
-        "back-substitutions": 20056,
+        "h_to_v misses": 948,
+        "back-substitutions": 19924,
         "face hulls": 6474,
-        "integer rows": 16629,
+        "integer rows": 16677,
         "box bounds": 2391,
         "relaxed bounds": 148,
         "fiber minima": 1384,
@@ -93,7 +97,7 @@ COUNTED = (
     *((module, "_affine_hull", "back-substitutions") for module in (linalg, polyhedra, qp)),
     (qp, "_hull_stationary_point", "face hulls"),
     *((module, "solve_linear_system", "integer solves") for module in (linalg, polyhedra)),
-    *((module, "_integer_row", "integer rows") for module in (linalg, polyhedra, qp, milp)),
+    *((module, "_integer_row", "integer rows") for module in (linalg, polyhedra, qp, milp, cones)),
     (certifier, "_box_bound", "box bounds"),
     (certifier, "_relaxed_bound", "relaxed bounds"),
     (certifier, "_fiber_min", "fiber minima"),
@@ -131,6 +135,22 @@ def corpus_counts(name: str) -> Counter:
     return counts
 
 
+def _uncounted() -> list[str]:
+    """Each ``miqpcert.<module>`` binding of a counted function that
+    ``COUNTED`` leaves out: calls through it would go uncounted.  The
+    package ``__init__`` re-exports ``solve_linear_system`` but never calls
+    it, and ``pkgutil`` lists only its submodules."""
+    counted = {(module.__name__, attr) for module, attr, _ in COUNTED}
+    functions = {attr: getattr(module, attr) for module, attr, _ in COUNTED}
+    missing = []
+    for info in pkgutil.iter_modules(miqpcert.__path__):
+        module = importlib.import_module(f"miqpcert.{info.name}")
+        for attr, fn in functions.items():
+            if getattr(module, attr, None) is fn and (module.__name__, attr) not in counted:
+                missing.append(f"{module.__name__}.{attr}")
+    return missing
+
+
 def _mismatches(name: str) -> list[str]:
     counts = corpus_counts(name)
     wrong = [f"{key} {counts[key]}, expected {value}" for key, value in EXPECTED[name].items() if counts[key] != value]
@@ -155,8 +175,14 @@ def test_tail_work():
     assert _mismatches("tail") == []
 
 
+def test_every_binding_is_counted():
+    assert _uncounted() == []
+
+
 if __name__ == "__main__":
-    failed = 0
+    uncounted = _uncounted()
+    print(f"bindings {'uncounted: ' + ', '.join(uncounted) if uncounted else 'ok'}")
+    failed = bool(uncounted)
     for name in EXPECTED:
         wrong = _mismatches(name)
         failed += bool(wrong)
