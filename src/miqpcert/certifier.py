@@ -104,6 +104,7 @@ class MiqpInstance:
 
 
 _BRANCHES = ("negative-ray", "linear-ray", "window-qp")
+# the trace tag's key for each SearchTrace field, in field order: tag and from_tag pair them by position
 _TAG_KEYS = ("orthant", "branch", "fiber", "family", "piece", "ray", "step", "shift", "bound")
 
 
@@ -122,23 +123,14 @@ class SearchTrace:
     norm_bound: int | None = None  # derived certificate norm bound, window branch
 
     def tag(self) -> str:
-        def fmt(v: int | None) -> str:
-            return "-" if v is None else str(v)
+        def write(v: object) -> str:
+            if v is None:
+                return "-"
+            return (",".join(map(str, v)) or "()") if isinstance(v, tuple) else str(v)
 
         orthant = "all" if self.orthant is None else "".join("+" if s > 0 else "-" for s in self.orthant)
-        shift = "-" if self.shift is None else (",".join(str(x) for x in self.shift) or "()")
-        parts = [
-            f"orthant={orthant}",
-            f"branch={self.branch}",
-            f"fiber={fmt(self.fiber_index)}",
-            f"family={fmt(self.family_index)}",
-            f"piece={fmt(self.piece_index)}",
-            f"ray={fmt(self.ray_index)}",
-            f"step={fmt(self.step)}",
-            f"shift={shift}",
-            f"bound={fmt(self.norm_bound)}",
-        ]
-        return ";".join(parts)
+        _, *values = vars(self).values()  # the fields after orthant, in order, as __init__ set them
+        return ";".join([f"{key}={write(v)}" for key, v in zip(_TAG_KEYS, (orthant, *values))])
 
     @staticmethod
     def from_tag(tag: str) -> "SearchTrace":
@@ -146,34 +138,21 @@ class SearchTrace:
         items = [item.split("=", 1) for item in tag.split(";")]
         if [item[0] for item in items] != list(_TAG_KEYS):
             raise ValueError(f"trace tag must have the fields {', '.join(_TAG_KEYS)} in this order")
-        fields = dict(items)
-        if fields["branch"] not in _BRANCHES:
-            raise ValueError(f"unknown branch {fields['branch']!r}")
-        if fields["orthant"] != "all" and not (fields["orthant"] and set(fields["orthant"]) <= {"+", "-"}):
-            raise ValueError(f"orthant must be 'all' or a string of signs, got {fields['orthant']!r}")
+        text = dict(items)
+        if text["branch"] not in _BRANCHES:
+            raise ValueError(f"unknown branch {text['branch']!r}")
+        if text["orthant"] != "all" and not (text["orthant"] and set(text["orthant"]) <= {"+", "-"}):
+            raise ValueError(f"orthant must be 'all' or a string of signs, got {text['orthant']!r}")
 
-        def opt_int(key: str) -> int | None:
-            v = fields[key]
-            return None if v == "-" else int(v)
+        def value(key: str, raw: str) -> int | tuple[int, ...] | None:
+            if raw == "-":
+                return None
+            if key == "shift":
+                return () if raw == "()" else tuple(int(x) for x in raw.split(","))
+            return int(raw)
 
-        orthant = None
-        if fields["orthant"] != "all":
-            orthant = tuple(1 if ch == "+" else -1 for ch in fields["orthant"])
-        shift = None
-        if fields["shift"] != "-":
-            raw = fields["shift"]
-            shift = () if raw == "()" else tuple(int(x) for x in raw.split(","))
-        trace = SearchTrace(
-            orthant=orthant,
-            branch=fields["branch"],
-            fiber_index=opt_int("fiber"),
-            family_index=opt_int("family"),
-            piece_index=opt_int("piece"),
-            ray_index=opt_int("ray"),
-            step=opt_int("step"),
-            shift=shift,
-            norm_bound=opt_int("bound"),
-        )
+        orthant = None if text["orthant"] == "all" else tuple(1 if ch == "+" else -1 for ch in text["orthant"])
+        trace = SearchTrace(orthant, text["branch"], *(value(key, raw) for key, raw in items[2:]))
         if trace.tag() != tag:  # integers such as "+3", "03" or "1_0"
             raise ValueError(f"trace tag would be written back as {trace.tag()!r}")
         return trace

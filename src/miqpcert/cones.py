@@ -2,7 +2,7 @@
 
 A pointed cone admits a hyperplane {x : f^T x = 1} meeting it in a bounded
 slice with f^T r >= 1 on every generator.  The rays are completed to a
-spanning set by the unit vectors one subset walk finds independent of them,
+spanning set by the unit vectors a greedy basis finds independent of them,
 and f is a vertex of the one polyhedron {w : w^T g >= 1} they give.  When a
 quadratic x^T H x is non-negative on a simple cone, the cone can be split
 into simple subcones so that every face whose slice minimum is zero exposes
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import DimensionMismatch, QMatrix, QVector, _independent_extensions, _integer_row
+from .linalg import DimensionMismatch, QMatrix, QVector, _greedy_basis, _integer_row
 from .polyhedra import HPolyhedron, SimpleCone, h_to_v, primitivize
 from .qp import min_quadratic_on_cone_slice
 
@@ -47,11 +47,11 @@ def normalizing_hyperplane(rays: list[QVector] | tuple[QVector, ...]) -> Normali
     the given nonzero rays.
 
     The rays are augmented with the standard basis vectors of their greedy
-    complement: the units in the first subset of the walk over the rays'
-    integer rows followed by e_0, ..., e_{n-1}, the lexicographically least
-    independent n-subset, so each unit independent of the rays and of the
-    units taken before it.  f is then the lexicographically smallest vertex
-    of {w : w^T g >= 1 for every generator g}, built once.
+    complement: the units the greedy basis keeps of the rays' integer rows
+    followed by e_0, ..., e_{n-1}, the lexicographically least independent
+    n-subset as the units make the rank n, so each unit independent of the
+    rays and of the units taken before it.  f is then the lexicographically
+    smallest vertex of {w : w^T g >= 1 for every generator g}, built once.
 
     This is the least set of unit vectors, in size and then in
     ``combinations`` order, whose generators span R^n and give that
@@ -77,7 +77,7 @@ def normalizing_hyperplane(rays: list[QVector] | tuple[QVector, ...]) -> Normali
     if any(r.dim != n for r in rays):
         raise DimensionMismatch(f"ray dimensions {[r.dim for r in rays]} differ")
     rows = [_integer_row(r.entries) for r in rays] + [[int(i == j) for j in range(n)] for i in range(n)]
-    chosen, _ = next(_independent_extensions(rows, n, n, 0, [], []))
+    chosen, _ = _greedy_basis(rows, n)
     augmented = tuple(QVector.unit(i - len(rays), n) for i in chosen if i >= len(rays))
     generators = rays + augmented
     a = QMatrix.from_rows([(-g).entries for g in generators], n)

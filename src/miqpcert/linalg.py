@@ -8,11 +8,13 @@ integers by the positive lcm of its denominators (:func:`_integer_row`).
 There is one elimination, fraction-free: a walk over the independent row
 subsets (:func:`_independent_extensions`), each subset's affine hull
 back-substituted in integers from the walk's reduced rows
-(:func:`_affine_hull`).  The search's vertices, rays and QP pools walk every
-independent subset of the sizes they need; :func:`solve_linear_system`,
-:func:`rank` and the cone multipliers take the walk's first descent, a
-greedy basis (:func:`_greedy_basis`).  Only the returned entries become
-Fractions.  No floating point anywhere.
+(:func:`_affine_hull`).  The search's vertices, rays, QP pools and ray
+families walk every independent subset of the sizes they need.  Everything
+else takes the walk's first descent, a greedy basis (:func:`_greedy_basis`):
+:func:`solve_linear_system`, :func:`rank`, the cone multipliers (with which
+Caratheodory selection solves), a face hull's k x k stationarity system and
+a normalizing hyperplane's unit augmentation.  Only the returned entries
+become Fractions.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -276,10 +278,11 @@ class LinearSolution:
 def _integer_row(values: Iterable[Fraction]) -> list[int]:
     """The values times the positive lcm of their denominators.
 
-    The one place that clears denominators.  Put a row's right-hand side
-    last to scale it with the row (the solution set and every inequality's
-    sense are unchanged), or a 1 last to write a point x as (u, D) with
-    x = u / D."""
+    Rows, points, forms and rays are scaled here; ``certifier._window``,
+    ``_window_piece``, ``_ceil_root`` and ``polyhedra.restrict_prefix``
+    clear their own denominators.  Put a row's right-hand side last to scale
+    it with the row (the solution set and every inequality's sense are
+    unchanged), or a 1 last to write a point x as (u, D) with x = u / D."""
     values = tuple(values)
     dens = [v.denominator for v in values]
     scale = math.lcm(*dens)
@@ -296,21 +299,23 @@ def _dot(row: Sequence[int], u: Sequence[int]) -> int:
 
 def _independent_extensions(
     rows: Sequence[Sequence[int]], size: int, cols: int,
-    start: int, chosen: list[int], basis: list[tuple[Sequence[int], int]],
+    start: int = 0, chosen: list[int] | None = None, basis: list[tuple[Sequence[int], int]] | None = None,
     every_depth: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[Sequence[int], int]]]]:
-    """The subsets that extend ``chosen`` by rows from ``start`` on, given
-    the chosen rows' reduced rows and pivot columns in ``basis``.  Pivots lie
-    in the first ``cols`` columns: a right-hand side kept last is eliminated
-    along but makes no row independent.  Each subset comes with its basis:
-    reduced row k is zero in the pivot columns of rows 0..k-1, and rows 0..k
-    span the subset's first k+1 rows.  The list is the walk's own, valid
-    until the walk moves on.  With ``every_depth``, one walk yields every
-    subset of at most ``size`` rows, ``chosen`` first, each before its
-    extensions, so each prefix is reduced once for all sizes.  A module
-    function, not a recursive closure: a closure that calls itself is a
-    reference cycle, which keeps every finished walk in memory until the
-    cyclic collector runs."""
+    """The subsets that extend ``chosen`` (none by default) by rows from
+    ``start`` on, given the chosen rows' reduced rows and pivot columns in
+    ``basis``.  Pivots lie in the first ``cols`` columns: a right-hand side
+    kept last is eliminated along but makes no row independent.  Each subset
+    comes with its basis: reduced row k is zero in the pivot columns of rows
+    0..k-1, and rows 0..k span the subset's first k+1 rows.  The list is the
+    walk's own, valid until the walk moves on.  With ``every_depth``, one
+    walk yields every subset of at most ``size`` rows, ``chosen`` first,
+    each before its extensions, so each prefix is reduced once for all
+    sizes.  A module function, not a recursive closure: a closure that calls
+    itself is a reference cycle, which keeps every finished walk in memory
+    until the cyclic collector runs."""
+    if chosen is None:  # lists of its own: a shared default would keep an abandoned walk's rows
+        chosen, basis = [], []
     if every_depth or len(chosen) == size:
         yield tuple(chosen), basis
         if len(chosen) == size:
@@ -360,17 +365,19 @@ def _affine_hull(basis: Sequence[tuple[Sequence[int], int]], n: int) -> tuple[li
     return [sign * x for x in w0[:n]], [d[:n] for d in dirs], -sign * w0[n]
 
 
-def _greedy_basis(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[Sequence[int], int]]:
-    """The walk's first descent: each row in turn kept when it is independent
-    of the rows kept before it in the first ``cols`` columns, with the kept
-    rows' reduced rows and pivot columns.  Its size is the rank of those
-    columns, and its pivot columns are those of the reduced echelon form."""
-    descent: list[tuple[Sequence[int], int]] = []
-    walk = _independent_extensions(rows, cols, cols, 0, [], [], every_depth=True)
-    for depth, (chosen, basis) in enumerate(walk):
+def _greedy_basis(rows: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ...], list[tuple[Sequence[int], int]]]:
+    """The walk's first descent, each row in turn kept when it is independent
+    of the rows kept before it in the first ``cols`` columns: the kept rows'
+    indices, the lexicographically least independent subset of the largest
+    size, and their reduced rows and pivot columns.  Its size is the rank of
+    those columns, and its pivots are those of the reduced echelon form."""
+    descent: tuple[tuple[int, ...], list[tuple[Sequence[int], int]]] = ((), [])
+    for depth, (chosen, basis) in enumerate(_independent_extensions(rows, cols, cols, every_depth=True)):
         if len(chosen) < depth:
             break  # the walk backtracked: the descent ended one yield earlier
-        descent = basis[:]
+        descent = chosen, basis[:]
+        if depth == cols:
+            break  # full rank: no row is left to keep
     return descent
 
 
@@ -387,7 +394,7 @@ def solve_linear_system(m: QMatrix, rhs: QVector) -> LinearSolution | None:
         raise DimensionMismatch(f"matrix rows {m.rows} vs rhs dim {rhs.dim}")
     n = m.cols
     rows = [_integer_row((*row, rhs[i])) for i, row in enumerate(m.entries)]
-    basis = _greedy_basis(rows, n)
+    basis = _greedy_basis(rows, n)[1]
     w0, dirs, scale = _affine_hull(basis, n)
     if any(_dot(row, w0) != row[-1] * scale for row in rows):
         return None
@@ -401,7 +408,7 @@ def solve_linear_system(m: QMatrix, rhs: QVector) -> LinearSolution | None:
 
 def rank(m: QMatrix) -> int:
     """Exact rank: the size of a greedy basis of the integer rows."""
-    return len(_greedy_basis([_integer_row(row) for row in m.entries], m.cols))
+    return len(_greedy_basis([_integer_row(row) for row in m.entries], m.cols)[1])
 
 
 def nullspace_basis(m: QMatrix) -> tuple[QVector, ...]:

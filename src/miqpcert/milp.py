@@ -25,15 +25,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .linalg import QVector, _dot, _integer_fraction, _integer_row
-from .polyhedra import (
-    HPolyhedron,
-    SimpleCone,
-    VPolyhedron,
-    h_to_v,
-    independent_row_subsets,
-    restrict_prefix,
-)
+from .linalg import QVector, _dot, _independent_extensions, _integer_fraction, _integer_row
+from .polyhedra import HPolyhedron, SimpleCone, VPolyhedron, h_to_v, restrict_prefix
 
 MAX_FIBERS = 20000  # nonempty fibers one stream may build, over all its families
 
@@ -90,7 +83,7 @@ def ray_families(vrep: VPolyhedron) -> tuple[SimpleCone, ...]:
     return tuple(
         SimpleCone(tuple(vrep.rays[i] for i in idx))
         for size in range(1, min(len(rows), vrep.rays[0].dim) + 1)
-        for idx in independent_row_subsets(rows, size, vrep.rays[0].dim)
+        for idx, _ in _independent_extensions(rows, size, vrep.rays[0].dim)
     )
 
 

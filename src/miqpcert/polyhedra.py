@@ -35,7 +35,6 @@ from .linalg import (
     _integer_row,
     nullspace_basis,
     rank,
-    solve_linear_system,
 )
 
 
@@ -166,7 +165,7 @@ class SimpleCone:
             raise DimensionMismatch(f"point dim {x.dim} vs ray dim {self.rays[0].dim}")
         *u, den = _integer_row((*x.entries, 1))
         rows = [(*(r[t].numerator for r in self.rays), u[t]) for t in range(x.dim)]
-        w, _, t = _affine_hull(_greedy_basis(rows, k), k)  # D mu = w / t
+        w, _, t = _affine_hull(_greedy_basis(rows, k)[1], k)  # D mu = w / t
         if min(w) < 0 or any(_dot(row, w) != row[-1] * t for row in rows):
             return None  # a negative multiplier, or x is not in the rays' span
         return QVector(tuple(Fraction(v, t * den) for v in w))
@@ -206,13 +205,6 @@ def iter_orthant_parts(p: HPolyhedron) -> Iterator[tuple[tuple[int, ...], HPolyh
 # H -> V conversion
 
 
-def independent_row_subsets(rows: Sequence[Sequence[int]], size: int, cols: int) -> Iterator[tuple[int, ...]]:
-    """Index subsets of the given size whose integer rows are linearly
-    independent in their first ``cols`` columns, in lexicographic order,
-    pruning dependent prefixes with an incremental elimination basis."""
-    return (idx for idx, _ in _independent_extensions(rows, size, cols, 0, [], []))
-
-
 @lru_cache(maxsize=4096)
 def h_to_v(p: HPolyhedron) -> VPolyhedron:
     """Exact vertex and extreme-ray enumeration of a pointed polyhedron, in
@@ -233,7 +225,7 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
     n = p.dim
     rows = p.integer_rows
     pointed, ends, rays, lines = False, set(), set(), []
-    for idx, basis in _independent_extensions(rows, n - 1, n, 0, [], []):
+    for idx, basis in _independent_extensions(rows, n - 1, n):
         w0, (d,), scale = _affine_hull(basis, n)
         assert all(_dot(rows[i], w0) == rows[i][-1] * scale and _dot(rows[i], d) == 0 for i in idx)  # substitution
         lo = hi = None  # (num, den), den > 0: lo <= t <= hi
@@ -276,23 +268,19 @@ def caratheodory_simple_cone(
     rays: Sequence[QVector], r: QVector
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     """A linearly independent subset K of rays with r = sum of mu_j rays[j],
-    mu >= 0, verified by substitution.  Raises NotInCone otherwise."""
+    mu >= 0, the first in order of size and then lexicographically.  Each
+    subset is tried with the cone multipliers of its rays' integer rows
+    (u, L), ray = u / L with L > 0, so mu_j is u_j's multiplier times L.
+    Raises NotInCone otherwise."""
     if r.is_zero():
         return (), ()
     n = r.dim
-    rows = [_integer_row(ray.entries) for ray in rays]
+    rows = [_integer_row((*ray, 1)) for ray in rays]
     for size in range(1, min(len(rays), n) + 1):
-        for subset in independent_row_subsets(rows, size, n):
-            sol = solve_linear_system(QMatrix.from_rows([rays[i].entries for i in subset], n).transpose(), r)
-            if sol is None or any(v < 0 for v in sol.particular):
-                continue
-            assert sol.is_unique
-            mu = sol.particular
-            combo = QVector.zero(n)
-            for j, i in enumerate(subset):
-                combo = combo + rays[i].scale(mu[j])
-            assert combo == r
-            return subset, tuple(mu.entries)
+        for subset, _ in _independent_extensions(rows, size, n):
+            mu = SimpleCone(tuple(QVector.of(rows[i][:-1]) for i in subset)).multipliers(r)
+            if mu is not None:
+                return subset, tuple(m * rows[i][-1] for m, i in zip(mu, subset))
     raise NotInCone(f"{r} is not a non-negative combination of the given rays")
 
 

@@ -40,7 +40,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .linalg import DimensionMismatch, QMatrix, QVector, _affine_hull, _dot, _independent_extensions, _integer_row
+from .linalg import (
+    DimensionMismatch, QMatrix, QVector, _affine_hull, _dot, _greedy_basis, _independent_extensions, _integer_row
+)
 from .polyhedra import HPolyhedron, h_to_v
 
 
@@ -143,10 +145,10 @@ def _hull_stationary_point(
     or None when it is not unique.
 
     On the hull x = (w0 + N z) / P, stationarity is the k x k integer system
-    2 N^T h N z = -(2 N^T h w0 + P N^T c); a walk of its rows yields one
-    subset exactly when it is nonsingular, and back-substitution then gives
+    2 N^T h N z = -(2 N^T h w0 + P N^T c); its greedy basis keeps all k
+    rows exactly when it is nonsingular, and back-substitution then gives
     z = -v / t with t > 0.  The hull and the matrix do not depend on c, so
-    they are derived once: the walk carries one right-hand side column per
+    they are derived once: the basis carries one right-hand side column per
     term, and only the back-substitution runs once per term."""
     w0, dirs, scale = _affine_hull(basis, n)
     h_dirs = [[_dot(row, d) for row in h] for d in dirs]
@@ -157,13 +159,13 @@ def _hull_stationary_point(
         for d in dirs
     ]
     k = len(dirs)
-    walk = next(_independent_extensions(system, k, k, 0, [], []), None)
-    if walk is None:
+    chosen, basis = _greedy_basis(system, k)
+    if len(chosen) < k:
         return [None] * len(terms)
     points: list[tuple[list[int], int] | None] = []
     for j in range(k, k + len(terms)):
         # _affine_hull reads a row's first k + 1 entries: term j's column must sit at k
-        v, _, t = _affine_hull(walk[1] if j == k else [(row[:k] + [row[j]], pcol) for row, pcol in walk[1]], k)
+        v, _, t = _affine_hull(basis if j == k else [(row[:k] + [row[j]], pcol) for row, pcol in basis], k)
         assert all(_dot(row, v) == row[j] * t for row in system)  # a zero residual of the reduced system
         points.append(([t * w - sum(vj * d[i] for vj, d in zip(v, dirs)) for i, w in enumerate(w0)], t * scale))
     return points
@@ -198,7 +200,7 @@ def _stationary_candidates(
             u, den = [w * t_den + t_num * x for w, x in zip(w0, d)], scale * t_den
             assert all(_dot(int_rows[i], u) == int_rows[i][-1] * den for i in idx)  # on the hull
             found.append((u, den))
-    for idx, basis in _independent_extensions(int_rows, n - 2, n, 0, [], [], every_depth=True) if n > 1 else ():
+    for idx, basis in _independent_extensions(int_rows, n - 2, n, every_depth=True) if n > 1 else ():
         for point, found in zip(_hull_stationary_point(basis, n, h, terms), candidates):
             if point is None:
                 continue
@@ -310,7 +312,7 @@ def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector)
     h_int, hs, _, _ = QuadraticForm.pure(h)._integer_form
     gram = [[_dot(r, [_dot(row, s) for row in h_int]) for s in ray_rows] for r in ray_rows]  # G times hs
     pool = []
-    for t, _ in _independent_extensions(ray_rows, min(len(rays), f.dim), f.dim, 0, [], [], every_depth=True):
+    for t, _ in _independent_extensions(ray_rows, min(len(rays), f.dim), f.dim, every_depth=True):
         if not t:
             continue
         # the hull f_T . m_T = 1 as the integer row (rates_T, fs): the rates

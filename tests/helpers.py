@@ -25,13 +25,13 @@ from miqpcert import (
     VPolyhedron,
     h_to_v,
 )
-from miqpcert.certifier import Certificate, SearchTrace
+from miqpcert.certifier import _BRANCHES, _TAG_KEYS, Certificate, SearchTrace
 from miqpcert.cones import ConeNotPointed, NormalizingHyperplane
-from miqpcert.linalg import _integer_row, encoding_size, isqrt_ceil
+from miqpcert.linalg import _independent_extensions, _integer_row, encoding_size, isqrt_ceil, solve_linear_system
 from miqpcert.milp import Fiber, ray_families
 from miqpcert.polyhedra import (
+    NotInCone,
     NotPointed,
-    independent_row_subsets,
     polytope_hull,
     primitivize,
     restrict_prefix,
@@ -130,7 +130,7 @@ def reference_h_to_v(p: HPolyhedron) -> VPolyhedron:
     n = p.dim
     int_rows = p.integer_rows
     rows = [row[:n] for row in int_rows]
-    bases = [reference_solve_rows([int_rows[i] for i in idx], n) for idx in independent_row_subsets(rows, n, n)]
+    bases = [reference_solve_rows([int_rows[i] for i in idx], n) for idx, _ in _independent_extensions(rows, n, n)]
     if not bases:
         raise NotPointed("polyhedron has a nontrivial lineality space")
     assert all(sol is not None and not sol[1] for sol in bases)
@@ -138,7 +138,7 @@ def reference_h_to_v(p: HPolyhedron) -> VPolyhedron:
     if not vertices:
         return VPolyhedron((), ())
     rays = set()
-    for idx in independent_row_subsets(rows, n - 1, n):
+    for idx, _ in _independent_extensions(rows, n - 1, n):
         null = reference_solve_rows([(*rows[i], 0) for i in idx], n)[1]
         if len(null) != 1:
             continue
@@ -232,7 +232,7 @@ def reference_lines(p: HPolyhedron) -> tuple[dict, int]:
     n = p.dim
     rows = [row[:n] for row in p.integer_rows]
     meeting, missed = {}, 0
-    for idx in independent_row_subsets(rows, n - 1, n):
+    for idx, _ in _independent_extensions(rows, n - 1, n):
         x0, (d,) = reference_solve(QMatrix.from_rows([p.a.entries[i] for i in idx], n), QVector.of(p.b[i] for i in idx))
         lo = hi = None
         meets = True
@@ -259,6 +259,104 @@ def reference_rank(m: QMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     return len(reference_echelon([list(row) for row in m.entries])[1])
+
+
+def reference_independent_subsets(rows, size: int, cols: int) -> list[tuple[int, ...]]:
+    """The index subsets of the given size whose rows are linearly
+    independent in their first ``cols`` columns, in lexicographic order:
+    ``itertools.combinations`` filtered by ``reference_rank``, which shares
+    no code with the library's subset walk."""
+    return [
+        idx
+        for idx in combinations(range(len(rows)), size)
+        if reference_rank(QMatrix.from_rows([rows[i][:cols] for i in idx], cols)) == size
+    ]
+
+
+def reference_caratheodory(rays, r: QVector) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """``polyhedra.caratheodory_simple_cone`` as it was before it solved
+    with the cone multipliers: one general solve of the subset's transposed
+    rays per independent subset, then a re-summing check.  Only the subsets'
+    source differs: ``reference_independent_subsets``, in the walk's order."""
+    if r.is_zero():
+        return (), ()
+    n = r.dim
+    rows = [_integer_row(ray.entries) for ray in rays]
+    for size in range(1, min(len(rays), n) + 1):
+        for subset in reference_independent_subsets(rows, size, n):
+            sol = solve_linear_system(QMatrix.from_rows([rays[i].entries for i in subset], n).transpose(), r)
+            if sol is None or any(v < 0 for v in sol.particular):
+                continue
+            assert sol.is_unique
+            mu = sol.particular
+            combo = QVector.zero(n)
+            for j, i in enumerate(subset):
+                combo = combo + rays[i].scale(mu[j])
+            assert combo == r
+            return subset, tuple(mu.entries)
+    raise NotInCone(f"{r} is not a non-negative combination of the given rays")
+
+
+def reference_tag(trace: SearchTrace) -> str:
+    """``SearchTrace.tag`` as it was before it read the keys off
+    ``_TAG_KEYS`` and the dataclass fields: each key spelled out."""
+
+    def fmt(v: int | None) -> str:
+        return "-" if v is None else str(v)
+
+    orthant = "all" if trace.orthant is None else "".join("+" if s > 0 else "-" for s in trace.orthant)
+    shift = "-" if trace.shift is None else (",".join(str(x) for x in trace.shift) or "()")
+    parts = [
+        f"orthant={orthant}",
+        f"branch={trace.branch}",
+        f"fiber={fmt(trace.fiber_index)}",
+        f"family={fmt(trace.family_index)}",
+        f"piece={fmt(trace.piece_index)}",
+        f"ray={fmt(trace.ray_index)}",
+        f"step={fmt(trace.step)}",
+        f"shift={shift}",
+        f"bound={fmt(trace.norm_bound)}",
+    ]
+    return ";".join(parts)
+
+
+def reference_from_tag(tag: str) -> SearchTrace:
+    """``SearchTrace.from_tag`` as it was before it read the keys off
+    ``_TAG_KEYS`` and the dataclass fields: each key spelled out."""
+    items = [item.split("=", 1) for item in tag.split(";")]
+    if [item[0] for item in items] != list(_TAG_KEYS):
+        raise ValueError(f"trace tag must have the fields {', '.join(_TAG_KEYS)} in this order")
+    fields = dict(items)
+    if fields["branch"] not in _BRANCHES:
+        raise ValueError(f"unknown branch {fields['branch']!r}")
+    if fields["orthant"] != "all" and not (fields["orthant"] and set(fields["orthant"]) <= {"+", "-"}):
+        raise ValueError(f"orthant must be 'all' or a string of signs, got {fields['orthant']!r}")
+
+    def opt_int(key: str) -> int | None:
+        v = fields[key]
+        return None if v == "-" else int(v)
+
+    orthant = None
+    if fields["orthant"] != "all":
+        orthant = tuple(1 if ch == "+" else -1 for ch in fields["orthant"])
+    shift = None
+    if fields["shift"] != "-":
+        raw = fields["shift"]
+        shift = () if raw == "()" else tuple(int(x) for x in raw.split(","))
+    trace = SearchTrace(
+        orthant=orthant,
+        branch=fields["branch"],
+        fiber_index=opt_int("fiber"),
+        family_index=opt_int("family"),
+        piece_index=opt_int("piece"),
+        ray_index=opt_int("ray"),
+        step=opt_int("step"),
+        shift=shift,
+        norm_bound=opt_int("bound"),
+    )
+    if trace.tag() != tag:  # integers such as "+3", "03" or "1_0"
+        raise ValueError(f"trace tag would be written back as {trace.tag()!r}")
+    return trace
 
 
 def _clear_row(row, rhs) -> tuple[list[int], int]:
@@ -594,7 +692,7 @@ def reference_stationary_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[l
     candidates: list[QVector] = []
     flats = 0
     for size in range(n):
-        for idx in independent_row_subsets(rows, size, n):
+        for idx, _ in _independent_extensions(rows, size, n):
             sub = QMatrix.from_rows([p.a.entries[i] for i in idx], n)
             hull = reference_solve(sub, QVector.of(p.b[i] for i in idx))
             assert hull is not None  # independent rows are always consistent
@@ -637,7 +735,7 @@ def reference_kkt_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[list[QVe
     candidates: list[QVector] = []
     singular: list[int] = []
     for size in range(n):
-        for idx in independent_row_subsets(int_rows, size, n):
+        for idx, _ in _independent_extensions(int_rows, size, n):
             kkt = [stationary[i] + [int_rows[j][i] for j in idx] + [minus_c[i]] for i in range(n)]
             kkt += [[*int_rows[j][:n], *[0] * size, int_rows[j][n]] for j in idx]
             solution = reference_solve_rows(kkt, n + size)
@@ -669,7 +767,7 @@ def reference_cone_slice_min(h: QMatrix, rays, f: QVector) -> tuple[QpResult, in
     pool = []
     singular = 0
     for size in range(1, min(len(rays), n) + 1):
-        for t in independent_row_subsets(ray_rows, size, n):
+        for t, _ in _independent_extensions(ray_rows, size, n):
             g = [[gram[i][j] for j in t] for i in t]
             kkt = [[2 * v for v in row] + [rates[i], 0] for row, i in zip(g, t)] + [[rates[j] for j in t] + [0, fs]]
             solution = reference_solve_rows(kkt, size + 1)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby, islice, product
@@ -35,6 +36,8 @@ from helpers import (
     random_symmetric,
     reference_ceil_root,
     reference_fiber_min,
+    reference_from_tag,
+    reference_tag,
     reference_window_bounds,
     reference_window_search,
     shift_lower_bound,
@@ -273,6 +276,50 @@ def test_trace_tags_round_trip():
     assert tags
     for trace in tags:
         assert SearchTrace.from_tag(trace.tag()) == trace
+
+
+def _random_trace(rng: random.Random) -> SearchTrace:
+    def opt_int() -> int | None:
+        return None if rng.random() < 0.4 else rng.randint(-3, 300)
+
+    orthant = None if rng.random() < 0.3 else tuple(rng.choice((1, -1)) for _ in range(rng.randint(1, 4)))
+    shift = rng.choice((None, (), tuple(rng.randint(0, 9) for _ in range(rng.randint(1, 3)))))
+    return SearchTrace(orthant, rng.choice(certifier._BRANCHES), *(opt_int() for _ in range(5)), shift, opt_int())
+
+
+def _read_or_error(read, tag):
+    try:
+        return read(tag)
+    except ValueError:
+        return ValueError
+
+
+def test_tag_reader_matches_reference():
+    """The tag written and read off the dataclass fields against the
+    spelled-out writer and reader they replaced (``reference_tag``,
+    ``reference_from_tag``): 1,200 seeded traces of all three branches, each
+    tag read back as itself, and four single-character mutations of each (a
+    character replaced, inserted or deleted), on which both readers give the
+    same trace or both raise ValueError."""
+    rng = random.Random(2025)
+    alphabet = "+-=;,()_0123456789abefhilnoprstuxy"
+    counts = Counter()
+    for _ in range(1200):
+        trace = _random_trace(rng)
+        tag = trace.tag()
+        assert tag == reference_tag(trace)
+        assert SearchTrace.from_tag(tag) == reference_from_tag(tag) == trace
+        counts[trace.branch] += 1
+        for _ in range(4):
+            at = rng.randrange(len(tag) + 1)
+            edit = rng.choice(("replace", "insert", "delete")) if at < len(tag) else "insert"
+            keep = at + (edit != "insert")
+            mutated = tag[:at] + ("" if edit == "delete" else rng.choice(alphabet)) + tag[keep:]
+            expected = _read_or_error(reference_from_tag, mutated)
+            assert _read_or_error(SearchTrace.from_tag, mutated) == expected, mutated
+            counts["rejected" if expected is ValueError else "accepted"] += 1
+    assert min(counts[branch] for branch in certifier._BRANCHES) >= 300, counts
+    assert counts["rejected"] >= 4000 and counts["accepted"] >= 300, counts
 
 
 def test_instance_bit_size():

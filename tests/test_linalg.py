@@ -11,6 +11,8 @@ from miqpcert.linalg import (
     DimensionMismatch,
     QMatrix,
     QVector,
+    _greedy_basis,
+    _independent_extensions,
     as_rational,
     encoding_size,
     isqrt_ceil,
@@ -19,7 +21,7 @@ from miqpcert.linalg import (
     solve_linear_system,
 )
 
-from helpers import mat, reference_rank, reference_solve, vec
+from helpers import mat, reference_independent_subsets, reference_rank, reference_solve, vec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -257,3 +259,56 @@ def test_solve_with_asserts_stripped():
         expected.append(solution and [str(solution[0]), [str(v) for v in solution[1]]])
     assert [e is None for e in expected] == [True, False, True, False, True]
     assert json.loads(done.stdout) == expected
+
+
+def _walk_matrix(rng: random.Random, cols: int) -> list[list[int]]:
+    """Up to six seeded integer rows in ``cols`` columns: independent ones,
+    combinations of a few of them (so the rank can fall short), zero rows
+    and repeated rows, in a shuffled order."""
+    base = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rng.randint(1, cols + 1))]
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * cols)
+        elif kind < 0.25 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.6:
+            weights = [rng.randint(-2, 2) for _ in base]
+            rows.append([sum(w * row[j] for w, row in zip(weights, base)) for j in range(cols)])
+        else:
+            rows.append(rng.choice(base)[:])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_walk_matches_combinations_oracle():
+    """The subset walk against ``itertools.combinations`` filtered by a
+    Fraction rank, on 2,000 seeded integer matrices with up to six rows in
+    one to four coefficient columns, half of them with a right-hand-side
+    column last that makes no row independent: every size yields the
+    independent subsets in lexicographic order, ``every_depth`` yields each
+    of them once, and the greedy basis keeps the least subset of the largest
+    size, the rank, with one reduced row and a distinct pivot column each."""
+    rng = random.Random(2026)
+    counts = {"deficient": 0, "zero row": 0, "right-hand side": 0, "empty": 0}
+    for trial in range(2000):
+        cols = rng.randint(1, 4)
+        rows = _walk_matrix(rng, cols)
+        if trial % 2:
+            rows = [row + [rng.randint(-5, 5)] for row in rows]
+            counts["right-hand side"] += 1
+        oracle = {size: reference_independent_subsets(rows, size, cols) for size in range(min(len(rows), cols) + 2)}
+        for size, expected in oracle.items():
+            assert [idx for idx, _ in _independent_extensions(rows, size, cols)] == expected, (rows, size)
+        every = [idx for idx, _ in _independent_extensions(rows, cols, cols, every_depth=True)]
+        assert sorted(every) == sorted(idx for subsets in oracle.values() for idx in subsets)
+        largest = max(size for size, subsets in oracle.items() if subsets)
+        indices, basis = _greedy_basis(rows, cols)
+        assert indices == oracle[largest][0]
+        assert len(basis) == largest == reference_rank(QMatrix.from_rows([row[:cols] for row in rows], cols))
+        assert len({pcol for _, pcol in basis}) == largest
+        counts["deficient"] += largest < min(len(rows), cols)
+        counts["zero row"] += any(not any(row[:cols]) for row in rows)
+        counts["empty"] += not rows
+    assert counts["deficient"] >= 600 and counts["zero row"] >= 600 and counts["empty"] >= 200, counts

@@ -26,7 +26,6 @@ from miqpcert.polyhedra import (
     caratheodory_simple_cone,
     faces_of_simple_cone,
     h_to_v,
-    independent_row_subsets,
     is_pointed,
     iter_orthant_parts,
     polytope_hull,
@@ -40,7 +39,9 @@ from helpers import (
     hpoly,
     line_key,
     mat,
+    reference_caratheodory,
     reference_h_to_v,
+    reference_independent_subsets,
     reference_lines,
     reference_solve_rows,
     sample_in_cone,
@@ -215,6 +216,55 @@ def test_caratheodory_random_substitution():
         assert combo == target and all(m >= 0 for m in mu)
 
 
+def _caratheodory_or_error(select, rays, target):
+    try:
+        return select(rays, target)
+    except NotInCone:
+        return NotInCone
+
+
+def test_caratheodory_matches_old_solver():
+    """Selection by the cone multipliers against the general solve and
+    re-summing check it replaced (``reference_caratheodory``) on 2,000
+    seeded ray sets in R^1..R^4: the same (subset, weights), or NotInCone
+    from both.  Among them are rays with non-integral entries, dependent
+    sets (a ray repeated at another scale, more rays than n, a zero ray),
+    the zero target, targets inside the cone and targets outside it."""
+    rng = random.Random(4242)
+    counts = Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        rays = []
+        for _ in range(rng.randint(1, n + 2)):
+            kind = rng.random()
+            if kind < 0.05:
+                rays.append(QVector.zero(n))
+            elif kind < 0.2 and rays:
+                rays.append(rng.choice(rays).scale(Fraction(rng.randint(1, 3), rng.randint(1, 3))))
+            elif kind < 0.55:
+                rays.append(QVector.of(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)))
+            else:
+                rays.append(QVector.of(rng.randint(-3, 3) for _ in range(n)))
+        kind = rng.random()
+        if kind < 0.1:
+            target = QVector.zero(n)
+        elif kind < 0.6:
+            target = QVector.zero(n)
+            for r in rays:
+                target = target + r.scale(Fraction(rng.randint(0, 3), rng.randint(1, 3)))
+        else:
+            target = QVector.of(Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n))
+        expected = _caratheodory_or_error(reference_caratheodory, rays, target)
+        assert _caratheodory_or_error(caratheodory_simple_cone, rays, target) == expected, (rays, target)
+        counts["rational"] += not all(r.is_integral() for r in rays)
+        counts["dependent"] += rank(QMatrix.from_rows([r.entries for r in rays], n)) < len(rays)
+        counts["zero target"] += target.is_zero()
+        counts["outside"] += expected is NotInCone
+        counts["rational weights"] += expected is not NotInCone and any(m.denominator > 1 for m in expected[1])
+    assert counts["rational"] >= 1000 and counts["dependent"] >= 1000 and counts["zero target"] >= 250, counts
+    assert counts["outside"] >= 450 and counts["rational weights"] >= 550, counts
+
+
 def test_faces_of_simple_cone_counts():
     e1, e2, e3 = vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)
     assert len(faces_of_simple_cone(SimpleCone((e1,)))) == 2
@@ -345,9 +395,9 @@ def test_row_scaling_changes_nothing():
         unbounded += bool(vrep.rays)
         rows = [p.a.row(i) for i in range(p.num_rows)]
         for size in range(n + 1):
-            assert list(independent_row_subsets(scaled.integer_rows, size, n)) == list(
-                independent_row_subsets(p.integer_rows, size, n)
-            )
+            assert [idx for idx, _ in _independent_extensions(scaled.integer_rows, size, n)] == [
+                idx for idx, _ in _independent_extensions(p.integer_rows, size, n)
+            ]
         points = []
         for i, row in enumerate(rows):
             if row.is_zero():
@@ -492,7 +542,7 @@ def test_line_walk_matches_reference(monkeypatch):
     counts = Counter()
     for n in [1, 2, 3] * 50 + [4] * 30 + [5] * 5:  # the Fraction references dominate, most of all in R^5
         p = _differential_system(rng, n, 3 * n + 3)
-        subsets = len(list(independent_row_subsets([row[:n] for row in p.integer_rows], n - 1, n)))
+        subsets = len(list(_independent_extensions([row[:n] for row in p.integer_rows], n - 1, n)))
         hulls.clear()
         try:
             expected = reference_h_to_v(p)
@@ -549,7 +599,7 @@ def test_affine_hull_back_substitution():
             coefficients = [row[:n] for row in rows]
             for size in (n - 1, n):
                 walked = [idx for idx, _ in _independent_extensions(rows, size, n, 0, [], [])]
-                assert walked == list(independent_row_subsets(coefficients, size, n))
+                assert walked == reference_independent_subsets(rows, size, n)
                 assert not any({twin, len(rows) - 1} <= set(idx) for idx in walked)
             if n == 1:
                 assert [idx for idx, _ in _independent_extensions(rows, 0, 1, 0, [], [])] == [()]

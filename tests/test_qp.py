@@ -7,8 +7,8 @@ import pytest
 from miqpcert import linalg, polyhedra, qp
 from miqpcert.certifier import find_certificate, verify_certificate
 from miqpcert.cones import normalizing_hyperplane
-from miqpcert.linalg import QMatrix, QVector, rank
-from miqpcert.polyhedra import HPolyhedron, NotPointed, SimpleCone, h_to_v, independent_row_subsets
+from miqpcert.linalg import QMatrix, QVector, _independent_extensions, rank
+from miqpcert.polyhedra import HPolyhedron, NotPointed, SimpleCone, h_to_v
 from miqpcert.qp import (
     EmptyFeasibleSet,
     QuadraticForm,
@@ -270,7 +270,7 @@ def test_kkt_pool_matches_two_stage_reference():
                         got = _points(_candidates(q, moved))
                         assert sorted(got) == sorted(expected) == sorted(kkt)
                         cases += 1
-                        lines = independent_row_subsets([row[:n] for row in moved.integer_rows], n - 1, n)
+                        lines = _independent_extensions([row[:n] for row in moved.integer_rows], n - 1, n)
                         misses += len(h_to_v(moved)._lines) < len(list(lines))
                         flats += flat > 0
                         if kind in ("rank-one", "zero"):
@@ -586,9 +586,8 @@ def test_qp_makes_no_solve_integer_calls(monkeypatch):
     def refuse(*_args):
         raise AssertionError("solve_linear_system called")
 
-    for module in (linalg, polyhedra):
-        monkeypatch.setattr(module, "solve_linear_system", refuse)
-    assert not hasattr(qp, "solve_linear_system")
+    monkeypatch.setattr(linalg, "solve_linear_system", refuse)
+    assert not hasattr(qp, "solve_linear_system") and not hasattr(polyhedra, "solve_linear_system")
     rng = random.Random(6262)
     for _ in range(40):
         n = rng.randint(1, 3)
