@@ -254,14 +254,15 @@ def certify_pointed_part(
 
     ``part`` is nonempty, so its V-description ``vrep`` lists the extreme
     rays of its recession cone: they come from the rows of A alone, and the
-    slice is minimized over them, k > n of them when the cone is not simple."""
+    slice is minimized over them, k > n of them when the cone is not simple.
+    The non-negative search starts the part's slice minima from that one."""
     if not vrep.rays:
-        return nonnegative_recession_search(inst, part, vrep, None, signs)
+        return nonnegative_recession_search(inst, part, vrep, None, signs, None)
     f = normalizing_hyperplane(vrep.rays).f
     slice_min = min_quadratic_on_cone_slice(inst.quad.h, vrep.rays, f)
     if slice_min.value < 0:
         return negative_ray_certificate(inst, part, slice_min.minimizer, signs)
-    return nonnegative_recession_search(inst, part, vrep, f, signs)
+    return nonnegative_recession_search(inst, part, vrep, f, signs, slice_min.value)
 
 
 def negative_ray_certificate(
@@ -286,7 +287,12 @@ def negative_ray_certificate(
 
 
 def nonnegative_recession_search(
-    inst: MiqpInstance, part: HPolyhedron, vrep: VPolyhedron, f: QVector | None, signs: tuple[int, ...] | None
+    inst: MiqpInstance,
+    part: HPolyhedron,
+    vrep: VPolyhedron,
+    f: QVector | None,
+    signs: tuple[int, ...] | None,
+    slice_min: Fraction | None,
 ) -> Certificate | None:
     """Search family by family: the fibers of each family's window, built
     lazily, each paired with the pieces of its own family only, stopping at
@@ -305,12 +311,20 @@ def nonnegative_recession_search(
     matrix and the curvature minimum of the curving slice) is computed once
     per family, when its first fiber is reached.  ``window_fibers`` streams
     the fibers of all families and owns the fiber limit.
+
+    The curvature minima are slices of one hyperplane f, so the part keeps
+    them in one dict for all its pieces, keyed by the curving rays, and
+    starts it with ``slice_min``, the minimum over ``vrep.rays`` when the
+    caller has it: a piece whose curving rays the part has already minimized
+    over reads the minimum instead of solving the slice again.  The dict
+    lives for this one part.
     """
+    slices = {} if slice_min is None else {vrep.rays: slice_min}
     families = ray_families(vrep)
     stream = window_fibers(MixedIntegerSet(part, inst.integer_count), vrep, families)
     for family_index, fibers in groupby(stream, key=lambda fiber: fiber.family_index):
         cone = simple_cone_decomposition(inst.quad.h, families[family_index])
-        pieces = [_window_piece(inst.quad, piece, f) for piece in cone.pieces]
+        pieces = [_window_piece(inst.quad, piece, f, slices) for piece in cone.pieces]
         for fiber_index, fiber in enumerate(fibers):
             for piece_index, piece in enumerate(pieces):
                 for ray_index in piece.flat:
@@ -350,11 +364,15 @@ class WindowPiece:
     slice_norm: int | None  # ceil of the largest slice-vertex norm
 
 
-def _window_piece(quad: QuadraticForm, piece: SimpleCone, f: QVector | None) -> WindowPiece:
+def _window_piece(
+    quad: QuadraticForm, piece: SimpleCone, f: QVector | None, slices: dict[tuple[QVector, ...], Fraction]
+) -> WindowPiece:
     """Split a piece's rays into flat and curving ones and, when some curve,
     bound the quadratic's growth along them over the slice f . x = 1 of their
     cone: the simplex with vertices r / (f . r), as f . r > 0 on these
-    linearly independent rays."""
+    linearly independent rays.  The slice's minimum v1 is read from
+    ``slices``, the part's minima over f by rays, or solved and added
+    there."""
     h, _, c, _ = quad._integer_form
     ints = [[x.numerator for x in ray] for ray in piece.rays]  # a simple cone's rays are integral
     terms = [(tuple(_dot(row, r) for row in h), _dot(c, r)) for r in ints]
@@ -368,7 +386,9 @@ def _window_piece(quad: QuadraticForm, piece: SimpleCone, f: QVector | None) -> 
     f_dots = [f.dot(r) for r in curving]
     if any(fv <= 0 for fv in f_dots):
         raise CertifierError("hyperplane is not strictly positive on the residual rays")
-    v1 = min_quadratic_on_cone_slice(quad.h, curving, f).value
+    v1 = slices.get(curving)
+    if v1 is None:
+        v1 = slices[curving] = min_quadratic_on_cone_slice(quad.h, curving, f).value
     if v1 <= 0:
         raise CertifierError("curvature minimum on the residual cone must be positive")
     f_den = math.lcm(*(fv.denominator for fv in f_dots))

@@ -3,19 +3,23 @@
 A pointed cone admits a hyperplane {x : f^T x = 1} meeting it in a bounded
 slice with f^T r >= 1 on every generator.  The rays are completed to a
 spanning set by the unit vectors a greedy basis finds independent of them,
-and f is a vertex of the one polyhedron {w : w^T g >= 1} they give.  When a
-quadratic x^T H x is non-negative on a simple cone, the cone can be split
-into simple subcones so that every face whose slice minimum is zero exposes
-a generator r with r^T H r = 0; the splitting is driven by exact slice
-minimizers.
+and f is the least feasible basic solution of the generators' own integer
+rows g . w = 1: one back-substitution when there are n generators, and no
+polyhedron or ``h_to_v`` enumeration in any case.  When a quadratic
+x^T H x is non-negative on a simple cone, the cone can be split into simple
+subcones so that every face whose slice minimum is zero exposes a generator
+r with r^T H r = 0; the splitting is driven by exact slice minimizers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .linalg import DimensionMismatch, QMatrix, QVector, _greedy_basis, _integer_row
-from .polyhedra import HPolyhedron, SimpleCone, h_to_v, primitivize
+from .linalg import (
+    DimensionMismatch, QMatrix, QVector, _affine_hull, _dot, _greedy_basis, _independent_extensions, _integer_row
+)
+from .polyhedra import SimpleCone, primitivize
 from .qp import min_quadratic_on_cone_slice
 
 
@@ -46,27 +50,35 @@ def normalizing_hyperplane(rays: list[QVector] | tuple[QVector, ...]) -> Normali
     """Construct a normalizing hyperplane for the pointed cone spanned by
     the given nonzero rays.
 
-    The rays are augmented with the standard basis vectors of their greedy
-    complement: the units the greedy basis keeps of the rays' integer rows
-    followed by e_0, ..., e_{n-1}, the lexicographically least independent
-    n-subset as the units make the rank n, so each unit independent of the
-    rays and of the units taken before it.  f is then the lexicographically
-    smallest vertex of {w : w^T g >= 1 for every generator g}, built once.
+    Each generator g is kept as its own integer row (g L, L), g . w = 1
+    times the positive lcm L of g's denominators: (u, L) for a ray u / L and
+    (e_i, 1) for a unit.  The rays are augmented with the standard basis
+    vectors of their greedy complement: the units the greedy basis keeps of
+    the rays' rows followed by e_0, ..., e_{n-1}, the lexicographically
+    least independent n-subset as the units make the rank n, so each unit
+    independent of the rays and of the units taken before it.  f is then the
+    lexicographically least vertex of {w : w^T g >= 1 for every generator
+    g}: the least basic solution of g . w = 1 over an independent n-subset
+    of the generators' rows that keeps every g . w >= 1, back-substituted
+    from the walk's reduced rows.  With exactly n generators the greedy
+    basis is that one subset, so f is its one back-substitution; no
+    polyhedron is built and no ``h_to_v`` runs.
 
     This is the least set of unit vectors, in size and then in
-    ``combinations`` order, whose generators span R^n and give that
-    polyhedron a vertex.  Let r be the rank of the rays.  With fewer than
-    n - r units the generators do not span R^n, so the polyhedron holds a
-    line.  With n - r units U that span, span(U) + span(rays) = R^n is a
-    direct sum, so cone(rays + U) is pointed exactly when cone(rays) is: a
-    non-negative combination summing to 0 splits along the sum.  A pointed
-    cone spanning R^n has a dual cone with an interior, so the polyhedron is
-    nonempty and, as the generators span, has a vertex.  The first spanning
-    U in ``combinations`` order is the greedy one: the first index where an
-    earlier spanning U' differs was skipped by the walk as dependent on the
-    rays and the units taken before it, all of which U' holds.  When the
-    rays' cone is not pointed, every spanning U leaves the polyhedron empty,
-    and :class:`ConeNotPointed` is raised.
+    ``combinations`` order, whose generators span R^n and give that set a
+    vertex.  Let r be the rank of the rays.  With fewer than n - r units the
+    generators do not span R^n, so the set holds a line.  With n - r units U
+    that span, span(U) + span(rays) = R^n is a direct sum, so
+    cone(rays + U) is pointed exactly when cone(rays) is: a non-negative
+    combination summing to 0 splits along the sum.  A pointed cone spanning
+    R^n has a dual cone with an interior, so the set is nonempty and, as the
+    generators span, has a vertex, n independent tight generators.  The
+    first spanning U in ``combinations`` order is the greedy one: the first
+    index where an earlier spanning U' differs was skipped by the walk as
+    dependent on the rays and the units taken before it, all of which U'
+    holds.  When the rays' cone is not pointed, every spanning U leaves the
+    set empty, no basic solution is feasible, and :class:`ConeNotPointed`
+    is raised.
     """
     rays = tuple(rays)
     if not rays:
@@ -76,17 +88,22 @@ def normalizing_hyperplane(rays: list[QVector] | tuple[QVector, ...]) -> Normali
         raise ValueError("zero vector is not a ray")
     if any(r.dim != n for r in rays):
         raise DimensionMismatch(f"ray dimensions {[r.dim for r in rays]} differ")
-    rows = [_integer_row(r.entries) for r in rays] + [[int(i == j) for j in range(n)] for i in range(n)]
-    chosen, _ = _greedy_basis(rows, n)
+    rows = [_integer_row((*r.entries, 1)) for r in rays] + [[int(i == j) for j in range(n)] + [1] for i in range(n)]
+    chosen, basis = _greedy_basis(rows, n)
     augmented = tuple(QVector.unit(i - len(rays), n) for i in chosen if i >= len(rays))
-    generators = rays + augmented
-    a = QMatrix.from_rows([(-g).entries for g in generators], n)
-    vertices = h_to_v(HPolyhedron(a, QVector.of([-1] * len(generators)))).vertices
-    if not vertices:
+    generators = rows[: len(rays)] + [rows[i] for i in chosen if i >= len(rays)]
+    # with n generators the greedy basis holds them all: their one basic solution, tight on each
+    bases = [basis] if len(generators) == n else (b for _, b in _independent_extensions(generators, n, n))
+    best, best_scale = None, 1
+    for subset in bases:
+        w, _, scale = _affine_hull(subset, n)
+        if any(_dot(row, w) < row[-1] * scale for row in generators):
+            continue
+        if best is None or [x * best_scale for x in w] < [x * scale for x in best]:
+            best, best_scale = w, scale
+    if best is None:
         raise ConeNotPointed("cone has no strictly separating functional")
-    f = vertices[0]
-    assert all(f.dot(g) >= 1 for g in generators)
-    return NormalizingHyperplane(f, augmented)
+    return NormalizingHyperplane(QVector(tuple(Fraction(x, best_scale) for x in best)), augmented)
 
 
 def simple_cone_decomposition(h: QMatrix, cone: SimpleCone) -> ConeDecomposition:

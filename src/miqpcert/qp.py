@@ -27,7 +27,8 @@ over one denominator each.  The pool is a list of integer points u / den,
 the vertices as ``h_to_v`` found them and the tested stationary points;
 each is valued by the numerator of :func:`eval_quadratic`'s one fraction,
 the values and then the points are compared by cross-multiplication, and
-only the least point and its value become Fractions.
+only the least point and its value become Fractions.  A cone slice's pool
+is valued and compared the same way.
 
 Everything here is a pure function of immutable inputs; candidate active
 sets are independent, so callers may fan the enumeration out and min-reduce.
@@ -82,10 +83,16 @@ class QuadraticForm:
         """(Ĥ, hs, ĉ, cs): H = Ĥ / hs and c = ĉ / cs with hs and cs the
         positive lcm of the denominators of H and of c.  Computed once per
         object; not a field, so eq and hash ignore it."""
-        n = self.dim
-        *h_flat, hs = _integer_row((*(v for row in self.h.entries for v in row), 1))
         *c_int, cs = _integer_row((*self.c.entries, 1))
-        return tuple(tuple(h_flat[i * n : (i + 1) * n]) for i in range(n)), hs, tuple(c_int), cs
+        return (*_integer_matrix(self.h), tuple(c_int), cs)
+
+
+def _integer_matrix(h: QMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(Ĥ, hs): the square H = Ĥ / hs with hs the positive lcm of its
+    denominators, one scaled row for the whole matrix."""
+    n = h.cols
+    *flat, hs = _integer_row((*(v for row in h.entries for v in row), 1))
+    return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)), hs
 
 
 @dataclass(frozen=True)
@@ -226,17 +233,25 @@ def _pool_min(p: HPolyhedron, h: Sequence[Sequence[int]], terms: Sequence[Sequen
         raise Unbounded("feasible set is unbounded")
     if not vrep.vertices:
         raise EmptyFeasibleSet("feasible set is empty")
-    best_u, best_den, best_value = None, 1, 0
+    best = None
     for c, stationary in zip(terms, _stationary_candidates(p, h, terms)):
         form = (h, 1, c, 1)
         for u, den in (*vrep._ends, *stationary):
             value = _quadratic_numerator(form, u, den)
-            if best_u is not None:
-                left, right = value * best_den * best_den, best_value * den * den
-                if left > right or (left == right and [x * best_den for x in u] >= [x * den for x in best_u]):
-                    continue
-            best_u, best_den, best_value = u, den, value
-    return best_value, best_u, best_den
+            if _precedes(value, u, den, best):
+                best = value, u, den
+    return best
+
+
+def _precedes(value: int, u: Sequence[int], den: int, best: tuple[int, Sequence[int], int] | None) -> bool:
+    """Whether the pool point u / den, den > 0, of value value / den^2 comes
+    before ``best``, another such (value, u, den) or None: the values and
+    then the points compared by cross-multiplication."""
+    if best is None:
+        return True
+    best_value, best_u, best_den = best
+    left, right = value * best_den * best_den, best_value * den * den
+    return left < right or (left == right and [x * best_den for x in u] < [x * den for x in best_u])
 
 
 def qp_global_min(q: QuadraticForm, p: HPolyhedron) -> QpResult:
@@ -299,9 +314,22 @@ def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector)
     affine hull.  One walk over the rays yields every support, each
     independent prefix reduced once.
 
-    Raises :class:`EmptyFeasibleSet` when f . r <= 0 on every ray, and
+    The pool is in integers, as :func:`_pool_min`'s is: the rays and H are
+    scaled to integers once, H = Ĥ / hs, and Ĥ times each ray once gives
+    Ĝ = R^T Ĥ R.  A support's multipliers m_T = m / den give the integer
+    point x = R_T m / den of value m^T Ĝ_TT m / (hs den^2); the values and
+    then the points are compared by cross-multiplication, so only the least
+    point and its value become Fractions.
+
+    Raises :class:`DimensionMismatch` when a ray or f is not in H's space,
+    :class:`EmptyFeasibleSet` when f . r <= 0 on every ray, and
     :class:`Unbounded` when on only some: then f does not normalize the cone.
     """
+    n = h.cols
+    if not h.is_symmetric():
+        raise ValueError("quadratic matrix must be symmetric")
+    if f.dim != n or any(r.dim != n for r in rays):
+        raise DimensionMismatch(f"rays {[r.dim for r in rays]} and f {f.dim} must have H's dimension {n}")
     ray_rows = [_integer_row(r.entries) for r in rays]  # positive multiples: the same cone and slice
     *f_int, fs = _integer_row((*f.entries, 1))
     rates = [_dot(f_int, r) for r in ray_rows]  # f . r_i times fs
@@ -309,10 +337,11 @@ def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector)
         raise EmptyFeasibleSet("the hyperplane misses the cone")
     if any(rate <= 0 for rate in rates):
         raise Unbounded("cone slice is unbounded; the hyperplane does not normalize this cone")
-    h_int, hs, _, _ = QuadraticForm.pure(h)._integer_form
-    gram = [[_dot(r, [_dot(row, s) for row in h_int]) for s in ray_rows] for r in ray_rows]  # G times hs
-    pool = []
-    for t, _ in _independent_extensions(ray_rows, min(len(rays), f.dim), f.dim, every_depth=True):
+    h_int, hs = _integer_matrix(h)
+    h_rays = [[_dot(row, s) for row in h_int] for s in ray_rows]
+    gram = [[_dot(r, hr) for hr in h_rays] for r in ray_rows]  # Ĝ = G hs
+    best = None
+    for t, _ in _independent_extensions(ray_rows, min(len(rays), n), n, every_depth=True):
         if not t:
             continue
         # the hull f_T . m_T = 1 as the integer row (rates_T, fs): the rates
@@ -322,11 +351,13 @@ def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector)
         (point,) = _hull_stationary_point([(hull, 0)], len(t), g, [[0] * len(t)])
         if point is None:
             continue
-        u, den = point  # m_T = u / den
-        assert _dot(hull, u) == fs * den  # on the hull
-        if min(u) >= 0:
-            value = Fraction(sum(a * _dot(row, u) for a, row in zip(u, g)), hs * den * den)
-            x = QVector(tuple(Fraction(_dot(u, [ray_rows[i][c] for i in t]), den) for c in range(f.dim)))
-            pool.append((value, x))
-    value, x = min(pool)
-    return QpResult(x, value)
+        m, den = point  # m_T = m / den
+        assert _dot(hull, m) == fs * den  # on the hull
+        if min(m) < 0:
+            continue
+        value = sum(a * _dot(row, m) for a, row in zip(m, g))
+        x = [sum(mi * ray_rows[i][col] for mi, i in zip(m, t)) for col in range(n)]
+        if _precedes(value, x, den, best):
+            best = value, x, den
+    value, x, den = best
+    return QpResult(QVector(tuple(Fraction(v, den) for v in x)), Fraction(value, hs * den * den))

@@ -751,11 +751,13 @@ def reference_kkt_candidates(q: QuadraticForm, p: HPolyhedron) -> tuple[list[QVe
 def reference_cone_slice_min(h: QMatrix, rays, f: QVector) -> tuple[QpResult, int]:
     """The minimum of x^T H x over {x in cone(rays) : f . x = 1} with one
     ``reference_solve_rows`` per support T of independent rays on the KKT rows
-    [2 G_TT f_T; f_T^T 0] (m_T, lam) = (0, 1), G = R^T H R, a walk per
-    support size: the reference for ``qp.min_quadratic_on_cone_slice``,
-    which solves each support's reduced system on the hull f_T . m_T = 1.
-    f must be positive on every ray.  Also returns how many supports have
-    no unique KKT solution."""
+    [2 G_TT f_T; f_T^T 0] (m_T, lam) = (0, 1), G = R^T H R, the supports
+    taken per size from ``reference_independent_subsets``, which shares no
+    code with the library's subset walk: the reference for
+    ``qp.min_quadratic_on_cone_slice``, which walks the supports and solves
+    each one's reduced system on the hull f_T . m_T = 1.  f must be positive
+    on every ray.  Also returns how many supports have no unique KKT
+    solution."""
     n = f.dim
     ray_rows = [_integer_row(r.entries) for r in rays]
     *f_int, fs = _integer_row((*f.entries, 1))
@@ -767,7 +769,7 @@ def reference_cone_slice_min(h: QMatrix, rays, f: QVector) -> tuple[QpResult, in
     pool = []
     singular = 0
     for size in range(1, min(len(rays), n) + 1):
-        for t, _ in _independent_extensions(ray_rows, size, n):
+        for t in reference_independent_subsets(ray_rows, size, n):
             g = [[gram[i][j] for j in t] for i in t]
             kkt = [[2 * v for v in row] + [rates[i], 0] for row, i in zip(g, t)] + [[rates[j] for j in t] + [0, fs]]
             solution = reference_solve_rows(kkt, size + 1)

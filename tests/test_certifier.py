@@ -43,6 +43,7 @@ from helpers import (
     shift_lower_bound,
     vec,
 )
+from test_certificate_digest import _workloads  # the benchmark's generators, only read
 
 
 def descent_instance(d):
@@ -405,10 +406,11 @@ def _curving_windows(inst, max_fibers=4):
         if min_quadratic_on_cone_slice(inst.quad.h, vrep.rays, f).value < 0:
             continue
         families = ray_families(vrep)
+        slices = {}  # the part's slice minima over f, as the search keeps them
         stream = window_fibers(MixedIntegerSet(part, inst.integer_count), vrep, families)
         for family_index, fibers in groupby(stream, key=lambda fiber: fiber.family_index):
             cones = simple_cone_decomposition(inst.quad.h, families[family_index]).pieces
-            pieces = [_window_piece(inst.quad, cone, f) for cone in cones]
+            pieces = [_window_piece(inst.quad, cone, f, slices) for cone in cones]
             for fiber_index, fiber in enumerate(islice(fibers, max_fibers)):
                 for piece_index, piece in enumerate(pieces):
                     if piece.curving:
@@ -559,6 +561,34 @@ def test_long_tail_window_skips_ruled_out_shifts(monkeypatch):
     assert cert is not None
     assert verify_certificate(inst, cert.point).ok
     assert len(calls) <= 20
+
+
+def test_reused_slice_minima_match_fresh_solves(monkeypatch):
+    # the non-negative search keeps one dict of slice minima per part; every
+    # v1 a piece reads from it, with no new entry, must be the minimum a
+    # fresh solve of that piece's curving slice gives, and reads must happen
+    reads = solves = 0
+    original = certifier._window_piece
+
+    def checked(quad, piece, f, slices):
+        nonlocal reads, solves
+        before = len(slices)
+        window_piece = original(quad, piece, f, slices)
+        if window_piece.curving:
+            if len(slices) == before:
+                reads += 1
+            else:
+                solves += 1
+            assert window_piece.v1 == min_quadratic_on_cone_slice(quad.h, window_piece.curving, f).value
+        return window_piece
+
+    monkeypatch.setattr(certifier, "_window_piece", checked)
+    unbounded_corpus = _workloads()["unbounded_budget"].generator
+    for seed in (1, 2, 3):
+        for case in unbounded_corpus(random.Random(seed), 300):
+            h_to_v.cache_clear()
+            find_certificate(parse_instance(case.text))
+    assert reads >= 100 and solves >= 100, (reads, solves)  # 199 and 365 when written
 
 
 def test_own_family_pairing_against_oracle():

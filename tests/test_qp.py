@@ -540,6 +540,25 @@ def test_cone_slice_rejects_bad_hyperplane():
         min_quadratic_on_cone_slice(QMatrix.identity(2), quadrant, vec(-1, 0))
 
 
+@pytest.mark.parametrize(
+    "h_dim, ray_dim, f_dim",
+    [
+        (2, 3, 2),  # rays longer than H and f: once a 2-D "minimizer"
+        (2, 2, 3),  # f longer than H and the rays: once an IndexError
+        (3, 2, 2),  # H larger than the rays and f: once minimized on H's leading block
+        (2, 2, 1),
+    ],
+)
+def test_cone_slice_rejects_mismatched_dimensions(h_dim, ray_dim, f_dim):
+    rays = [QVector.unit(i, ray_dim) for i in range(ray_dim)]
+    f = vec(*[1] * f_dim)
+    with pytest.raises(linalg.DimensionMismatch):
+        min_quadratic_on_cone_slice(QMatrix.identity(h_dim), rays, f)
+    mixed = rays[:1] + [QVector.unit(0, ray_dim + 1)]  # one ray in another space than the rest
+    with pytest.raises(linalg.DimensionMismatch):
+        min_quadratic_on_cone_slice(QMatrix.identity(ray_dim), mixed, vec(*[1] * ray_dim))
+
+
 def test_restrict_quadratic_matches_eval():
     # q(y, z + offset) for prefixes of every length k < n, the empty one
     # included, with and without an offset; k = n leaves nothing to restrict.

@@ -13,11 +13,14 @@ compared with committed constants:
 - ``back-substitutions``: calls of ``linalg._affine_hull``, through every
   module that imports it, one per line of each enumeration, one per face
   hull below and, when its reduced system is nonsingular, one more per
-  linear term minimized on it, and one per cone-multiplier solve;
+  linear term minimized on it, one per cone-multiplier solve, and one per
+  basic solution a normalizing hyperplane tries (one in all when it has n
+  generators);
 - ``face hulls``: calls of ``qp._hull_stationary_point``, one per QP face
   hull of dimension at least two, shared by every linear term minimized on
-  it, and per cone-slice support.  A line's 1 x 1 system is solved in
-  closed form on a line ``h_to_v`` already has;
+  it, and one per support of each cone slice solved (a part reads back a
+  slice it has already minimized over the same hyperplane).  A line's
+  1 x 1 system is solved in closed form on a line ``h_to_v`` already has;
 - ``integer rows``: calls of ``linalg._integer_row``, through every module
   that imports it, one per rational row, point or form scaled to integers:
   the instance's rows and form, the points the hot path is handed, each
@@ -65,10 +68,10 @@ EXPECTED = {
         "fiber minima": 1078,
     },
     "unbounded_budget": {
-        "h_to_v misses": 322,
-        "back-substitutions": 1811,
-        "face hulls": 475,
-        "integer rows": 3281,
+        "h_to_v misses": 218,
+        "back-substitutions": 1660,
+        "face hulls": 451,
+        "integer rows": 2846,
         "box bounds": 161,
         "relaxed bounds": 0,
         "fiber minima": 139,
@@ -83,10 +86,10 @@ EXPECTED = {
         "fiber minima": 11367,
     },
     "tail": {
-        "h_to_v misses": 948,
-        "back-substitutions": 19924,
-        "face hulls": 6474,
-        "integer rows": 16677,
+        "h_to_v misses": 874,
+        "back-substitutions": 19686,
+        "face hulls": 6412,
+        "integer rows": 16051,
         "box bounds": 2391,
         "relaxed bounds": 148,
         "fiber minima": 1384,
@@ -94,7 +97,7 @@ EXPECTED = {
 }
 # the module attributes counted, under the counter each adds to
 COUNTED = (
-    *((module, "_affine_hull", "back-substitutions") for module in (linalg, polyhedra, qp)),
+    *((module, "_affine_hull", "back-substitutions") for module in (linalg, polyhedra, qp, cones)),
     (qp, "_hull_stationary_point", "face hulls"),
     (linalg, "solve_linear_system", "integer solves"),
     *((module, "_integer_row", "integer rows") for module in (linalg, polyhedra, qp, milp, cones)),
