@@ -45,6 +45,7 @@ from .linalg import (
     QMatrix,
     QVector,
     _dot,
+    _integer_row,
     encoding_size,
     isqrt_ceil,
 )
@@ -61,6 +62,7 @@ from .polyhedra import (
 from .qp import (
     QuadraticForm,
     _pool_min,
+    _quadratic_numerator,
     eval_quadratic,
     min_quadratic_on_cone_slice,
     qp_global_min,
@@ -198,17 +200,19 @@ def verify_certificate(inst: MiqpInstance, x: QVector) -> VerificationReport:
 # exact ceilings of quadratic roots
 
 
-def _ceil_root(e: Fraction, disc: Fraction, g: Fraction) -> int:
+def _ceil_root(e: Fraction | int, disc: Fraction | int, g: Fraction | int) -> int:
     """The least integer k >= 0 with g k - e >= sqrt(disc), for g > 0: so
     max(0, ceil((e + sqrt(disc)) / g)), and 0 when disc < 0, where no real
-    root exists.  With L the lcm of the denominators of e and g, the
-    condition reads gL k - eL >= sqrt(disc L^2), whose left side is an
-    integer, so it holds exactly when gL k - eL >= ceil(sqrt(disc L^2)):
-    k = ceil((eL + isqrt_ceil(disc L^2)) / gL), one integer square root."""
+    root exists.  Takes ints or Fractions.  With L the lcm of the
+    denominators of e and g, the condition reads gL k - eL >= sqrt(disc L^2),
+    whose left side is an integer, so it holds exactly when
+    gL k - eL >= ceil(sqrt(disc L^2)): k = ceil((eL + isqrt_ceil(disc L^2)) / gL),
+    one integer square root.  The ceiling is a floor division, -(-a // b):
+    a true division of two ints would round through a float."""
     if disc < 0:
         return 0
     lcm = math.lcm(e.denominator, g.denominator)
-    return max(0, math.ceil((e * lcm + isqrt_ceil(disc * lcm * lcm)) / (g * lcm)))
+    return max(0, -(-(e * lcm + isqrt_ceil(disc * lcm * lcm)) // (g * lcm)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +273,31 @@ def negative_ray_certificate(
     inst: MiqpInstance, part: HPolyhedron, direction: QVector, signs: tuple[int, ...] | None
 ) -> Certificate | None:
     """Witness from a strictly negative recession direction: start at any
-    mixed-integer point and step just past the larger parabola root."""
+    mixed-integer point and step just past the larger parabola root.
+
+    Along the integral r, q(base + k r) = lead k^2 + slope k + const with
+    lead = r^T H r < 0, slope = 2 base^T H r + c . r and const = q(base).
+    With base = u / D, H = Ĥ / hs, c = ĉ / cs and d's denominator e, the
+    three come in integers over one denominator, hs cs D^2 e: scaling the
+    parabola by it moves no root, so the step is one integer ``_ceil_root``
+    and only the certificate point becomes Fractions."""
     r = primitivize(direction)
     base = mip_point(MixedIntegerSet(part, inst.integer_count))
     if base is None:
         return None  # the part holds no mixed-integer point at all
-    hr = inst.quad.h.matvec(r)
-    lead = r.dot(hr)
+    form = inst.quad._integer_form
+    h, hs, c, cs = form
+    d = inst.quad.d
+    *u, den = _integer_row((*base.entries, 1))
+    r_int = [x.numerator for x in r]
+    hr = [_dot(row, r_int) for row in h]
+    lead = _dot(r_int, hr) * cs * den * den * d.denominator
     if lead >= 0:
         raise CertifierError("descent direction lost its negative curvature")
-    slope = 2 * base.dot(hr) + inst.quad.c.dot(r)
-    const = eval_quadratic(inst.quad, base)
-    step = _ceil_root(slope, slope * slope - 4 * lead * const, 2 * (-lead))
-    point = base + r.scale(step)
+    slope = (2 * cs * _dot(u, hr) + hs * den * _dot(c, r_int)) * den * d.denominator
+    const = _quadratic_numerator(form, u, den) * d.denominator + d.numerator * hs * cs * den * den
+    step = _ceil_root(slope, slope * slope - 4 * lead * const, -2 * lead)
+    point = QVector(tuple(Fraction(x + step * y * den, den) for x, y in zip(u, r_int)))
     trace = SearchTrace(orthant=signs, branch="negative-ray", step=step)
     return Certificate(point, encoding_size(point), trace)
 

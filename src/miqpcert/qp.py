@@ -299,12 +299,15 @@ def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector)
     lexicographically least minimizer.  The cone need not be simple.
 
     With G = R^T H R, the slice is the image x = R m of the simplex
-    {m >= 0 : sum m_i (f . r_i) = 1}.  The pool holds, per support T of
-    linearly independent rays, the stationary point m_T of m^T G_TT m on
-    the hull f_T . m_T = 1 when it is unique and m_T >= 0; ties are broken
-    on x = R m.  It is solved in the hull's own coordinates, as in the
-    polytope pool, with the one row f_T, G's integer form for H and c = 0;
-    f_T != 0, so the point is unique exactly when the KKT system
+    {m >= 0 : sum m_i (f . r_i) = 1}.  As the polytope pool does, the pool
+    holds the simplex's vertices in closed form, m_i = 1 / (f . r_i) on one
+    ray and 0 off it, and then, per support T of two or more linearly
+    independent rays, the stationary point m_T of m^T G_TT m on the hull
+    f_T . m_T = 1 when it is unique and m_T >= 0 (a one-ray hull is its
+    vertex); ties are broken on x = R m.  It is solved in the hull's own
+    coordinates, as in the polytope pool, with the one row f_T, G's integer
+    form for H and c = 0; f_T != 0, so the point is unique exactly when the
+    KKT system
     [2 G_TT f_T; f_T^T 0] (m_T, lam) = (0, 1) has a unique solution.  The
     pool holds the least optimal x, y: a vertex m* of the preimage
     {m >= 0 : R m = y} has a support T of independent rays (or a null
@@ -316,10 +319,12 @@ def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector)
 
     The pool is in integers, as :func:`_pool_min`'s is: the rays and H are
     scaled to integers once, H = Ĥ / hs, and Ĥ times each ray once gives
-    Ĝ = R^T Ĥ R.  A support's multipliers m_T = m / den give the integer
-    point x = R_T m / den of value m^T Ĝ_TT m / (hs den^2); the values and
-    then the points are compared by cross-multiplication, so only the least
-    point and its value become Fractions.
+    Ĝ = R^T Ĥ R.  With f . r_i = rate_i / fs, ray i's vertex is the point
+    r_i fs / rate_i of value Ĝ_ii fs^2 / (hs rate_i^2).  A support's
+    multipliers m_T = m / den give the integer point x = R_T m / den of
+    value m^T Ĝ_TT m / (hs den^2); the values and then the points are
+    compared by cross-multiplication, so only the least point and its value
+    become Fractions.
 
     Raises :class:`DimensionMismatch` when a ray or f is not in H's space,
     :class:`EmptyFeasibleSet` when f . r <= 0 on every ray, and
@@ -341,8 +346,12 @@ def min_quadratic_on_cone_slice(h: QMatrix, rays: Sequence[QVector], f: QVector)
     h_rays = [[_dot(row, s) for row in h_int] for s in ray_rows]
     gram = [[_dot(r, hr) for hr in h_rays] for r in ray_rows]  # Ĝ = G hs
     best = None
+    for i, rate in enumerate(rates):  # the vertex r_i / (f . r_i): m_i = fs / rate_i
+        vertex = gram[i][i] * fs * fs, [fs * v for v in ray_rows[i]], rate
+        if _precedes(*vertex, best):
+            best = vertex
     for t, _ in _independent_extensions(ray_rows, min(len(rays), n), n, every_depth=True):
-        if not t:
+        if len(t) < 2:
             continue
         # the hull f_T . m_T = 1 as the integer row (rates_T, fs): the rates
         # are positive, so it is its own walk basis with pivot column 0

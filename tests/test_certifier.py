@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -25,9 +26,9 @@ from miqpcert.certifier import (
 from miqpcert.cones import normalizing_hyperplane, simple_cone_decomposition
 from miqpcert.formats import parse_instance
 from miqpcert.linalg import DimensionMismatch, QMatrix, QVector, encoding_size, rank
-from miqpcert.milp import Fiber, MixedIntegerSet, ray_families, window_fibers
+from miqpcert.milp import Fiber, FiberLimit, MixedIntegerSet, mip_point, ray_families, window_fibers
 from miqpcert.oracle import brute_force_feasibility
-from miqpcert.polyhedra import HPolyhedron, h_to_v, is_pointed, iter_orthant_parts, recession_cone
+from miqpcert.polyhedra import HPolyhedron, h_to_v, is_pointed, iter_orthant_parts, primitivize, recession_cone
 from miqpcert.qp import eval_quadratic, min_quadratic_on_cone_slice
 
 from helpers import (
@@ -124,6 +125,80 @@ def test_ceil_root_matches_bisection():
         kinds["negative e"] += e < 0
         kinds["positive k"] += expected > 0
     assert min(kinds.values()) >= 4000
+
+
+def test_ceil_root_exact_on_large_ints():
+    # the integer step hands _ceil_root ints: a true division would round
+    # (3 * 10^20 + 1) / 3 to the float 10^20, one below the ceiling
+    cases = [
+        (3 * 10**20 + 1, 0, 3),
+        (-(10**30), 10**60 + 1, 7),  # sqrt just above 10^30: the root is 1 / 7 past 0
+        (10**25 - 1, 4 * 10**50, 10**5 + 3),
+        (2**80 + 1, (2**80) ** 2, 2),
+    ]
+    for e, disc, g in cases:
+        expected = max(0, reference_ceil_root(Fraction(e), Fraction(disc), Fraction(g)))
+        assert _ceil_root(e, disc, g) == expected, (e, disc, g)
+        assert _ceil_root(Fraction(e), Fraction(disc), Fraction(g)) == expected
+    assert _ceil_root(3 * 10**20 + 1, 0, 3) == 10**20 + 1 != math.ceil((3 * 10**20 + 1) / 3)
+
+
+def test_negative_ray_step_on_rational_data():
+    # seeded instances in R^1..R^3 with every entry p / q, |p| <= 3, q <= 4,
+    # kept when they take the negative branch: the step, computed in
+    # integers over hs cs D^2 den(d), is the reference ceiling of the
+    # Fraction parabola lead k^2 + slope k + const along the primitive
+    # slice minimizer from the part's mixed-integer start, and one step
+    # less is not past the larger root.  That is "does not certify" unless
+    # the start itself certifies while the parabola rises from it
+    rng = random.Random(2727)
+
+    def rational():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    hits = Counter()
+    while hits["negative"] < 150:
+        n = rng.randint(1, 3)
+        h = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                h[i][j] = h[j][i] = rational()
+        m = rng.randint(1, 4)
+        inst = instance(h, [rational() for _ in range(n)], rational(),
+                        [[rational() for _ in range(n)] for _ in range(m)], [rational() for _ in range(m)],
+                        rng.randint(0, n))
+        try:
+            cert = find_certificate(inst)
+        except FiberLimit:
+            continue
+        if cert is None or cert.trace.branch != "negative-ray":
+            continue
+        parts = {None: inst.polyhedron, **dict(iter_orthant_parts(inst.polyhedron))}
+        part = parts[cert.trace.orthant]
+        rays = h_to_v(part).rays
+        r = primitivize(min_quadratic_on_cone_slice(inst.quad.h, rays, normalizing_hyperplane(rays).f).minimizer)
+        base = mip_point(MixedIntegerSet(part, inst.integer_count))
+        hr = inst.quad.h.matvec(r)
+        lead = r.dot(hr)
+        slope = 2 * base.dot(hr) + inst.quad.c.dot(r)
+        const = eval_quadratic(inst.quad, base)
+        disc = slope * slope - 4 * lead * const
+        expected = 0 if disc < 0 else max(0, reference_ceil_root(slope, disc, -2 * lead))
+        step = cert.trace.step
+        assert step == expected, inst
+        assert cert.point == base + r.scale(step)
+        assert eval_quadratic(inst.quad, cert.point) <= 0
+        if step:  # one step less is not past the larger root: q > 0 there, or the parabola still rises
+            before = eval_quadratic(inst.quad, base + r.scale(step - 1))
+            assert before > 0 or 2 * lead * (step - 1) + slope > 0
+            hits["feasible start, stepped"] += before <= 0
+        _, hs, _, cs = inst.quad._integer_form
+        hits["negative"] += 1
+        hits["positive step"] += step > 0
+        hits["fractional start"] += not base.is_integral()
+        hits["hs, cs, den(d) > 1"] += hs > 1 and cs > 1 and inst.quad.d.denominator > 1
+    assert hits["positive step"] >= 50 and hits["fractional start"] >= 40, hits
+    assert hits["hs, cs, den(d) > 1"] >= 40 and hits["feasible start, stepped"] >= 3, hits
 
 
 def test_linear_descent_step_least_negative_vertex():

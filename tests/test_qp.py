@@ -532,6 +532,46 @@ def test_cone_slice_matches_support_kkt_reference():
     assert hits["singular, zero"] >= 50 and hits["singular, rank-one"] >= 30, hits
 
 
+def test_cone_slice_vertices_in_closed_form(monkeypatch):
+    # the slice's vertices r_i / (f . r_i) are valued without a hull solve:
+    # k independent rays make one _hull_stationary_point call per support of
+    # two or more, 2^k - k - 1, and one ray makes none.  Where vertices tie
+    # with each other or with a face's stationary point, the least x wins
+    calls = Counter()
+    solve = qp._hull_stationary_point
+
+    def counted(*args):
+        calls["hulls"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(qp, "_hull_stationary_point", counted)
+    e1, e2, e3 = vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)
+    cases = [
+        # (H, rays, f, least minimizer, value, hull solves)
+        (mat([[-2, 1], [1, 3]]), [vec(2, 1)], vec(1, Fraction(1, 3)), vec(Fraction(6, 7), Fraction(3, 7)), Fraction(-9, 49), 0),
+        (mat([[0, 0], [0, 0]]), [vec(3, 1), vec(1, 2)], vec(1, 1), vec(Fraction(1, 3), Fraction(2, 3)), 0, 1),
+        # 0 on the slice but not on R^3: e3 e3^T on the cone of e1 and e2
+        (mat([[0, 0, 0], [0, 0, 0], [0, 0, 1]]), [e1, e2], vec(1, 1, 1), e2, 0, 1),
+        # (x1 + x2)^2 is 1 along the whole edge: its hull is singular, the two vertices tie
+        (mat([[1, 1], [1, 1]]), [vec(1, 0), vec(0, 1)], vec(1, 1), vec(0, 1), 1, 1),
+        # (x1 - x2)^2 is 0 at the vertex e3 and at the edge point (1/2, 1/2, 0): the vertex is less
+        (mat([[1, -1, 0], [-1, 1, 0], [0, 0, 0]]), [e1, e2, e3], vec(1, 1, 1), e3, 0, 4),
+        # (x2 - x3)^2 is 0 at the vertex e1 and at the edge point (0, 1/2, 1/2): the edge point is less
+        (mat([[0, 0, 0], [0, 1, -1], [0, -1, 1]]), [e1, e2, e3], vec(1, 1, 1), vec(0, Fraction(1, 2), Fraction(1, 2)), 0, 4),
+        # (x1 + x2)^2 + 2 x3^2 is flat along the edge x3 = 0 and least at
+        # x3 = 1/3 on the two edges through e3: a segment of minimizers
+        (mat([[1, 1, 0], [1, 1, 0], [0, 0, 2]]), [e1, e2, e3], vec(1, 1, 1), vec(0, Fraction(2, 3), Fraction(1, 3)), Fraction(2, 3), 4),
+        # four rays in R^3, one of them twice (the same vertex from two rays)
+        (mat([[0, 0, 0], [0, 0, 0], [0, 0, 0]]), [vec(1, 0, 1), vec(0, 1, 1), vec(0, 1, 1), vec(-1, 0, 1)], e3, vec(-1, 0, 1), 0, 7),
+    ]
+    for h, rays, f, minimizer, value, hulls in cases:
+        calls.clear()
+        got = min_quadratic_on_cone_slice(h, rays, f)
+        expected, _ = reference_cone_slice_min(h, rays, f)
+        assert (got.minimizer, got.value) == (expected.minimizer, expected.value) == (minimizer, value)
+        assert calls["hulls"] == hulls, (rays, calls)
+
+
 def test_cone_slice_rejects_bad_hyperplane():
     quadrant = h_to_v(hpoly([[-1, 0], [0, -1]], [0, 0])).rays
     with pytest.raises(Unbounded):

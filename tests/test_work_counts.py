@@ -18,7 +18,8 @@ compared with committed constants:
   generators);
 - ``face hulls``: calls of ``qp._hull_stationary_point``, one per QP face
   hull of dimension at least two, shared by every linear term minimized on
-  it, and one per support of each cone slice solved (a part reads back a
+  it, and one per support of two or more rays of each cone slice solved
+  (a slice's vertices are valued in closed form, and a part reads back a
   slice it has already minimized over the same hyperplane).  A line's
   1 x 1 system is solved in closed form on a line ``h_to_v`` already has;
 - ``integer rows``: calls of ``linalg._integer_row``, through every module
@@ -69,8 +70,8 @@ EXPECTED = {
     },
     "unbounded_budget": {
         "h_to_v misses": 218,
-        "back-substitutions": 1660,
-        "face hulls": 451,
+        "back-substitutions": 1178,
+        "face hulls": 210,
         "integer rows": 2846,
         "box bounds": 161,
         "relaxed bounds": 0,
@@ -87,8 +88,8 @@ EXPECTED = {
     },
     "tail": {
         "h_to_v misses": 874,
-        "back-substitutions": 19686,
-        "face hulls": 6412,
+        "back-substitutions": 18814,
+        "face hulls": 5976,
         "integer rows": 16051,
         "box bounds": 2391,
         "relaxed bounds": 148,
@@ -100,7 +101,7 @@ COUNTED = (
     *((module, "_affine_hull", "back-substitutions") for module in (linalg, polyhedra, qp, cones)),
     (qp, "_hull_stationary_point", "face hulls"),
     (linalg, "solve_linear_system", "integer solves"),
-    *((module, "_integer_row", "integer rows") for module in (linalg, polyhedra, qp, milp, cones)),
+    *((module, "_integer_row", "integer rows") for module in (linalg, polyhedra, qp, milp, cones, certifier)),
     (certifier, "_box_bound", "box bounds"),
     (certifier, "_relaxed_bound", "relaxed bounds"),
     (certifier, "_fiber_min", "fiber minima"),
